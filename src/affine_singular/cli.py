@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = singular.add_parser("verify", parents=[common, sized, caching],
                             help="annihilation check at a numeric level")
-    p.add_argument("--level", default=None, help="rational level override, e.g. -1/2")
-    p.add_argument("--symbolic", action="store_true", help="keep the level symbolic")
+    level = p.add_mutually_exclusive_group()
+    level.add_argument("--level", default=None, help="rational level override, e.g. -1/2")
+    level.add_argument("--symbolic", action="store_true", help="keep the level symbolic")
     p.set_defaults(func=cmd_singular_verify)
     p = singular.add_parser("factor", parents=[common, sized, caching],
                             help="symbolic lowering-factor identity")
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

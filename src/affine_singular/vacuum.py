@@ -14,15 +14,30 @@ and any factor of nonnegative mode adjacent to the vacuum kills the term.
 Straightening rewrites an arbitrary word to this normal form; it terminates
 because a swap lowers the inversion count and every bracket or central
 correction shortens the word.
+
+Most states the package builds are P(Y(-1))|0>, a polynomial P in
+commuting letters Y at mode -1.  On those, the annihilation operators act
+as differential operators on P:
+
+    x(0) P = sum_Y [x, Y] dP/dY,
+    x(1) P = 1/2 sum_(Y, Y') [[x, Y], Y'] d^2P/dYdY' + k sum_Y (x, Y) dP/dY,
+
+with the new letters put back in sorted order; the double sum is symmetric
+by the Jacobi identity, since [Y, Y'] = 0.  apply_generator uses these rules
+when the mode is 0 or 1, every letter is at mode -1, and the state's
+letters together with every letter the rule produces pairwise commute.
+Otherwise it straightens.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import time
 from fractions import Fraction
 
 from .report import VerificationReport
-from .scalars import ONE, UniPoly, coerce_rational, format_rational
+from .scalars import ONE, ZERO, UniPoly, coerce_rational, format_rational
 
 Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
@@ -43,11 +58,13 @@ class VacuumState:
 
     def __init__(self, terms=None):
         clean: dict[Monomial, UniPoly] = {}
+        letters: dict[Letter, Letter] = {}  # one shared tuple per distinct letter
         if terms:
             for mono, c in terms.items():
                 c = _coerce_poly(c)
                 if not c.is_zero:
-                    mono = tuple((int(n), int(x)) for n, x in mono)
+                    mono = tuple(letters.setdefault(letter, letter)
+                                 for letter in ((int(n), int(x)) for n, x in mono))
                     if mono in clean:
                         c = clean[mono] + c
                         if c.is_zero:
@@ -63,6 +80,14 @@ class VacuumState:
     @classmethod
     def zero(cls) -> "VacuumState":
         return cls()
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "VacuumState":
+        """Wrap canonical monomials with nonzero UniPoly coefficients as given,
+        sharing their tuples instead of rebuilding them."""
+        state = cls()
+        state.terms = terms
+        return state
 
     @property
     def is_zero(self) -> bool:
@@ -96,7 +121,8 @@ class VacuumState:
     def specialize(self, level) -> "VacuumState":
         """Evaluate every coefficient at a numeric level."""
         level = coerce_rational(level)
-        return VacuumState({m: UniPoly.constant(c(level)) for m, c in self.terms.items()})
+        values = ((m, c(level)) for m, c in self.terms.items())
+        return VacuumState._canonical({m: UniPoly.constant(v) for m, v in values if v})
 
     def is_symbolic(self) -> bool:
         return any(c.degree > 0 for c in self.terms.values())
@@ -176,30 +202,141 @@ def straighten(table, word, coeff=1, strategy: str = "leftmost") -> VacuumState:
 
 
 def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
-    """Act with x(n) on a state, for any integer mode n."""
+    """Act with x(n) on a state, for any integer mode n.
+
+    Modes 0 and 1 on commuting mode -1 letters take the differential-operator
+    rule of the module docstring; everything else is straightened.
+    """
     xi = table.idx(x)
     n = int(n)
+    if n in (0, 1):
+        fast = _differential_action(table, xi, n, state)
+        if fast is not None:
+            return fast
     out: dict[Monomial, UniPoly] = {}
     for mono, c in state.terms.items():
         _reduce_into(table, c, ((n, xi),) + mono, out)
     return VacuumState(out)
 
 
+def _differential_action(table, x: int, n: int, state: VacuumState):
+    """x(n) for n in (0, 1) as a differential operator on P(Y(-1))|0>.
+
+    Returns None, so the caller straightens instead, unless every letter is
+    at mode -1 and the letters, together with every letter the operator
+    produces, pairwise commute.
+    """
+    letters = set()
+    for mono in state.terms:
+        for mode, y in mono:
+            if mode != -1:
+                return None
+            letters.add(y)
+    first = {y: table.bracket(x, y) for y in letters}
+    central = {}
+    if n == 0:
+        replace = first  # y -> [x, y]
+    else:
+        replace = {}  # (a, b) with a <= b -> [[x, a], b]
+        for a in letters:
+            pairing = table.form(x, a)
+            if pairing:
+                central[a] = pairing
+            for b in letters:
+                if a <= b:
+                    nested: dict[int, Fraction] = {}
+                    for z, cz in first[a]:
+                        for w, cw in table.bracket(z, b):
+                            nested[w] = nested.get(w, ZERO) + cz * cw
+                    replace[a, b] = [(w, c) for w, c in nested.items() if c]
+    span = sorted(letters.union(*({w for w, _ in terms} for terms in replace.values())))
+    for i, a in enumerate(span):
+        for b in span[i + 1:]:
+            if table.bracket(a, b):
+                return None
+
+    # The sums run over integers: the operator constants are scaled by den,
+    # the state's coefficients by scale, and the result divided by both.
+    den = math.lcm(*(c.denominator for terms in replace.values() for _, c in terms),
+                   *(g.denominator for g in central.values()))
+    scale = math.lcm(*(v.denominator for c in state.terms.values() for v in c.coeffs.values()))
+    replace = {r: [(w, c.numerator * (den // c.denominator)) for w, c in terms]
+               for r, terms in replace.items()}
+    central = {a: g.numerator * (den // g.denominator) for a, g in central.items()}
+
+    acc: dict[tuple, int] = {}  # (k-degree, sorted letter indices) -> scaled coefficient
+    for mono, c in state.terms.items():
+        key = tuple(y for _, y in mono)
+        coeffs = [(d, v.numerator * (scale // v.denominator)) for d, v in c.coeffs.items()]
+        groups = []  # [letter, first index, multiplicity]
+        for t, y in enumerate(key):
+            if groups and groups[-1][0] == y:
+                groups[-1][2] += 1
+            else:
+                groups.append([y, t, 1])
+        images = []  # (k-degree shift, new key, factor)
+        for g, (a, ia, ea) in enumerate(groups):
+            rest = key[:ia] + key[ia + 1:]
+            if n == 0:
+                for z, cz in replace[a]:
+                    images.append((0, _insert(rest, z), ea * cz))
+                continue
+            if a in central:
+                images.append((1, rest, ea * central[a]))
+            for b, ib, eb in groups[g:]:
+                if b == a:
+                    pairs, pair_rest = ea * (ea - 1) // 2, rest[:ia] + rest[ia + 1:]
+                else:
+                    pairs, pair_rest = ea * eb, rest[:ib - 1] + rest[ib:]
+                if pairs:
+                    for w, cw in replace[a, b]:
+                        images.append((0, _insert(pair_rest, w), pairs * cw))
+        for shift, new, factor in images:
+            for d, v in coeffs:
+                slot = (d + shift, new)
+                acc[slot] = acc.get(slot, 0) + v * factor
+
+    letter = {y: (-1, y) for y in span}
+    out: dict[Monomial, dict[int, Fraction]] = {}
+    for (d, key), v in acc.items():
+        if v:
+            out.setdefault(tuple(letter[y] for y in key), {})[d] = Fraction(v, den * scale)
+    return VacuumState._canonical({mono: UniPoly(coeffs) for mono, coeffs in out.items()})
+
+
+def _insert(key: tuple, y: int) -> tuple:
+    """The sorted tuple key with one more y."""
+    t = bisect.bisect(key, y)
+    return key[:t] + (y,) + key[t:]
+
+
+def _monomial_weight(table, mono: Monomial) -> tuple:
+    w = [ZERO] * table.rank
+    for _, x in mono:
+        for t, c in enumerate(table.weights[x]):
+            w[t] += c
+    return tuple(w)
+
+
 def state_weight(table, state: VacuumState):
     """The common weight of all monomials; raises with a witness pair if mixed."""
     if state.is_zero:
         raise ValueError("the zero state has no weight")
-    seen = None
-    seen_mono = None
-    for mono in sorted(state.terms):
-        w = [Fraction(0)] * table.rank
-        for _, x in mono:
-            for t, c in enumerate(table.weights[x]):
-                w[t] += c
-        w = tuple(w)
-        if seen is None:
-            seen, seen_mono = w, mono
-        elif w != seen:
+    # Each letter's weight, scaled to integers, is packed into 64-bit fields
+    # of one integer, so a monomial's weight is one integer sum.  Distinct
+    # weights stay distinct while every coordinate is below 2**63 in size.
+    den = math.lcm(*(c.denominator for w in table.weights for c in w))
+    packed = [sum((c.numerator * (den // c.denominator)) << (64 * t) for t, c in enumerate(w))
+              for w in table.weights]
+    if len({sum(packed[x] for _, x in mono) for mono in state.terms}) == 1:
+        monos = [next(iter(state.terms))]
+    else:
+        monos = sorted(state.terms)  # the witness pair is the first mismatch in order
+    seen_mono = monos[0]
+    seen = _monomial_weight(table, seen_mono)
+    for mono in monos[1:]:
+        w = _monomial_weight(table, mono)
+        if w != seen:
             raise ValueError(
                 "state is not weight homogeneous: %s has %s, %s has %s"
                 % (monomial_text(table, seen_mono), seen, monomial_text(table, mono), w))

@@ -58,6 +58,23 @@ def test_usage_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_arithmetic_error_exit_code(capsys):
+    code = main(["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+                 "--level", "1/0", "--no-cache"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_level_and_symbolic_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+              "--level", "1", "--symbolic", "--no-cache"])
+    assert info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["singular", "verify", "--type", "Z", "--rank", "2", "-m", "1"])
