@@ -9,35 +9,16 @@ the enveloping algebra, the oscillator image, and the sp_6 top-level
 classification.
 """
 
-from .cache import cache_get, cache_put, default_cache_dir
-from .category_o import (adjoint_orbit_top, classify_sp6, determinant_top_module,
-                         hc_projection, weight_convert, zero_weight_subspace)
-from .determinants import (DeterminantSpec, build_matrix, coexisting_singulars,
-                           determinant_vector, entries_commute_check,
-                           lowering_factor_check, minor_vector, verify_singular)
-from .liealg import BasisElement, RealizationError, StructureTable, build_algebra, parse_element
-from .report import VerificationReport
-from .scalars import HPoly, Rational, UniPoly, format_rational, parse_rational
-from .vacuum import VacuumState, apply_generator, singular_check, state_weight, straighten
-from .weights import multiplicity, weight_multiplicities, weyl_dim
-from .weyl import WeylElement, normal_ordered, weyl_mul
-from .zhu import (UEnvElement, finite_determinant, uenv_mul, uenv_pow,
-                  verify_weyl_vanishing, verify_zhu_generator, weyl_image,
-                  zhu_project)
+from .category_o import classify_sp6
+from .determinants import DeterminantSpec, determinant_vector, lowering_factor_check, verify_singular
+from .liealg import build_algebra
+from .weights import weyl_dim
+from .zhu import verify_weyl_vanishing, verify_zhu_generator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisElement", "DeterminantSpec", "HPoly", "Rational", "RealizationError",
-    "StructureTable", "UEnvElement", "UniPoly", "VacuumState", "VerificationReport",
-    "WeylElement", "adjoint_orbit_top", "apply_generator", "build_algebra",
-    "build_matrix", "cache_get", "cache_put", "classify_sp6",
-    "coexisting_singulars", "default_cache_dir", "determinant_top_module",
-    "determinant_vector", "entries_commute_check", "finite_determinant",
-    "format_rational", "hc_projection", "lowering_factor_check", "minor_vector",
-    "multiplicity", "normal_ordered", "parse_element", "parse_rational",
-    "singular_check", "state_weight", "straighten", "uenv_mul", "uenv_pow",
-    "verify_singular", "verify_weyl_vanishing", "verify_zhu_generator",
-    "weight_convert", "weight_multiplicities", "weyl_dim", "weyl_image",
-    "weyl_mul", "zero_weight_subspace", "zhu_project",
+    "DeterminantSpec", "build_algebra", "classify_sp6", "determinant_vector",
+    "lowering_factor_check", "verify_singular", "verify_weyl_vanishing",
+    "verify_zhu_generator", "weyl_dim",
 ]

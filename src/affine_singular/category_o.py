@@ -164,7 +164,7 @@ def _affine_pair(poly: UniPoly):
     """Split a degree <= 1 polynomial into (constant, slope)."""
     if poly.degree > 1:
         raise ValueError("weight coordinate %s is not affine" % poly)
-    return poly.coeffs.get(0, ZERO), poly.coeffs.get(1, ZERO)
+    return poly.terms.get(0, ZERO), poly.terms.get(1, ZERO)
 
 
 # printed classification data for the sp_6 check: three lines of affine
@@ -230,6 +230,8 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
     vanishing along the three printed lines and six printed weights, and
     seeded off-locus controls that must each violate some polynomial.
     """
+    if controls < 0:
+        raise ValueError("controls must be nonnegative, got %d" % controls)
     start = time.perf_counter()
     spec = DeterminantSpec("C", 3, 3, 1)
     table = spec.table()

@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from . import cache as cache_mod
-from . import category_o, determinants, vacuum, zhu
+from . import category_o, determinants, zhu
 from .determinants import DeterminantSpec
 from .liealg import build_algebra
 from .scalars import format_rational, parse_rational
@@ -77,7 +77,10 @@ def _parse_level(args):
     if getattr(args, "symbolic", False):
         return None
     if getattr(args, "level", None) is not None:
-        return parse_rational(args.level)
+        try:
+            return parse_rational(args.level)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--level expects a rational p/q, got %r" % args.level) from None
     return "auto"
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import vacuum
 from .liealg import BasisElement, StructureTable, build_algebra
 from .report import VerificationReport
-from .scalars import ONE, UniPoly, coerce_rational, format_rational
+from .scalars import ONE, UniPoly, add_term, coerce_rational, format_rational
 from .vacuum import VacuumState
 
 EntryPoly = dict  # sorted index tuple -> Fraction, a polynomial in commuting entries
@@ -135,22 +135,11 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _ep_add_term(poly: EntryPoly, key, coeff):
-    if key in poly:
-        coeff = poly[key] + coeff
-        if coeff:
-            poly[key] = coeff
-        else:
-            del poly[key]
-    elif coeff:
-        poly[key] = coeff
-
-
 def ep_mul(p: EntryPoly, q: EntryPoly) -> EntryPoly:
     out: EntryPoly = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
-            _ep_add_term(out, tuple(sorted(k1 + k2)), c1 * c2)
+            add_term(out, tuple(sorted(k1 + k2)), c1 * c2)
     return out
 
 
@@ -172,7 +161,7 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
         key = tuple(sorted(
             table.idx(entry_element(spec.kind, spec.rank, rows[t], cols[perm[t]]))
             for t in range(len(rows))))
-        _ep_add_term(out, key, Fraction(_perm_sign(perm)))
+        add_term(out, key, Fraction(_perm_sign(perm)))
     return out
 
 
@@ -188,17 +177,6 @@ def minor_entry_poly(table: StructureTable, spec: DeterminantSpec, i: int, j: in
 def ep_state(poly: EntryPoly) -> VacuumState:
     """Place every entry at mode -1 and apply to the vacuum."""
     return VacuumState({tuple((-1, x) for x in key): c for key, c in poly.items()})
-
-
-def ep_apply(table: StructureTable, poly: EntryPoly, state: VacuumState) -> VacuumState:
-    """Left-multiply a state by the mode -1 entry polynomial as an operator."""
-    out = VacuumState.zero()
-    for key, c in poly.items():
-        piece = state * c
-        for x in reversed(key):
-            piece = vacuum.apply_generator(table, x, -1, piece)
-        out = out + piece
-    return out
 
 
 def determinant_vector(table: StructureTable, spec: DeterminantSpec) -> VacuumState:
@@ -247,10 +225,11 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     start = time.perf_counter()
     table = spec.table()
     det = det_entry_poly(table, spec)
-    lhs = vacuum.apply_generator(table, table.theta_lowering, 1, ep_state(ep_pow(det, spec.n)))
+    lower = ep_pow(det, spec.n - 1)
+    lhs = vacuum.apply_generator(table, table.theta_lowering, 1, ep_state(ep_mul(lower, det)))
     beta = beta_constant(table)
     factor = UniPoly({1: beta * spec.n, 0: -beta * spec.n * spec.level})
-    rhs = ep_state(ep_mul(minor_entry_poly(table, spec, 1, 1), ep_pow(det, spec.n - 1))) * factor
+    rhs = ep_state(ep_mul(minor_entry_poly(table, spec, 1, 1), lower)) * factor
     diff = lhs - rhs
     witness = None
     if not diff.is_zero:

@@ -134,12 +134,6 @@ class StructureTable:
     def text(self, n: int) -> str:
         return self.basis[n].text(self.kind)
 
-    def weight_of(self, spec) -> Weight:
-        return self.weights[self.idx(spec)]
-
-    def realization(self, spec) -> weyl.WeylElement:
-        return self.realizations[self.idx(spec)]
-
     # -- structure ------------------------------------------------------
 
     def bracket(self, x, y):

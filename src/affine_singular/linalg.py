@@ -10,18 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ZERO
+from .scalars import add_term
 
 
 def vec_sub_scaled(u: dict, v: dict, c: Fraction) -> dict:
     """u - c*v with eager zero deletion."""
     out = dict(u)
     for key, value in v.items():
-        total = out.get(key, ZERO) - c * value
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
+        add_term(out, key, -c * value)
     return out
 
 
@@ -62,27 +58,3 @@ class SparseBasis:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-
-def det_dense(matrix) -> Fraction:
-    """Determinant of a dense square matrix of Fractions by elimination."""
-    n = len(matrix)
-    rows = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        lead = rows[col][col]
-        det *= lead
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det

@@ -2,16 +2,15 @@
 
 Every coefficient in the package lives in Q, in Q[k] (k the formal level,
 kept symbolic so identities can be checked as polynomial statements and
-specialised afterwards), or in Q[h_1..h_l] (Cartan coordinates).  Zero
-coefficients are deleted eagerly, so structural equality of term maps is
-semantic equality.
+specialised afterwards), or in Q[h_1..h_l] (Cartan coordinates).  Every
+linear combination the package builds (these polynomials, vacuum states,
+enveloping and oscillator elements) is a TermMap: zero coefficients are
+deleted eagerly, so structural equality of term maps is semantic equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,92 +56,172 @@ def _join_terms(parts: list[str]) -> str:
     return text
 
 
-class UniPoly:
-    """Sparse univariate polynomial over Q.
+def add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff, deleting the key when the sum is zero."""
+    if key in terms:
+        coeff = terms[key] + coeff
+        if coeff:
+            terms[key] = coeff
+        else:
+            del terms[key]
+    elif coeff:
+        terms[key] = coeff
+
+
+class TermMap:
+    """A sparse linear combination: terms maps each key to a nonzero coefficient.
+
+    The coefficients are rationals, or polynomials in k for vacuum states.
+    A subclass may carry one context value (a variable name, a number of
+    variables) in the slot named by _context; results of arithmetic carry it
+    on.  A subclass keeps to itself its validating __init__, its product and
+    its text.  Arithmetic wraps its results with the trusted _wrap, which
+    neither copies nor checks.
+    """
+
+    __slots__ = ("terms",)
+    _context = ""
+
+    @classmethod
+    def _wrap(cls, terms: dict, context=None):
+        """Trusted constructor for a dict that already holds nonzero coefficients."""
+        out = object.__new__(cls)
+        out.terms = terms
+        if cls._context:
+            setattr(out, cls._context, context)
+        return out
+
+    def _own_context(self):
+        return getattr(self, self._context) if self._context else None
+
+    def _lift(self, other):
+        """other as a term map of this class, or NotImplemented; classes
+        with a constant term also lift rationals."""
+        return other if type(other) is type(self) else NotImplemented
+
+    def _join(self, other):
+        """The context of a result built from self and other."""
+        mine, theirs = self._own_context(), other._own_context()
+        if mine != theirs:
+            raise ValueError("mismatched %s: %r and %r" % (self._context, mine, theirs))
+        return mine
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        # nonzero, as for a rational, so add_term and scale take polynomial
+        # coefficients too
+        return bool(self.terms)
+
+    def _sum(self, other, sign: int):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        context = self._join(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(terms, key, c if sign > 0 else -c)
+        return self._wrap(terms, context)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()}, self._own_context())
+
+    def scale(self, value):
+        """Every coefficient times value: a rational, or a polynomial in k
+        when the coefficients are polynomials in k."""
+        if not isinstance(value, UniPoly):
+            value = coerce_rational(value)
+        terms = {key: c * value for key, c in self.terms.items()} if value else {}
+        return self._wrap(terms, self._own_context())
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        try:
+            self._join(other)
+        except ValueError:
+            return False
+        return self.terms == other.terms
+
+    __hash__ = None
+
+
+class UniPoly(TermMap):
+    """Sparse univariate polynomial over Q: terms maps degrees to coefficients.
 
     The default variable is the formal level k; affine-substitution results
     reuse the class with variable "x".  Mixing distinct variables in one
     arithmetic expression is an error unless one side is constant.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("var",)
+    _context = "var"
 
-    def __init__(self, coeffs=None, var: str = "k"):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for deg, c in coeffs.items():
-                c = coerce_rational(c)
-                if c:
-                    if deg < 0:
-                        raise ValueError("negative exponent in polynomial")
-                    clean[int(deg)] = c
-        self.coeffs = clean
+    def __init__(self, terms=None, var: str = "k"):
+        self.terms = {}
         self.var = var
+        for deg, c in (terms or {}).items():
+            c = coerce_rational(c)
+            if c:
+                if deg < 0:
+                    raise ValueError("negative exponent in polynomial")
+                self.terms[int(deg)] = c
 
     @classmethod
     def constant(cls, value, var: str = "k") -> "UniPoly":
-        return cls({0: coerce_rational(value)}, var)
+        return cls({0: value}, var)
 
     @classmethod
     def variable(cls, var: str = "k") -> "UniPoly":
         return cls({1: ONE}, var)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return max(self.coeffs, default=-1)
+        return max(self.terms, default=-1)
 
     def constant_value(self) -> Fraction:
         if self.degree > 0:
             raise ValueError("polynomial %s is not constant" % (self,))
-        return self.coeffs.get(0, ZERO)
+        return self.terms.get(0, ZERO)
 
-    def _merge_var(self, other: "UniPoly") -> str:
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return UniPoly.constant(other, self.var)
+        return super()._lift(other)
+
+    def _join(self, other) -> str:
+        """Constants take the variable of the other side."""
         if self.degree <= 0:
             return other.var
-        if other.degree <= 0:
+        if other.degree <= 0 or other.var == self.var:
             return self.var
-        if self.var != other.var:
-            raise ValueError("mixed variables %r and %r" % (self.var, other.var))
-        return self.var
-
-    def _lift(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly.constant(coerce_rational(other), self.var)
-
-    def __add__(self, other) -> "UniPoly":
-        other = self._lift(other)
-        var = self._merge_var(other)
-        out = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            out[deg] = out.get(deg, ZERO) + c
-        return UniPoly(out, var)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({d: -c for d, c in self.coeffs.items()}, self.var)
-
-    def __sub__(self, other) -> "UniPoly":
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "UniPoly":
-        return (-self) + self._lift(other)
+        raise ValueError("mixed variables %r and %r" % (self.var, other.var))
 
     def __mul__(self, other) -> "UniPoly":
         other = self._lift(other)
-        var = self._merge_var(other)
+        if other is NotImplemented:
+            return NotImplemented
+        var = self._join(other)
         out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                out[d] = out.get(d, ZERO) + c1 * c2
-        return UniPoly(out, var)
+        for d1, c1 in self.terms.items():
+            for d2, c2 in other.terms.items():
+                add_term(out, d1 + d2, c1 * c2)
+        return UniPoly._wrap(out, var)
 
     __rmul__ = __mul__
 
@@ -157,26 +236,14 @@ class UniPoly:
     def __call__(self, point) -> Fraction:
         point = coerce_rational(point)
         total = ZERO
-        for deg, c in self.coeffs.items():
+        for deg, c in self.terms.items():
             total += c * point**deg
         return total
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other, self.var)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.coeffs != other.coeffs:
-            return False
-        # constants compare equal across variables
-        return self.degree <= 0 or other.degree <= 0 or self.var == other.var
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         parts = []
-        for deg in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[deg]
+        for deg in sorted(self.terms, reverse=True):
+            c = self.terms[deg]
             if deg == 0:
                 body = ""
             elif deg == 1:
@@ -192,29 +259,24 @@ def level_var() -> UniPoly:
     return UniPoly.variable("k")
 
 
-class HPoly:
+class HPoly(TermMap):
     """Sparse polynomial in the Cartan coordinates h_1..h_n over Q."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _context = "nvars"
 
     def __init__(self, nvars: int, terms=None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for expo, c in terms.items():
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != nvars or any(e < 0 for e in expo):
-                    raise ValueError("bad exponent vector %r" % (expo,))
-                c = coerce_rational(c)
-                if c:
-                    clean[expo] = clean.get(expo, ZERO) + c
-                    if not clean[expo]:
-                        del clean[expo]
+        self.terms = {}
         self.nvars = nvars
-        self.terms = clean
+        for expo, c in (terms or {}).items():
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != nvars or any(e < 0 for e in expo):
+                raise ValueError("bad exponent vector %r" % (expo,))
+            add_term(self.terms, expo, coerce_rational(c))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "HPoly":
-        return cls(nvars, {(0,) * nvars: coerce_rational(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def coordinate(cls, nvars: int, i: int) -> "HPoly":
@@ -224,46 +286,24 @@ class HPoly:
         expo = tuple(1 if t == i - 1 else 0 for t in range(nvars))
         return cls(nvars, {expo: ONE})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def _lift(self, other) -> "HPoly":
-        if isinstance(other, HPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mismatched variable counts")
-            return other
-        return HPoly.constant(self.nvars, coerce_rational(other))
-
-    def __add__(self, other) -> "HPoly":
-        other = self._lift(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            out[expo] = out.get(expo, ZERO) + c
-        return HPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "HPoly":
-        return HPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "HPoly":
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "HPoly":
-        return (-self) + self._lift(other)
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return HPoly.constant(self.nvars, other)
+        return super()._lift(other)
 
     def __mul__(self, other) -> "HPoly":
         other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        nvars = self._join(other)
         out: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return HPoly(self.nvars, out)
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return HPoly._wrap(out, nvars)
 
     __rmul__ = __mul__
 
@@ -300,15 +340,6 @@ class HPoly:
 
     def coefficient_vector(self) -> dict[tuple, Fraction]:
         return dict(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = HPoly.constant(self.nvars, other)
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         parts = []

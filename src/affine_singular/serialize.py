@@ -1,67 +1,12 @@
-"""Canonical text and JSON forms for states, enveloping elements and reports.
+"""Canonical JSON for reports.
 
-Serialisation is canonical: term maps are emitted in sorted monomial order
-and rationals as "p/q" text, so equal values produce identical bytes and
-byte equality certifies value equality.
+Serialisation is canonical: keys are sorted and the layout is fixed, so equal
+values produce identical bytes and byte equality certifies value equality.
 """
 
 from __future__ import annotations
 
 import json
-import re
-
-from .scalars import UniPoly, format_rational, parse_rational
-from .vacuum import VacuumState
-from .zhu import UEnvElement
-
-_MODE_TOKEN = re.compile(r"^(.+)\((-?\d+)\)$")
-
-
-def mono_text(table, mono) -> str:
-    return " ".join("%s(%d)" % (table.text(x), n) for n, x in mono)
-
-
-def parse_mono(table, text: str):
-    letters = []
-    for token in text.split():
-        m = _MODE_TOKEN.match(token)
-        if not m:
-            raise ValueError("cannot parse factor %r" % token)
-        letters.append((int(m.group(2)), table.idx(m.group(1))))
-    return tuple(letters)
-
-
-def unipoly_to_obj(p: UniPoly) -> list:
-    return [[deg, format_rational(c)] for deg, c in sorted(p.coeffs.items())]
-
-
-def obj_to_unipoly(obj, var: str = "k") -> UniPoly:
-    return UniPoly({int(deg): parse_rational(c) for deg, c in obj}, var)
-
-
-def state_to_obj(table, state: VacuumState) -> list:
-    return [[mono_text(table, mono), unipoly_to_obj(state.terms[mono])]
-            for mono in sorted(state.terms)]
-
-
-def obj_to_state(table, obj) -> VacuumState:
-    return VacuumState({parse_mono(table, text): obj_to_unipoly(coeffs) for text, coeffs in obj})
-
-
-def word_text(table, word) -> str:
-    return " ".join(table.text(x) for x in word)
-
-
-def parse_word(table, text: str):
-    return tuple(table.idx(token) for token in text.split())
-
-
-def uenv_to_obj(table, u: UEnvElement) -> list:
-    return [[word_text(table, word), format_rational(u.terms[word])] for word in sorted(u.terms)]
-
-
-def obj_to_uenv(table, obj) -> UEnvElement:
-    return UEnvElement({parse_word(table, text): parse_rational(c) for text, c in obj})
 
 
 def canonical_json(obj) -> str:

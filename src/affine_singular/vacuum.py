@@ -37,7 +37,7 @@ import time
 from fractions import Fraction
 
 from .report import VerificationReport
-from .scalars import ONE, ZERO, UniPoly, coerce_rational, format_rational
+from .scalars import ONE, ZERO, TermMap, UniPoly, add_term, coerce_rational, format_rational
 
 Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
@@ -51,27 +51,18 @@ def _coerce_poly(value) -> UniPoly:
     return UniPoly.constant(coerce_rational(value))
 
 
-class VacuumState:
+class VacuumState(TermMap):
     """A finite sum of canonical monomials applied to the vacuum."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean: dict[Monomial, UniPoly] = {}
+        self.terms = {}
         letters: dict[Letter, Letter] = {}  # one shared tuple per distinct letter
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce_poly(c)
-                if not c.is_zero:
-                    mono = tuple(letters.setdefault(letter, letter)
-                                 for letter in ((int(n), int(x)) for n, x in mono))
-                    if mono in clean:
-                        c = clean[mono] + c
-                        if c.is_zero:
-                            del clean[mono]
-                            continue
-                    clean[mono] = c
-        self.terms = clean
+        for mono, c in (terms or {}).items():
+            mono = tuple(letters.setdefault(letter, letter)
+                         for letter in ((int(n), int(x)) for n, x in mono))
+            add_term(self.terms, mono, _coerce_poly(c))
 
     @classmethod
     def vacuum(cls) -> "VacuumState":
@@ -81,51 +72,13 @@ class VacuumState:
     def zero(cls) -> "VacuumState":
         return cls()
 
-    @classmethod
-    def _canonical(cls, terms: dict) -> "VacuumState":
-        """Wrap canonical monomials with nonzero UniPoly coefficients as given,
-        sharing their tuples instead of rebuilding them."""
-        state = cls()
-        state.terms = terms
-        return state
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "VacuumState") -> "VacuumState":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out[mono] + c if mono in out else c
-        return VacuumState(out)
-
-    def __neg__(self) -> "VacuumState":
-        return VacuumState({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "VacuumState") -> "VacuumState":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "VacuumState":
-        scalar = _coerce_poly(scalar)
-        return VacuumState({m: c * scalar for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VacuumState):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
+    __mul__ = __rmul__ = TermMap.scale
 
     def specialize(self, level) -> "VacuumState":
         """Evaluate every coefficient at a numeric level."""
         level = coerce_rational(level)
         values = ((m, c(level)) for m, c in self.terms.items())
-        return VacuumState._canonical({m: UniPoly.constant(v) for m, v in values if v})
-
-    def is_symbolic(self) -> bool:
-        return any(c.degree > 0 for c in self.terms.values())
+        return VacuumState._wrap({m: UniPoly._wrap({0: v}, "k") for m, v in values if v})
 
     def mode_degree(self) -> int:
         """Total mode of the state; raises if it is mixed."""
@@ -154,25 +107,18 @@ def monomial_text(table, mono: Monomial) -> str:
     return " ".join("%s(%d)" % (table.text(x), n) for n, x in mono) + " |0>"
 
 
-def _reduce_into(table, coeff: UniPoly, word, out: dict, strategy: str = "leftmost"):
-    """Accumulate the canonical form of coeff * word |0> into out."""
+def _reduce_into(table, coeff: UniPoly, word, out: dict):
+    """Accumulate the canonical form of coeff * word |0> into out, always
+    rewriting the leftmost inversion first."""
     work = [(coeff, tuple(word))]
     while work:
         c, w = work.pop()
         if w and w[-1][0] >= 0:
             continue  # annihilates the vacuum
-        defects = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not defects:
-            if w in out:
-                total = out[w] + c
-                if total.is_zero:
-                    del out[w]
-                else:
-                    out[w] = total
-            else:
-                out[w] = c
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
+            add_term(out, w, c)
             continue
-        i = defects[0] if strategy == "leftmost" else defects[-1]
         (p, x), (q, y) = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         work.append((c, head + ((q, y), (p, x)) + tail))
@@ -184,7 +130,7 @@ def _reduce_into(table, coeff: UniPoly, word, out: dict, strategy: str = "leftmo
                 work.append((c * (p * g) * LEVEL, head + tail))
 
 
-def straighten(table, word, coeff=1, strategy: str = "leftmost") -> VacuumState:
+def straighten(table, word, coeff=1) -> VacuumState:
     """Canonical form of an ordered product of negative-mode generators.
 
     word is a sequence of (mode, element) pairs; elements may be given as
@@ -197,8 +143,8 @@ def straighten(table, word, coeff=1, strategy: str = "leftmost") -> VacuumState:
             raise ValueError("straighten expects modes <= -1, got %d" % mode)
         letters.append((mode, table.idx(x)))
     out: dict[Monomial, UniPoly] = {}
-    _reduce_into(table, _coerce_poly(coeff), tuple(letters), out, strategy)
-    return VacuumState(out)
+    _reduce_into(table, _coerce_poly(coeff), tuple(letters), out)
+    return VacuumState._wrap(out)
 
 
 def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
@@ -216,7 +162,7 @@ def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
     out: dict[Monomial, UniPoly] = {}
     for mono, c in state.terms.items():
         _reduce_into(table, c, ((n, xi),) + mono, out)
-    return VacuumState(out)
+    return VacuumState._wrap(out)
 
 
 def _differential_action(table, x: int, n: int, state: VacuumState):
@@ -259,7 +205,7 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
     # the state's coefficients by scale, and the result divided by both.
     den = math.lcm(*(c.denominator for terms in replace.values() for _, c in terms),
                    *(g.denominator for g in central.values()))
-    scale = math.lcm(*(v.denominator for c in state.terms.values() for v in c.coeffs.values()))
+    scale = math.lcm(*(v.denominator for c in state.terms.values() for v in c.terms.values()))
     replace = {r: [(w, c.numerator * (den // c.denominator)) for w, c in terms]
                for r, terms in replace.items()}
     central = {a: g.numerator * (den // g.denominator) for a, g in central.items()}
@@ -267,7 +213,7 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
     acc: dict[tuple, int] = {}  # (k-degree, sorted letter indices) -> scaled coefficient
     for mono, c in state.terms.items():
         key = tuple(y for _, y in mono)
-        coeffs = [(d, v.numerator * (scale // v.denominator)) for d, v in c.coeffs.items()]
+        coeffs = [(d, v.numerator * (scale // v.denominator)) for d, v in c.terms.items()]
         groups = []  # [letter, first index, multiplicity]
         for t, y in enumerate(key):
             if groups and groups[-1][0] == y:
@@ -301,7 +247,7 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
     for (d, key), v in acc.items():
         if v:
             out.setdefault(tuple(letter[y] for y in key), {})[d] = Fraction(v, den * scale)
-    return VacuumState._canonical({mono: UniPoly(coeffs) for mono, coeffs in out.items()})
+    return VacuumState._wrap({mono: UniPoly._wrap(coeffs, "k") for mono, coeffs in out.items()})
 
 
 def _insert(key: tuple, y: int) -> tuple:

@@ -16,44 +16,33 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, coerce_rational, format_rational
+from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (creation, annihilation) exponents
 
 
-class WeylElement:
+class WeylElement(TermMap):
     """A normally ordered element of the oscillator algebra."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _context = "nvars"
 
     def __init__(self, nvars: int, terms=None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                alpha, beta = mono
-                alpha = tuple(int(e) for e in alpha)
-                beta = tuple(int(e) for e in beta)
-                if len(alpha) != nvars or len(beta) != nvars:
-                    raise ValueError("monomial has wrong arity")
-                if any(e < 0 for e in alpha + beta):
-                    raise ValueError("negative exponent")
-                c = coerce_rational(c)
-                if c:
-                    key = (alpha, beta)
-                    clean[key] = clean.get(key, ZERO) + c
-                    if not clean[key]:
-                        del clean[key]
+        self.terms = {}
         self.nvars = nvars
-        self.terms = clean
+        for (alpha, beta), c in (terms or {}).items():
+            alpha = tuple(int(e) for e in alpha)
+            beta = tuple(int(e) for e in beta)
+            if len(alpha) != nvars or len(beta) != nvars:
+                raise ValueError("monomial has wrong arity")
+            if any(e < 0 for e in alpha + beta):
+                raise ValueError("negative exponent")
+            add_term(self.terms, (alpha, beta), coerce_rational(c))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "WeylElement":
         zero = (0,) * nvars
-        return cls(nvars, {(zero, zero): coerce_rational(value)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls(nvars, {(zero, zero): value})
 
     def max_degree(self) -> int:
         return max((sum(a) + sum(b) for a, b in self.terms), default=-1)
@@ -62,58 +51,25 @@ class WeylElement:
         """True when every monomial has total degree exactly 1."""
         return bool(self.terms) and all(sum(a) + sum(b) == 1 for a, b in self.terms)
 
-    def _lift(self, other) -> "WeylElement":
-        if isinstance(other, WeylElement):
-            if other.nvars != self.nvars:
-                raise ValueError("mismatched oscillator counts")
-            return other
-        return WeylElement.constant(self.nvars, other)
-
-    def __add__(self, other) -> "WeylElement":
-        other = self._lift(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, ZERO) + c
-        return WeylElement(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "WeylElement":
-        return WeylElement(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "WeylElement":
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "WeylElement":
-        return (-self) + self._lift(other)
-
-    def scale(self, value) -> "WeylElement":
-        value = coerce_rational(value)
-        return WeylElement(self.nvars, {m: value * c for m, c in self.terms.items()})
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return WeylElement.constant(self.nvars, other)
+        return super()._lift(other)
 
     def __mul__(self, other) -> "WeylElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        nvars = self._join(other)
         out: dict[Monomial, Fraction] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 _accumulate_product(a1, b1, a2, b2, c1 * c2, out)
-        return WeylElement(self.nvars, out)
+        return WeylElement._wrap(out, nvars)
 
-    def __rmul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._lift(other) * self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.constant(self.nvars, other)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -134,10 +90,7 @@ def _accumulate_product(a1, b1, a2, b2, coeff, out):
                 c *= (-1) ** t * math.comb(b1[i], t) * math.comb(a2[i], t) * math.factorial(t)
         alpha = tuple(a1[i] + a2[i] - ts[i] for i in range(len(a1)))
         beta = tuple(b1[i] + b2[i] - ts[i] for i in range(len(b1)))
-        key = (alpha, beta)
-        out[key] = out.get(key, ZERO) + c
-        if not out[key]:
-            del out[key]
+        add_term(out, (alpha, beta), c)
 
 
 def monomial_text(mono: Monomial) -> str:
@@ -170,10 +123,6 @@ def annihilation(nvars: int, i: int) -> WeylElement:
         raise ValueError("oscillator index out of range")
     beta = tuple(1 if t == i - 1 else 0 for t in range(nvars))
     return WeylElement(nvars, {((0,) * nvars, beta): ONE})
-
-
-def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    return x * y
 
 
 def normal_ordered(x: WeylElement, y: WeylElement) -> WeylElement:

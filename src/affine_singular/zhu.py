@@ -18,36 +18,28 @@ plain finite determinant, which is the generator identity checked here.
 
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 
 from . import weyl
-from .determinants import DeterminantSpec, det_entry_poly, determinant_vector, ep_pow
+from .determinants import DeterminantSpec, det_entry_poly, determinant_vector
 from .liealg import StructureTable
 from .report import VerificationReport
-from .scalars import ONE, ZERO, coerce_rational, format_rational
+from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational
 from .vacuum import VacuumState
 
 Word = tuple  # tuple of basis indices
 
 
-class UEnvElement:
+class UEnvElement(TermMap):
     """An element of U(g) as a Q-combination of PBW-ordered words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean: dict[Word, Fraction] = {}
-        if terms:
-            for word, c in terms.items():
-                c = coerce_rational(c)
-                if c:
-                    word = tuple(int(x) for x in word)
-                    clean[word] = clean.get(word, ZERO) + c
-                    if not clean[word]:
-                        del clean[word]
-        self.terms = clean
+        self.terms = {}
+        for word, c in (terms or {}).items():
+            add_term(self.terms, tuple(int(x) for x in word), coerce_rational(c))
 
     @classmethod
     def one(cls) -> "UEnvElement":
@@ -56,33 +48,6 @@ class UEnvElement:
     @classmethod
     def generator(cls, table: StructureTable, x) -> "UEnvElement":
         return cls({(table.idx(x),): ONE})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "UEnvElement") -> "UEnvElement":
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            out[word] = out.get(word, ZERO) + c
-        return UEnvElement(out)
-
-    def __neg__(self) -> "UEnvElement":
-        return UEnvElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "UEnvElement") -> "UEnvElement":
-        return self + (-other)
-
-    def scale(self, value) -> "UEnvElement":
-        value = coerce_rational(value)
-        return UEnvElement({w: value * c for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UEnvElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
 
     def text(self, table: StructureTable) -> str:
         if not self.terms:
@@ -108,11 +73,7 @@ def _uenv_reduce(table: StructureTable, coeff: Fraction, word: Word, out: dict):
                 i = t
                 break
         if i is None:
-            total = out.get(w, ZERO) + c
-            if total:
-                out[w] = total
-            elif w in out:
-                del out[w]
+            add_term(out, w, c)
             continue
         x, y = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
@@ -126,7 +87,7 @@ def uenv_normal_form(table: StructureTable, word, coeff=1) -> UEnvElement:
     letters = tuple(table.idx(x) for x in word)
     out: dict[Word, Fraction] = {}
     _uenv_reduce(table, coerce_rational(coeff), letters, out)
-    return UEnvElement(out)
+    return UEnvElement._wrap(out)
 
 
 def uenv_mul(table: StructureTable, u: UEnvElement, v: UEnvElement) -> UEnvElement:
@@ -134,7 +95,7 @@ def uenv_mul(table: StructureTable, u: UEnvElement, v: UEnvElement) -> UEnvEleme
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
             _uenv_reduce(table, c1 * c2, w1 + w2, out)
-    return UEnvElement(out)
+    return UEnvElement._wrap(out)
 
 
 def uenv_pow(table: StructureTable, u: UEnvElement, n: int) -> UEnvElement:
@@ -152,7 +113,7 @@ def ad_action(table: StructureTable, g, u: UEnvElement) -> UEnvElement:
         for t in range(len(word)):
             for z, cz in table.bracket(gi, word[t]):
                 _uenv_reduce(table, c * cz, word[:t] + (z,) + word[t + 1:], out)
-    return UEnvElement(out)
+    return UEnvElement._wrap(out)
 
 
 def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
@@ -167,12 +128,12 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
         sign = (-1) ** sum(-n - 1 for n, _ in mono)
         word = tuple(x for _, x in reversed(mono))
         _uenv_reduce(table, sign * c.constant_value(), word, out)
-    return UEnvElement(out)
+    return UEnvElement._wrap(out)
 
 
 def finite_determinant(table: StructureTable, spec: DeterminantSpec) -> UEnvElement:
     """The plain determinant of the entry matrix inside U(g)."""
-    return UEnvElement({key: c for key, c in det_entry_poly(table, spec).items()})
+    return UEnvElement._wrap(det_entry_poly(table, spec))
 
 
 def weyl_image(table: StructureTable, u: UEnvElement) -> weyl.WeylElement:

@@ -84,7 +84,7 @@ def test_weight_convert(table_c3):
     x = UniPoly.variable("x")
     level, finite = weight_convert(t, [-x - 1, x, 0, 0])
     assert level.constant_value() == -1
-    assert finite[0].coeffs == {1: Fraction(1)}
+    assert finite[0].terms == {1: Fraction(1)}
     assert finite[1].is_zero and finite[2].is_zero
     with pytest.raises(ValueError):
         weight_convert(t, [1, 2, 3])

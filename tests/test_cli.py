@@ -59,12 +59,21 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_arithmetic_error_exit_code(capsys):
-    code = main(["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
-                 "--level", "1/0", "--no-cache"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    for text in ("1/0", "abc"):
+        code = main(["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+                     "--level", text, "--no-cache"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --level")
+        assert repr(text) in err
+        assert "Traceback" not in err
+
+
+def test_negative_controls_exit_code(capsys):
+    assert main(["classify", "sp6", "--controls", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "controls must be nonnegative" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_level_and_symbolic_are_exclusive(capsys):

@@ -8,12 +8,13 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           build_matrix, coexisting_singulars,
                                           det_entry_poly, determinant_vector,
                                           entries_commute_check, entry_element,
-                                          ep_apply, ep_mul, ep_pow, ep_state,
+                                          ep_mul, ep_pow, ep_state,
                                           lowering_factor_check,
                                           minor_entry_poly, minor_vector,
                                           verify_singular)
 from affine_singular.scalars import UniPoly
 from affine_singular.vacuum import VacuumState, state_weight, straighten
+from oracles import ep_apply
 
 
 def test_spec_validation():

@@ -21,10 +21,10 @@ def test_unipoly_basic_arithmetic():
     k = level_var()
     p = 2 * k + 3
     q = k - 1
-    assert (p + q).coeffs == {1: Fraction(3), 0: Fraction(2)}
-    assert (p * q).coeffs == {2: Fraction(2), 1: Fraction(1), 0: Fraction(-3)}
+    assert (p + q).terms == {1: Fraction(3), 0: Fraction(2)}
+    assert (p * q).terms == {2: Fraction(2), 1: Fraction(1), 0: Fraction(-3)}
     assert (p - p).is_zero
-    assert (k**3).coeffs == {3: Fraction(1)}
+    assert (k**3).terms == {3: Fraction(1)}
     assert p(Fraction(1, 2)) == Fraction(4)
 
 
@@ -53,7 +53,8 @@ def test_unipoly_variable_mixing_guard():
     with pytest.raises(ValueError):
         _ = k + x
     # constants are variable-agnostic
-    assert (UniPoly.constant(2, "k") + x).coeffs == {1: Fraction(1), 0: Fraction(2)}
+    assert (UniPoly.constant(2, "k") + x).terms == {1: Fraction(1), 0: Fraction(2)}
+    assert repr(UniPoly.constant(2, "k") + x) == "x + 2"
     assert UniPoly.constant(5, "k") == UniPoly.constant(5, "x")
 
 
@@ -74,6 +75,18 @@ def test_hpoly_arithmetic_and_eval():
     assert p.total_degree() == 2
 
 
+def test_hpoly_variable_count_guard():
+    h1 = HPoly.coordinate(2, 1)
+    g1 = HPoly.coordinate(3, 1)
+    with pytest.raises(ValueError):
+        _ = h1 + g1
+    with pytest.raises(ValueError):
+        _ = h1 * g1
+    assert h1 != g1
+    with pytest.raises(ValueError):
+        HPoly(2, {(1, 0, 0): 1})
+
+
 def test_hpoly_substitute_affine():
     h1 = HPoly.coordinate(2, 1)
     h2 = HPoly.coordinate(2, 2)
@@ -82,7 +95,7 @@ def test_hpoly_substitute_affine():
     line = p.substitute_affine([(1, 2), (0, -1)])
     assert line.var == "x"
     # (1+2x)(-x) + 3(1+2x) = -2x^2 + 5x + 3
-    assert line.coeffs == {2: Fraction(-2), 1: Fraction(5), 0: Fraction(3)}
+    assert line.terms == {2: Fraction(-2), 1: Fraction(5), 0: Fraction(3)}
 
     rng = random.Random(5)
     for _ in range(20):

@@ -1,55 +1,6 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
-import pytest
-
-from affine_singular.determinants import DeterminantSpec, determinant_vector
-from affine_singular.scalars import UniPoly
-from affine_singular.serialize import (canonical_json, mono_text, obj_to_state,
-                                       obj_to_uenv, obj_to_unipoly, parse_mono,
-                                       parse_word, state_to_obj, uenv_to_obj,
-                                       unipoly_to_obj, word_text)
-from affine_singular.vacuum import apply_generator, straighten
-from affine_singular.zhu import uenv_normal_form
-
-
-def test_unipoly_round_trip():
-    p = UniPoly({0: Fraction(-1, 2), 3: Fraction(7)})
-    obj = unipoly_to_obj(p)
-    assert obj == [[0, "-1/2"], [3, "7"]]
-    assert obj_to_unipoly(obj) == p
-
-
-def test_mono_round_trip(table_c2):
-    t = table_c2
-    mono = ((-3, t.idx("X[-2e1]")), (-1, t.idx("h1")))
-    text = mono_text(t, mono)
-    assert text == "X[-2e1](-3) h1(-1)"
-    assert parse_mono(t, text) == mono
-    with pytest.raises(ValueError):
-        parse_mono(t, "X[2e1]")  # missing mode
-
-
-def test_state_round_trip(table_c2):
-    t = table_c2
-    state = determinant_vector(t, DeterminantSpec("C", 2, 2, 2))
-    obj = state_to_obj(t, state)
-    assert obj_to_state(t, obj) == state
-    # symbolic coefficients survive the trip
-    k_state = apply_generator(t, "X[-2e1]", 1, straighten(t, [(-1, "X[2e1]")]))
-    obj = state_to_obj(t, k_state)
-    assert obj == [["", [[1, "-4"]]]]
-    assert obj_to_state(t, obj) == k_state
-
-
-def test_uenv_round_trip(table_a3):
-    t = table_a3
-    u = uenv_normal_form(t, [t.idx("X[e1-e2]"), t.idx("X[e2-e1]")])
-    obj = uenv_to_obj(t, u)
-    assert obj_to_uenv(t, obj) == u
-    word = (t.idx("X[e2-e1]"), t.idx("X[e1-e2]"))
-    assert parse_word(t, word_text(t, word)) == word
+from affine_singular.serialize import canonical_json
 
 
 def test_canonical_json_is_stable():
