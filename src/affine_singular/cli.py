@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__
 from . import cache as cache_mod
 from . import category_o, determinants, zhu
 from .determinants import DeterminantSpec
@@ -27,11 +28,9 @@ from .liealg import build_algebra
 from .scalars import format_rational, parse_rational
 from .serialize import canonical_json
 
-PACKAGE_VERSION = "0.1.0"
-
 
 def _versions() -> dict:
-    return {"package": PACKAGE_VERSION, "cache_format": cache_mod.FORMAT_VERSION}
+    return {"package": __version__, "cache_format": cache_mod.FORMAT_VERSION}
 
 
 def _report_obj(report) -> dict:

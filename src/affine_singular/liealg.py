@@ -8,9 +8,10 @@ the labels
     X[ei+ej] = :a_i a_j:    X[-ei-ej] = :a*_i a*_j:    X[ei-ej] = :a_i a*_j:
 
 and the Cartan elements are h_i = -:a_i a*_i: (differences h_i - h_(i+1)
-for kind "A").  Every bracket is computed in the oscillator algebra and
-re-expressed exactly in the basis, so no structure constant is entered by
-hand.  The invariant form is the trace form of the natural action on the
+for kind "A").  Every bracket [x, y] with x < y in basis order is computed
+in the oscillator algebra and re-expressed exactly in the basis, so no
+structure constant is entered by hand; [y, x] is its negative and [x, x]
+is zero.  The invariant form is the trace form of the natural action on the
 2l-dimensional generator span, halved for kind "A"; this is the
 normalisation the affine central terms are built on.
 """
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import weyl
-from .scalars import ONE, ZERO, HPoly
+from .scalars import ONE, ZERO, HPoly, add_term
 
 Weight = tuple
 
@@ -281,37 +282,46 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         raise AssertionError("basis size %d != %d" % (len(basis), expected))
 
     realizations = [_realize(kind, rank, e) for e in basis]
+    dim = len(basis)
 
-    # elimination order: root vectors first (disjoint pivots), then Cartans
-    # ascending so each a_i a*_i pivot is settled before the next appears
-    order = [n for n, e in enumerate(basis) if e.kind != "cartan"]
-    order += [n for n in range(len(basis)) if basis[n].kind == "cartan"]
+    # root vectors are read off their disjoint pivot monomials; the Cartans
+    # are then eliminated in ascending order, so each a_i a*_i pivot is
+    # settled before the next appears
     pivots = [_pivot(e, rank) for e in basis]
+    root_at = {pivots[n][0]: n for n in range(dim) if basis[n].kind != "cartan"}
+    cartan_indices = [n for n in range(dim) if basis[n].kind == "cartan"]
+
+    def eliminate(n, rem, coeffs):
+        mono, lead = pivots[n]
+        c = rem.get(mono)
+        if c:
+            c = c / lead
+            coeffs[n] = c
+            for m, r in realizations[n].terms.items():
+                add_term(rem, m, -c * r)
 
     def to_basis(z: weyl.WeylElement) -> dict[int, Fraction]:
         coeffs = {}
-        rem = z
-        for n in order:
-            mono, lead = pivots[n]
-            c = rem.terms.get(mono, ZERO)
-            if c:
-                c = c / lead
-                coeffs[n] = c
-                rem = rem - realizations[n].scale(c)
-        if not rem.is_zero:
+        rem = dict(z.terms)
+        for mono in z.terms:
+            if mono in root_at:
+                eliminate(root_at[mono], rem, coeffs)
+        for n in cartan_indices:
+            eliminate(n, rem, coeffs)
+        if rem:
             raise RealizationError("element %r is outside the basis span" % z)
         return coeffs
 
     brackets = {}
-    dim = len(basis)
     for x in range(dim):
-        rx = realizations[x]
-        for y in range(dim):
-            z = rx * realizations[y] - realizations[y] * rx
-            terms = to_basis(z)
-            brackets[x, y] = tuple(sorted(terms.items()))
+        brackets[x, x] = ()
+        for y in range(x + 1, dim):
+            terms = tuple(sorted(to_basis(weyl.commutator(realizations[x], realizations[y])).items()))
+            brackets[x, y] = terms
+            brackets[y, x] = tuple((z, -c) for z, c in terms)
 
-    # matrices of the degree-1 action on span(a_1..a_l, a*_1..a*_l)
+    # sparse matrices {(row, column): entry} of the degree-1 action on
+    # span(a_1..a_l, a*_1..a*_l)
     gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
     gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
     gen_index = {}
@@ -320,11 +330,11 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         gen_index[mono] = g
     matrices = []
     for n in range(dim):
-        mat = [[ZERO] * (2 * rank) for _ in range(2 * rank)]
+        mat = {}
         for g, gen in enumerate(gens):
             image = weyl.degree1_action(realizations[n], gen)
             for mono, c in image.terms.items():
-                mat[gen_index[mono]][g] = c
+                mat[gen_index[mono], g] = c
         matrices.append(mat)
 
     scale = ONE if kind == "C" else Fraction(1, 2)
@@ -332,11 +342,12 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     for x in range(dim):
         row = []
         for y in range(dim):
+            other = matrices[y]
             tr = ZERO
-            for r in range(2 * rank):
-                for t in range(2 * rank):
-                    if matrices[x][r][t] and matrices[y][t][r]:
-                        tr += matrices[x][r][t] * matrices[y][t][r]
+            for (r, t), c in matrices[x].items():
+                d = other.get((t, r))
+                if d:
+                    tr += c * d
             row.append(scale * tr)
         form.append(tuple(row))
 

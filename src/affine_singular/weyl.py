@@ -8,6 +8,9 @@ a^alpha (a*)^beta (creations to the left).  The defining relations are
 so a product is normalised pair by pair with the closed formula
 
     (a*)^b a^c = sum_t (-1)^t C(b,t) C(c,t) t!  a^(c-t) (a*)^(b-t).
+
+The t = 0 term of a product of two monomials does not depend on their
+order, so a commutator sums only the terms with at least one contraction.
 """
 
 from __future__ import annotations
@@ -93,6 +96,36 @@ def _accumulate_product(a1, b1, a2, b2, coeff, out):
         add_term(out, (alpha, beta), c)
 
 
+def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
+    # the terms of _accumulate_product with at least one t_i > 0
+    shared = [i for i in range(len(a1)) if b1[i] and a2[i]]
+    ranges = [range(min(b1[i], a2[i]) + 1) for i in shared]
+    for ts in itertools.islice(itertools.product(*ranges), 1, None):
+        c = coeff
+        alpha = list(a1)
+        beta = list(b1)
+        for i, t in zip(shared, ts):
+            if t:
+                c *= (-1) ** t * math.comb(b1[i], t) * math.comb(a2[i], t) * math.factorial(t)
+                alpha[i] -= t
+                beta[i] -= t
+        alpha = tuple(e + f for e, f in zip(alpha, a2))
+        beta = tuple(e + f for e, f in zip(beta, b2))
+        add_term(out, (alpha, beta), c)
+
+
+def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
+    """[x, y] = xy - yx, from the contracted terms of both products alone."""
+    nvars = x._join(y)
+    out: dict[Monomial, Fraction] = {}
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            c = c1 * c2
+            _accumulate_contractions(a1, b1, a2, b2, c, out)
+            _accumulate_contractions(a2, b2, a1, b1, -c, out)
+    return WeylElement._wrap(out, nvars)
+
+
 def monomial_text(mono: Monomial) -> str:
     alpha, beta = mono
     pieces = []
@@ -142,7 +175,7 @@ def degree1_action(q: WeylElement, z: WeylElement) -> WeylElement:
         raise ValueError("degree1_action expects degree at most 2")
     if not z.is_linear():
         raise ValueError("degree1_action expects a linear second argument")
-    result = q * z - z * q
+    result = commutator(q, z)
     if not (result.is_zero or result.is_linear()):
         raise ValueError("commutator left the generator span")
     return result

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import affine_singular
 from affine_singular import cache as cache_mod
 from affine_singular.cli import main
 
@@ -21,6 +25,16 @@ def test_alg_info_text(capsys):
     out = capsys.readouterr().out
     assert "algebra C_2  dimension 10" in out
     assert "(X[-2e1], X[2e1]) = -4" in out
+
+
+@pytest.mark.parametrize("kind, rank, digest", [
+    ("C", 4, "12ab7e491a38f05aea3a9a744fc89dbcf4e760cb0ea01c0c4214a5cac785c15f"),
+    ("A", 5, "21f7aec8bd781fcaf03d7b8392be567707d15365f730cb94dabc4ba502dc235c"),
+])
+def test_alg_info_json_is_pinned(capsys, kind, rank, digest):
+    assert main(["alg", "info", "--type", kind, "--rank", str(rank), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_alg_info_json(capsys):
@@ -181,3 +195,7 @@ def test_versions_follow_package(capsys, tmp_path):
         "--json", "--cache-dir", str(tmp_path)])
     assert code == 0
     assert obj["versions"]["cache_format"] == cache_mod.FORMAT_VERSION
+    assert obj["versions"]["package"] == affine_singular.__version__
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (declared,) = re.findall(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
+    assert declared == affine_singular.__version__

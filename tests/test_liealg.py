@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from affine_singular.liealg import (BasisElement, build_algebra, element_weight,
-                                    parse_element)
+from affine_singular import liealg
+from affine_singular.liealg import (BasisElement, RealizationError, build_algebra,
+                                    element_weight, parse_element)
 from affine_singular.weights import coroot_pairing
+from affine_singular.weyl import creation
 from oracles import det_dense
 
 
@@ -107,7 +109,7 @@ def test_frozen_form_values(table_c2, table_c3, table_a3):
 
 def test_brackets_match_oscillator_commutators(table_c2, table_a3):
     """Re-expand every claimed bracket and compare with the raw commutator."""
-    for t in (table_c2, table_a3):
+    for t in (table_c2, table_a3, build_algebra("C", 4), build_algebra("A", 5)):
         for a in range(t.dimension):
             for b in range(t.dimension):
                 ra, rb = t.realizations[a], t.realizations[b]
@@ -214,6 +216,19 @@ def test_cartan_hpoly(table_c2, table_a3):
     assert repr(table_a3.cartan_hpoly("h1-h2")) == "h1 - h2"
     with pytest.raises(ValueError):
         table_c2.cartan_hpoly("X[2e1]")
+
+
+def test_bracket_outside_the_span_is_refused(monkeypatch):
+    realize = liealg._realize
+
+    def degree1_root(kind, rank, elem):
+        if elem == BasisElement("plus", 1, 1):
+            return creation(rank, 1)
+        return realize(kind, rank, elem)
+
+    monkeypatch.setattr(liealg, "_realize", degree1_root)
+    with pytest.raises(RealizationError):
+        build_algebra.__wrapped__("C", 2)
 
 
 def test_build_algebra_guards():

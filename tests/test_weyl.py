@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_singular.weyl import (WeylElement, annihilation, creation,
+from affine_singular.weyl import (WeylElement, annihilation, commutator, creation,
                                   degree1_action, monomial_text, normal_ordered)
 
 
@@ -108,6 +108,33 @@ def test_associativity_spot_checks():
             elems.append(z)
         x, y, z = elems
         assert (x * y) * z == x * (y * z)
+
+
+def test_commutator_matches_products():
+    """commutator sums contracted terms only; the full products are the oracle."""
+    a1, a2 = creation(2, 1), creation(2, 2)
+    s1, s2 = annihilation(2, 1), annihilation(2, 2)
+    elems = [
+        WeylElement(2),
+        WeylElement.constant(2, Fraction(-3, 2)),
+        a1 * a1 * s1,  # degree 3, index 1 on both sides
+        a1 * s1 * s1 * s2 + Fraction(1, 3) * a2,  # degree 4 plus degree 1
+        (a1 * a2 * s1 * s2).scale(2) - 5,  # degree 4 plus a constant
+        s1 * s1 * s1 - a2 * a2 * s2 + a1 * s1,
+        normal_ordered(a1, s2),
+    ]
+    for x in elems:
+        for y in elems:
+            assert commutator(x, y) == x * y - y * x
+        assert commutator(x, x).is_zero
+    rng = random.Random(11)
+    for _ in range(30):
+        x, y = (WeylElement(2, {((rng.randint(0, 3), rng.randint(0, 3)),
+                                 (rng.randint(0, 3), rng.randint(0, 3))): rng.randint(-3, 3)
+                                for _ in range(3)}) for _ in range(2))
+        assert commutator(x, y) == x * y - y * x
+    with pytest.raises(ValueError):
+        commutator(creation(1, 1), creation(2, 1))
 
 
 def test_degree1_action_stays_linear():
