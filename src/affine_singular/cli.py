@@ -92,10 +92,11 @@ def _cached_report(args, key, compute):
         obj, warnings = cache_mod.cache_get(directory, key)
     if obj is None:
         obj = _report_obj(compute())
-        if warnings:
-            obj.setdefault("notes", []).extend(warnings)
         if not args.no_cache:
             cache_mod.cache_put(directory, key, obj)
+    if warnings:
+        # the warning is about this run's cache read, so it is printed but never stored
+        obj = dict(obj, notes=obj.get("notes", []) + warnings)
     return obj
 
 

@@ -156,11 +156,13 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
     cols = list(cols) if cols is not None else list(range(1, spec.m + 1))
     if len(rows) != len(cols):
         raise ValueError("determinant needs a square index set")
+    if not all(1 <= r <= spec.m for r in rows + cols):
+        raise ValueError("row or column index out of range")
+    matrix = build_matrix(table, spec)
+    entries = [[matrix[r - 1][c - 1] for c in cols] for r in rows]
     out: EntryPoly = {}
     for perm in itertools.permutations(range(len(rows))):
-        key = tuple(sorted(
-            table.idx(entry_element(spec.kind, spec.rank, rows[t], cols[perm[t]]))
-            for t in range(len(rows))))
+        key = tuple(sorted(entries[t][perm[t]] for t in range(len(rows))))
         add_term(out, key, Fraction(_perm_sign(perm)))
     return out
 

@@ -144,6 +144,15 @@ class StructureTable:
     def form(self, x, y) -> Fraction:
         return self._form[self.idx(x)][self.idx(y)]
 
+    def commute(self, letters) -> bool:
+        """True when the given basis indices pairwise commute."""
+        span = sorted(letters)
+        for i, a in enumerate(span):
+            for b in span[i + 1:]:
+                if self.bracket(a, b):
+                    return False
+        return True
+
     def _chevalley(self):
         rank = self.rank
         if self.kind == "C":

@@ -195,11 +195,9 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
                         for w, cw in table.bracket(z, b):
                             nested[w] = nested.get(w, ZERO) + cz * cw
                     replace[a, b] = [(w, c) for w, c in nested.items() if c]
-    span = sorted(letters.union(*({w for w, _ in terms} for terms in replace.values())))
-    for i, a in enumerate(span):
-        for b in span[i + 1:]:
-            if table.bracket(a, b):
-                return None
+    span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
+    if not table.commute(span):
+        return None
 
     # The sums run over integers: the operator constants are scaled by den,
     # the state's coefficients by scale, and the result divided by both.

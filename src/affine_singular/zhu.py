@@ -14,6 +14,17 @@ normal form for the block order
 so a monomial acting on a highest weight vector dies as soon as it contains
 a positive factor.  The determinant vector projects onto the power of the
 plain finite determinant, which is the generator identity checked here.
+
+When all the letters of a product or a projected state pairwise commute,
+which holds for the determinant entries, their PBW normal form is just the
+sorted word, and uenv_mul and zhu_project sort instead of rewriting.  The
+check is made once per call on the set of letters; any non-commuting pair
+sends the whole call through the general straightening.
+
+The realization extends to an algebra homomorphism U(g) -> Weyl, because
+it respects every bracket of the table (build_algebra computes each bracket
+in the oscillator algebra).  So the image of det^n is the n-th power of the
+image of det, and the oscillator check never builds the PBW power.
 """
 
 from __future__ import annotations
@@ -92,9 +103,13 @@ def uenv_normal_form(table: StructureTable, word, coeff=1) -> UEnvElement:
 
 def uenv_mul(table: StructureTable, u: UEnvElement, v: UEnvElement) -> UEnvElement:
     out: dict[Word, Fraction] = {}
+    commuting = table.commute({x for word in (*u.terms, *v.terms) for x in word})
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            _uenv_reduce(table, c1 * c2, w1 + w2, out)
+            if commuting:
+                add_term(out, tuple(sorted(w1 + w2)), c1 * c2)
+            else:
+                _uenv_reduce(table, c1 * c2, w1 + w2, out)
     return UEnvElement._wrap(out)
 
 
@@ -122,12 +137,16 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
     The coefficients must be numeric: specialise the level first.
     """
     out: dict[Word, Fraction] = {}
+    commuting = table.commute({x for mono in state.terms for _, x in mono})
     for mono, c in state.terms.items():
         if c.degree > 0:
             raise ValueError("projection needs a numeric level; specialize the state first")
         sign = (-1) ** sum(-n - 1 for n, _ in mono)
         word = tuple(x for _, x in reversed(mono))
-        _uenv_reduce(table, sign * c.constant_value(), word, out)
+        if commuting:
+            add_term(out, tuple(sorted(word)), sign * c.constant_value())
+        else:
+            _uenv_reduce(table, sign * c.constant_value(), word, out)
     return UEnvElement._wrap(out)
 
 
@@ -174,11 +193,17 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
 
 
 def verify_weyl_vanishing(spec: DeterminantSpec) -> VerificationReport:
-    """The oscillator image of the finite determinant power; zero once m >= 2."""
+    """The oscillator image of the finite determinant power; zero once m >= 2.
+
+    The image is taken as phi(det)^n in the oscillator algebra, which equals
+    phi(det^n) because phi is an algebra homomorphism.
+    """
     start = time.perf_counter()
     table = spec.table()
-    power = uenv_pow(table, finite_determinant(table, spec), spec.n)
-    image = weyl_image(table, power)
+    base = weyl_image(table, finite_determinant(table, spec))
+    image = weyl.WeylElement.constant(table.rank, ONE)
+    for _ in range(spec.n):
+        image = image * base
     expect_zero = spec.m >= 2
     ok = image.is_zero == expect_zero
     witness = None

@@ -130,6 +130,15 @@ def test_tampered_cache_recomputes_with_note(capsys, tmp_path):
     assert code == 0
     assert obj["verdict"] is True
     assert any("digest" in note for note in obj.get("notes", []))
+    # the warning belongs to that run alone: the record it rewrote is clean
+    code, warm = run_json(capsys, argv)
+    assert code == 0
+    assert not any("digest" in note for note in warm.get("notes", []))
+    code, cold = run_json(capsys, argv + ["--no-cache"])
+    assert code == 0
+    warm.pop("timing_ms")
+    cold.pop("timing_ms")
+    assert warm == cold
 
 
 def test_no_cache_bypasses_directory(capsys, tmp_path):

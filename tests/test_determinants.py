@@ -126,6 +126,8 @@ def test_minor_of_1x1(table_c2):
     assert minor_vector(table_c2, spec, 1, 1) == VacuumState.vacuum()
     with pytest.raises(ValueError):
         minor_entry_poly(table_c2, spec, 2, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        det_entry_poly(table_c2, spec, [2], [1])
 
 
 def test_verify_singular_grid():

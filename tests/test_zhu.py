@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from affine_singular import zhu
 from affine_singular.determinants import DeterminantSpec, determinant_vector
-from affine_singular.vacuum import straighten
+from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
-from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
-                                 uenv_mul, uenv_normal_form, uenv_pow,
+from affine_singular.zhu import (UEnvElement, _uenv_reduce, ad_action,
+                                 finite_determinant, uenv_mul,
+                                 uenv_normal_form, uenv_pow,
                                  verify_weyl_vanishing, verify_zhu_generator,
                                  weyl_image, zhu_project)
+from test_acceptance import A_GRID, C_GRID
+
+GRID = C_GRID + A_GRID + [("C", 4, 4, 3)]
 
 
 def test_projection_sign_law(table_c2):
@@ -145,3 +150,77 @@ def test_weyl_survival_for_size_one(table_c2, table_a4):
     image = weyl_image(table_c2, uenv_pow(table_c2, det, 2))
     a1 = creation(2, 1)
     assert image == a1 * a1 * a1 * a1
+
+
+# -- the sorted-word rule against the general rewriter --------------------
+
+
+def _oracle_mul(t, u, v):
+    out = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            _uenv_reduce(t, c1 * c2, w1 + w2, out)
+    return UEnvElement(out)
+
+
+def _oracle_project(t, state):
+    out = {}
+    for mono, c in state.terms.items():
+        sign = (-1) ** sum(-n - 1 for n, _ in mono)
+        _uenv_reduce(t, sign * c.constant_value(), tuple(x for _, x in reversed(mono)), out)
+    return UEnvElement(out)
+
+
+def _no_rewriting(*args):
+    raise AssertionError("commuting letters were rewritten")
+
+
+@pytest.mark.parametrize("kind, rank, m, n", GRID)
+def test_commuting_products_match_the_rewriter(kind, rank, m, n, monkeypatch):
+    spec = DeterminantSpec(kind, rank, m, n)
+    t = spec.table()
+    det = finite_determinant(t, spec)
+    state = determinant_vector(t, spec).specialize(spec.level)
+    power = _oracle_mul(t, UEnvElement.one(), det)
+    for _ in range(n - 1):
+        power = _oracle_mul(t, power, det)
+    square = _oracle_mul(t, det, det)
+    projected = _oracle_project(t, state)
+    # the determinant entries commute, so the rewriter must not run
+    monkeypatch.setattr(zhu, "_uenv_reduce", _no_rewriting)
+    assert uenv_mul(t, det, det) == square
+    assert uenv_pow(t, det, n) == power
+    assert zhu_project(t, state) == projected
+    assert projected == power
+    assert all(list(word) == sorted(word) for word in power.terms)
+
+
+def test_noncommuting_letters_keep_the_cartan_term(table_a2, table_a3):
+    t = table_a2
+    e, f, h = t.idx("X[e1-e2]"), t.idx("X[e2-e1]"), t.idx("h1-h2")
+    expected = UEnvElement({(f, e): 1, (h,): 1})
+    x, y = UEnvElement({(e,): 1}), UEnvElement({(f,): 1})
+    assert uenv_mul(t, x, y) == expected
+    assert uenv_mul(t, y, x) == UEnvElement({(f, e): 1})
+    # e(-1) f(-1)|0> in canonical order projects onto the reversed word e f
+    state = VacuumState({((-1, f), (-1, e)): 1})
+    assert zhu_project(t, state) == expected
+    assert zhu_project(t, state) == _oracle_project(t, state)
+    # in sl_3, X[e1-e2] and X[e1-e3] commute, but neither commutes with X[e2-e1]
+    t = table_a3
+    u = UEnvElement({(t.idx("X[e1-e2]"),): 1, (t.idx("X[e2-e1]"),): 1,
+                     (t.idx("X[e1-e3]"), t.idx("X[e1-e3]")): 1})
+    assert uenv_pow(t, u, 3) == _oracle_mul(t, _oracle_mul(t, u, u), u)
+
+
+@pytest.mark.parametrize("kind, rank, m, n", GRID)
+def test_weyl_image_of_a_power_is_the_power_of_the_image(kind, rank, m, n):
+    spec = DeterminantSpec(kind, rank, m, n)
+    t = spec.table()
+    det = finite_determinant(t, spec)
+    base = weyl_image(t, det)
+    power = WeylElement.constant(t.rank, 1)
+    for _ in range(n):
+        power = power * base
+    assert power == weyl_image(t, uenv_pow(t, det, n))
+    assert power.is_zero == (m >= 2)
