@@ -66,8 +66,8 @@ def cache_get(directory: str, key: dict):
     try:
         with open(path) as handle:
             record = json.load(handle)
-    except FileNotFoundError:
-        return None, warnings
+    except (FileNotFoundError, NotADirectoryError):
+        return None, warnings  # no record, or no directory to hold one
     except (OSError, json.JSONDecodeError):
         warnings.append("cache record unreadable, recomputing: %s" % path)
         return None, warnings

@@ -70,7 +70,7 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = 2000) -> Top
     """
     top = uelem_weight(table, generator)
     spaces: dict = {top: SparseBasis()}
-    spaces[top].insert(dict(generator.terms))
+    spaces[top].insert(generator.terms)
     elements = [generator]
     element_weights = [top]
     queue = [0]
@@ -84,14 +84,12 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = 2000) -> Top
                 continue
             w = tuple(a + b for a, b in zip(uw, table.weights[g]))
             space = spaces.setdefault(w, SparseBasis())
-            before = len(space)
-            if space.insert(dict(image.terms)):
+            if space.insert(image.terms):
                 elements.append(image)
                 element_weights.append(w)
                 queue.append(len(elements) - 1)
                 if len(elements) > dim_cap:
                     raise RuntimeError("adjoint closure exceeded the cap of %d" % dim_cap)
-            assert len(space) >= before
     raising_closed = True
     for u, uw in zip(elements, element_weights):
         for g in table.simple_raising:
@@ -100,7 +98,7 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = 2000) -> Top
                 continue
             w = tuple(a + b for a, b in zip(uw, table.weights[g]))
             space = spaces.get(w)
-            if space is None or not space.contains(dict(image.terms)):
+            if space is None or not space.contains(image.terms):
                 raising_closed = False
     return TopLevelModule(table, generator, top, elements, element_weights, raising_closed)
 
@@ -206,7 +204,9 @@ def sp6_printed_polynomials() -> list:
     return [p1, p2, p3, p4]
 
 
-def _on_printed_locus(point) -> bool:
+def _on_printed_locus(point, printed_points) -> bool:
+    """point lies on one of the three printed lines or is one of the
+    printed isolated weights (given as finite weights)."""
     h1, h2, h3 = point
     if h2 == 0 and h3 == 0:
         return True
@@ -214,12 +214,7 @@ def _on_printed_locus(point) -> bool:
         return True
     if h1 == -1 and h2 == -1:
         return True
-    finite_points = [tuple(weight_convert(DeterminantSpec("C", 3, 3, 1).table(),
-                                          entry["coefficients"])[1]) for entry in SP6_POINTS]
-    for coords in finite_points:
-        if all(c.constant_value() == p for c, p in zip(coords, point)):
-            return True
-    return False
+    return point in printed_points
 
 
 def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> VerificationReport:
@@ -278,9 +273,11 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
     subchecks["lines_vanish"] = all(r["level_matches"] and r["all_polynomials_vanish"] for r in line_results)
 
     point_results = []
+    printed_points = []
     for entry in SP6_POINTS:
         level, finite = weight_convert(table, entry["coefficients"])
         coords = tuple(c.constant_value() for c in finite)
+        printed_points.append(coords)
         level_ok = level.constant_value() == spec.level
         values = [p.evaluate(coords) for p in computed]
         vanish = all(v == 0 for v in values)
@@ -297,7 +294,7 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
     rejected = 0
     while len(control_results) < controls:
         point = tuple(Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4])) for _ in range(3))
-        if _on_printed_locus(point):
+        if _on_printed_locus(point, printed_points):
             rejected += 1
             continue
         violated = None

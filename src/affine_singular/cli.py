@@ -84,7 +84,11 @@ def _parse_level(args):
 
 
 def _cached_report(args, key, compute):
-    """Fetch the report payload from cache or compute and store it."""
+    """Fetch the report payload from cache or compute and store it.
+
+    A record that cannot be written costs only the cache: the report is
+    still returned, and a warning naming the path goes to stderr.
+    """
     directory = args.cache_dir or cache_mod.default_cache_dir()
     warnings = []
     obj = None
@@ -93,7 +97,12 @@ def _cached_report(args, key, compute):
     if obj is None:
         obj = _report_obj(compute())
         if not args.no_cache:
-            cache_mod.cache_put(directory, key, obj)
+            try:
+                cache_mod.cache_put(directory, key, obj)
+            except OSError as exc:
+                print("warning: cache record not written to %s: %s"
+                      % (cache_mod.cache_path(directory, key), exc.strerror or exc),
+                      file=sys.stderr)
     if warnings:
         # the warning is about this run's cache read, so it is printed but never stored
         obj = dict(obj, notes=obj.get("notes", []) + warnings)

@@ -4,7 +4,8 @@ For kind "C" the m x m matrix has entries X[ei+ej] (1 <= i, j <= m); for
 kind "A" the entry at (i, j) is X[ei-e(l-j+1)], which needs 2m <= l to keep
 the index sets disjoint.  All entries commute pairwise, so the Leibniz
 expansion of det at mode -1, raised to a power, is already in canonical
-order after sorting its factors.
+order after sorting its factors.  Their coefficients are ints: the
+Leibniz terms are +-1, and sums and products of ints stay integral.
 
 The two mechanical facts checked here: the n-th power of the determinant
 applied to the vacuum is annihilated by the simple raising operators at
@@ -23,10 +24,10 @@ from fractions import Fraction
 from . import vacuum
 from .liealg import BasisElement, StructureTable, build_algebra
 from .report import VerificationReport
-from .scalars import ONE, UniPoly, add_term, coerce_rational, format_rational
+from .scalars import UniPoly, add_term, coerce_rational, format_rational
 from .vacuum import VacuumState
 
-EntryPoly = dict  # sorted index tuple -> Fraction, a polynomial in commuting entries
+EntryPoly = dict  # sorted index tuple -> int, a polynomial in commuting entries
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def ep_mul(p: EntryPoly, q: EntryPoly) -> EntryPoly:
 
 
 def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
-    out: EntryPoly = {(): ONE}
+    out: EntryPoly = {(): 1}
     for _ in range(n):
         out = ep_mul(out, p)
     return out
@@ -163,7 +164,7 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
     out: EntryPoly = {}
     for perm in itertools.permutations(range(len(rows))):
         key = tuple(sorted(entries[t][perm[t]] for t in range(len(rows))))
-        add_term(out, key, Fraction(_perm_sign(perm)))
+        add_term(out, key, _perm_sign(perm))
     return out
 
 
@@ -178,7 +179,15 @@ def minor_entry_poly(table: StructureTable, spec: DeterminantSpec, i: int, j: in
 
 def ep_state(poly: EntryPoly) -> VacuumState:
     """Place every entry at mode -1 and apply to the vacuum."""
-    return VacuumState({tuple((-1, x) for x in key): c for key, c in poly.items()})
+    # one shared (-1, x) letter per entry and one constant per coefficient value
+    letter = {x: (-1, x) for x in set().union(*poly)}.__getitem__
+    consts: dict = {}
+    terms = {}
+    for key, c in poly.items():
+        if c:
+            terms[tuple(map(letter, key))] = (
+                consts.get(c) or consts.setdefault(c, UniPoly._wrap({0: Fraction(c)}, "k")))
+    return VacuumState._wrap(terms)
 
 
 def determinant_vector(table: StructureTable, spec: DeterminantSpec) -> VacuumState:

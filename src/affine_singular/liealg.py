@@ -21,10 +21,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import weyl
-from .scalars import ONE, ZERO, HPoly, add_term
+from .scalars import ONE, ZERO, HPoly, add_term, over_common_denominator
 
 Weight = tuple
 
@@ -140,6 +140,21 @@ class StructureTable:
     def bracket(self, x, y):
         """[x, y] as a tuple of (basis index, coefficient) pairs."""
         return self._bracket[self.idx(x), self.idx(y)]
+
+    @cached_property
+    def scaled_brackets(self):
+        """(rows, den): rows[x][y] is [x, y] as (basis index, int) pairs, every
+        structure constant times den, their least common denominator.
+
+        The integer loops of the enveloping layer read this view; it is built
+        on first use and kept with the table.
+        """
+        flat, den = over_common_denominator(
+            {(x, y, z): c for (x, y), terms in self._bracket.items() for z, c in terms})
+        rows = [[()] * self.dimension for _ in range(self.dimension)]
+        for (x, y), terms in self._bracket.items():
+            rows[x][y] = tuple((z, flat[x, y, z]) for z, _ in terms)
+        return rows, den
 
     def form(self, x, y) -> Fraction:
         return self._form[self.idx(x)][self.idx(y)]

@@ -6,10 +6,18 @@ specialised afterwards), or in Q[h_1..h_l] (Cartan coordinates).  Every
 linear combination the package builds (these polynomials, vacuum states,
 enveloping and oscillator elements) is a TermMap: zero coefficients are
 deleted eagerly, so structural equality of term maps is semantic equality.
+
+Rationals are what every public function takes and returns.  The inner
+loops that add many products (the differential operators on the vacuum
+module, PBW straightening, row reduction, Freudenthal's recursion) run on
+Python ints instead: over_common_denominator scales a map of rationals to
+integers over one common denominator, the loop adds integers, and each
+output term is divided once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -32,6 +40,15 @@ def coerce_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError("expected an exact rational or integer, got %r" % (value,))
+
+
+def over_common_denominator(terms: dict) -> tuple[dict, int]:
+    """(ints, den) with terms[key] == ints[key] / den for every key, den > 0
+    the least common denominator of the values (rationals or ints)."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {key: c.numerator for key, c in terms.items()}, 1
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
 
 
 def _format_term(coeff: Fraction, body: str) -> str:

@@ -37,7 +37,8 @@ import time
 from fractions import Fraction
 
 from .report import VerificationReport
-from .scalars import ONE, ZERO, TermMap, UniPoly, add_term, coerce_rational, format_rational
+from .scalars import (ONE, ZERO, TermMap, UniPoly, add_term, coerce_rational, format_rational,
+                      over_common_denominator)
 
 Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
@@ -201,17 +202,18 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
 
     # The sums run over integers: the operator constants are scaled by den,
     # the state's coefficients by scale, and the result divided by both.
-    den = math.lcm(*(c.denominator for terms in replace.values() for _, c in terms),
-                   *(g.denominator for g in central.values()))
-    scale = math.lcm(*(v.denominator for c in state.terms.values() for v in c.terms.values()))
-    replace = {r: [(w, c.numerator * (den // c.denominator)) for w, c in terms]
-               for r, terms in replace.items()}
-    central = {a: g.numerator * (den // g.denominator) for a, g in central.items()}
+    constants, den = over_common_denominator(
+        {**{(r, w): c for r, terms in replace.items() for w, c in terms},
+         **{(a, None): g for a, g in central.items()}})
+    replace = {r: [(w, constants[r, w]) for w, _ in terms] for r, terms in replace.items()}
+    central = {a: constants[a, None] for a in central}
+    scaled, scale = over_common_denominator(
+        {(pos, d): v for pos, c in enumerate(state.terms.values()) for d, v in c.terms.items()})
 
     acc: dict[tuple, int] = {}  # (k-degree, sorted letter indices) -> scaled coefficient
-    for mono, c in state.terms.items():
+    for pos, (mono, c) in enumerate(state.terms.items()):
         key = tuple(y for _, y in mono)
-        coeffs = [(d, v.numerator * (scale // v.denominator)) for d, v in c.terms.items()]
+        coeffs = [(d, scaled[pos, d]) for d in c.terms]
         groups = []  # [letter, first index, multiplicity]
         for t, y in enumerate(key):
             if groups and groups[-1][0] == y:

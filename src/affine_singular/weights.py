@@ -1,12 +1,16 @@
-"""Weight-lattice utilities: pairings, the Weyl dimension formula, and
+"""Weight-lattice utilities: the pairing, the Weyl dimension formula, and
 Freudenthal's multiplicity recursion.
 
 These rely only on root data, never on enveloping-algebra computations, so
 they serve as independent cross-checks for the module-theoretic results.
+Weights are tuples of rationals in the epsilon basis at every entry point;
+Freudenthal's recursion runs inside on integer coordinates over one common
+denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import ZERO, coerce_rational
@@ -17,9 +21,8 @@ def dot(u, v) -> Fraction:
     return sum((coerce_rational(a) * coerce_rational(b) for a, b in zip(u, v)), ZERO)
 
 
-def coroot_pairing(lam, alpha) -> Fraction:
-    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
-    return 2 * dot(lam, alpha) / dot(alpha, alpha)
+def _idot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _add(u, v):
@@ -51,15 +54,27 @@ def weight_multiplicities(table, lam) -> dict:
     subtracting one simple root at a time through weights, and the weights on
     an alpha-string through a weight are contiguous, so the string sum can
     stop at the first multiplicity-zero point.
+
+    The recursion runs on integer coordinates: lam, rho and the roots are
+    scaled by the lcm of their denominators, which scales both sides of every
+    quotient by the same square.  The keys of the result are rational weights
+    again, and the multiplicities ints.
     """
     lam = tuple(coerce_rational(c) for c in lam)
     rho = table.rho()
-    simple = table.simple_roots
     positive = table.positive_root_weights
-    c2 = dot(_add(lam, rho), _add(lam, rho))
+    scale = math.lcm(*(c.denominator for w in (lam, rho, *positive) for c in w))
 
-    mult = {lam: 1}
-    frontier = [lam]
+    def scaled(w):
+        return tuple(int(c * scale) for c in w)
+
+    top, rho = scaled(lam), scaled(rho)
+    simple = [scaled(alpha) for alpha in table.simple_roots]
+    roots = [(alpha, _idot(alpha, alpha)) for alpha in map(scaled, positive)]
+    c2 = _idot(_add(top, rho), _add(top, rho))
+
+    mult = {top: 1}
+    frontier = [top]
     while frontier:
         candidates = set()
         for mu in frontier:
@@ -69,29 +84,30 @@ def weight_multiplicities(table, lam) -> dict:
         for mu in sorted(candidates):
             if mu in mult:
                 continue
-            total = ZERO
-            for alpha in positive:
-                j = 1
+            total = 0
+            for alpha, norm in roots:
+                nu = _add(mu, alpha)
+                pairing = _idot(nu, alpha)  # (mu + j alpha, alpha), from j = 1
                 while True:
-                    nu = tuple(m + j * a for m, a in zip(mu, alpha))
                     m_nu = mult.get(nu, 0)
                     if m_nu == 0:
                         break
-                    total += 2 * m_nu * dot(nu, alpha)
-                    j += 1
-            denom = c2 - dot(_add(mu, rho), _add(mu, rho))
+                    total += 2 * m_nu * pairing
+                    nu = _add(nu, alpha)
+                    pairing += norm
+            denom = c2 - _idot(_add(mu, rho), _add(mu, rho))
             if denom == 0:
                 # only Weyl reflections of lam itself pump the denominator to
                 # zero and those are never weights below lam
                 continue
-            value = total / denom
-            if value.denominator != 1:
-                raise ArithmeticError("non-integral multiplicity at %s" % (mu,))
-            value = int(value)
+            value, rest = divmod(total, denom)
+            if rest:
+                raise ArithmeticError("non-integral multiplicity at %s"
+                                      % (tuple(Fraction(c, scale) for c in mu),))
             if value > 0:
                 mult[mu] = value
                 frontier.append(mu)
-    return mult
+    return {tuple(Fraction(c, scale) for c in mu): m for mu, m in mult.items()}
 
 
 def multiplicity(table, lam, mu) -> int:

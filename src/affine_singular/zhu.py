@@ -21,6 +21,11 @@ sorted word, and uenv_mul and zhu_project sort instead of rewriting.  The
 check is made once per call on the set of letters; any non-commuting pair
 sends the whole call through the general straightening.
 
+Elements carry Fraction coefficients, but uenv_mul, ad_action and
+zhu_project add Python ints: their inputs are scaled to one common
+denominator, the straightening reads the table's integer bracket view
+(scaled_brackets), and each output coefficient is divided once at the end.
+
 The realization extends to an algebra homomorphism U(g) -> Weyl, because
 it respects every bracket of the table (build_algebra computes each bracket
 in the oscillator algebra).  So the image of det^n is the n-th power of the
@@ -36,7 +41,7 @@ from . import weyl
 from .determinants import DeterminantSpec, det_entry_poly, determinant_vector
 from .liealg import StructureTable
 from .report import VerificationReport
-from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational
+from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational, over_common_denominator
 from .vacuum import VacuumState
 
 Word = tuple  # tuple of basis indices
@@ -73,44 +78,67 @@ class UEnvElement(TermMap):
         return "UEnvElement(%d terms)" % len(self.terms)
 
 
-def _uenv_reduce(table: StructureTable, coeff: Fraction, word: Word, out: dict):
-    """Straighten one word into PBW order, accumulating into out."""
-    work = [(coeff, word)]
+def _uenv_reduce(brackets, den: int, work: list, out: dict):
+    """Straighten the (int coefficient, word) pairs of work into PBW order,
+    adding into out; work is used up.
+
+    brackets and den are the table's scaled_brackets.  A bracket step
+    multiplies by an int constant and divides by den, so the caller scales
+    each coefficient by den**(len(word) - 1) or more to keep every division
+    exact; out then holds the result times that scale.
+    """
     while work:
         c, w = work.pop()
-        i = None
-        for t in range(len(w) - 1):
-            if w[t] > w[t + 1]:
-                i = t
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
                 break
-        if i is None:
-            add_term(out, w, c)
+        else:
+            out[w] = out.get(w, 0) + c
             continue
         x, y = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         work.append((c, head + (y, x) + tail))
-        for z, cz in table.bracket(x, y):
-            work.append((c * cz, head + (z,) + tail))
+        for z, cz in brackets[x][y]:
+            work.append((c * cz // den, head + (z,) + tail))
 
 
-def uenv_normal_form(table: StructureTable, word, coeff=1) -> UEnvElement:
-    """PBW normal form of an ordered product of basis elements."""
-    letters = tuple(table.idx(x) for x in word)
-    out: dict[Word, Fraction] = {}
-    _uenv_reduce(table, coerce_rational(coeff), letters, out)
-    return UEnvElement._wrap(out)
+def _normal_form(table: StructureTable, commuting: bool, products) -> tuple[dict, int]:
+    """(acc, lift): the sum of the (int coefficient, word) products in PBW
+    order, times lift.  Words whose letters commute are sorted (lift 1);
+    otherwise they are straightened, with lift a power of the bracket
+    denominator that keeps every division exact."""
+    acc: dict[Word, int] = {}
+    if commuting:
+        for c, word in products:
+            key = tuple(sorted(word))
+            acc[key] = acc.get(key, 0) + c
+        return acc, 1
+    brackets, den = table.scaled_brackets
+    products = list(products)
+    lift = den ** _longest(word for _, word in products)
+    _uenv_reduce(brackets, den, [(c * lift, word) for c, word in products], acc)
+    return acc, lift
+
+
+def _fractions(acc: dict, den: int) -> UEnvElement:
+    """The element with coefficients acc[word] / den, zeros dropped; equal
+    coefficients share one Fraction."""
+    made: dict[int, Fraction] = {}
+    return UEnvElement._wrap({word: made.get(c) or made.setdefault(c, Fraction(c, den))
+                              for word, c in acc.items() if c})
+
+
+def _longest(words) -> int:
+    return max(map(len, words), default=0)
 
 
 def uenv_mul(table: StructureTable, u: UEnvElement, v: UEnvElement) -> UEnvElement:
-    out: dict[Word, Fraction] = {}
     commuting = table.commute({x for word in (*u.terms, *v.terms) for x in word})
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            if commuting:
-                add_term(out, tuple(sorted(w1 + w2)), c1 * c2)
-            else:
-                _uenv_reduce(table, c1 * c2, w1 + w2, out)
-    return UEnvElement._wrap(out)
+    us, u_den = over_common_denominator(u.terms)
+    vs, v_den = over_common_denominator(v.terms)
+    products = ((c1 * c2, w1 + w2) for w1, c1 in us.items() for w2, c2 in vs.items())
+    acc, lift = _normal_form(table, commuting, products)
+    return _fractions(acc, u_den * v_den * lift)
 
 
 def uenv_pow(table: StructureTable, u: UEnvElement, n: int) -> UEnvElement:
@@ -122,13 +150,15 @@ def uenv_pow(table: StructureTable, u: UEnvElement, n: int) -> UEnvElement:
 
 def ad_action(table: StructureTable, g, u: UEnvElement) -> UEnvElement:
     """The adjoint action of a basis element, as a derivation on words."""
-    gi = table.idx(g)
-    out: dict[Word, Fraction] = {}
-    for word, c in u.terms.items():
-        for t in range(len(word)):
-            for z, cz in table.bracket(gi, word[t]):
-                _uenv_reduce(table, c * cz, word[:t] + (z,) + word[t + 1:], out)
-    return UEnvElement._wrap(out)
+    brackets, den = table.scaled_brackets
+    row = brackets[table.idx(g)]
+    lift = den ** _longest(u.terms)
+    us, u_den = over_common_denominator(u.terms)
+    work = [(c * lift * cz // den, word[:t] + (z,) + word[t + 1:])
+            for word, c in us.items() for t, x in enumerate(word) for z, cz in row[x]]
+    acc: dict[Word, int] = {}
+    _uenv_reduce(brackets, den, work, acc)
+    return _fractions(acc, u_den * lift)
 
 
 def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
@@ -136,23 +166,22 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
 
     The coefficients must be numeric: specialise the level first.
     """
-    out: dict[Word, Fraction] = {}
-    commuting = table.commute({x for mono in state.terms for _, x in mono})
-    for mono, c in state.terms.items():
+    values = {}  # position in state.terms -> constant coefficient
+    for pos, c in enumerate(state.terms.values()):
         if c.degree > 0:
             raise ValueError("projection needs a numeric level; specialize the state first")
-        sign = (-1) ** sum(-n - 1 for n, _ in mono)
-        word = tuple(x for _, x in reversed(mono))
-        if commuting:
-            add_term(out, tuple(sorted(word)), sign * c.constant_value())
-        else:
-            _uenv_reduce(table, sign * c.constant_value(), word, out)
-    return UEnvElement._wrap(out)
+        values[pos] = c.constant_value()
+    commuting = table.commute({x for mono in state.terms for _, x in mono})
+    scaled, scale = over_common_denominator(values)
+    products = (((-1) ** sum(-n - 1 for n, _ in mono) * c, tuple(x for _, x in reversed(mono)))
+                for mono, c in zip(state.terms, scaled.values()))
+    acc, lift = _normal_form(table, commuting, products)
+    return _fractions(acc, scale * lift)
 
 
 def finite_determinant(table: StructureTable, spec: DeterminantSpec) -> UEnvElement:
     """The plain determinant of the entry matrix inside U(g)."""
-    return UEnvElement._wrap(det_entry_poly(table, spec))
+    return UEnvElement._wrap({word: Fraction(c) for word, c in det_entry_poly(table, spec).items()})
 
 
 def weyl_image(table: StructureTable, u: UEnvElement) -> weyl.WeylElement:
@@ -174,10 +203,9 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
     state = determinant_vector(table, spec).specialize(spec.level)
     projected = zhu_project(table, state)
     expected = uenv_pow(table, finite_determinant(table, spec), spec.n)
-    diff = projected - expected
     witness = None
-    if not diff.is_zero:
-        witness = {"difference": diff.text(table)}
+    if projected != expected:
+        witness = {"difference": (projected - expected).text(table)}
     ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         claim="projection sends det vector to det power: %s" % spec.label(),

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from affine_singular.scalars import ZERO, UniPoly, level_var
+from affine_singular.scalars import ZERO, UniPoly, coerce_rational, level_var
 from affine_singular.vacuum import VacuumState, apply_generator
+from affine_singular.zhu import UEnvElement
 
 
 def straighten_rightmost(table, word, coeff=1) -> VacuumState:
@@ -72,3 +73,129 @@ def det_dense(matrix) -> Fraction:
                 factor = rows[r][col] / lead
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+def uenv_normal_form(table, word, coeff=1) -> UEnvElement:
+    """PBW normal form of an ordered product of basis elements, straightened
+    one swap at a time in Fraction arithmetic."""
+    out = {}
+    work = [(coerce_rational(coeff), tuple(table.idx(x) for x in word))]
+    while work:
+        c, w = work.pop()
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
+            out[w] = out.get(w, 0) + c
+            continue
+        x, y = w[i], w[i + 1]
+        head, tail = w[:i], w[i + 2:]
+        work.append((c, head + (y, x) + tail))
+        for z, cz in table.bracket(x, y):
+            work.append((c * cz, head + (z,) + tail))
+    return UEnvElement(out)
+
+
+def uenv_sum(table, products) -> UEnvElement:
+    """The sum of c times the PBW normal form of word over (c, word) pairs."""
+    out = {}
+    for c, word in products:
+        for w, cw in uenv_normal_form(table, word, c).terms.items():
+            out[w] = out.get(w, 0) + cw
+    return UEnvElement(out)
+
+
+def uenv_product(table, u, v) -> UEnvElement:
+    """u v, straightened term by term."""
+    return uenv_sum(table, ((c1 * c2, w1 + w2) for w1, c1 in u.terms.items()
+                            for w2, c2 in v.terms.items()))
+
+
+def vec_sub_scaled(u: dict, v: dict, c: Fraction) -> dict:
+    """u - c*v with eager zero deletion."""
+    out = dict(u)
+    for key, value in v.items():
+        value = out.get(key, 0) - c * value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
+
+
+class FractionBasis:
+    """Row reduction over Q: each stored row has a distinct pivot (its
+    smallest key) normalised to coefficient 1."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        rem = {k: Fraction(v) for k, v in vec.items() if v}
+        while True:
+            hits = [k for k in rem if k in self.rows]
+            if not hits:
+                return rem
+            k = min(hits)
+            rem = vec_sub_scaled(rem, self.rows[k], rem[k])
+
+    def insert(self, vec: dict) -> bool:
+        rem = self.reduce(vec)
+        if not rem:
+            return False
+        pivot = min(rem)
+        lead = rem[pivot]
+        self.rows[pivot] = {k: v / lead for k, v in rem.items()}
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+
+def _dot(u, v) -> Fraction:
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), ZERO)
+
+
+def coroot_pairing(lam, alpha) -> Fraction:
+    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
+    return 2 * _dot(lam, alpha) / _dot(alpha, alpha)
+
+
+def freudenthal(table, lam) -> dict:
+    """Weights of the irreducible with highest weight lam and their
+    multiplicities, by Freudenthal's recursion in Fraction arithmetic,
+    processed level by level from lam down."""
+    lam = tuple(Fraction(c) for c in lam)
+    rho = table.rho()
+    shifted = lambda mu: tuple(a + b for a, b in zip(mu, rho))
+    c2 = _dot(shifted(lam), shifted(lam))
+    mult = {lam: 1}
+    frontier = [lam]
+    while frontier:
+        candidates = {tuple(m - a for m, a in zip(mu, alpha))
+                      for mu in frontier for alpha in table.simple_roots}
+        frontier = []
+        for mu in sorted(candidates):
+            if mu in mult:
+                continue
+            total = ZERO
+            for alpha in table.positive_root_weights:
+                j = 1
+                while True:
+                    nu = tuple(m + j * a for m, a in zip(mu, alpha))
+                    m_nu = mult.get(nu, 0)
+                    if m_nu == 0:
+                        break
+                    total += 2 * m_nu * _dot(nu, alpha)
+                    j += 1
+            denom = c2 - _dot(shifted(mu), shifted(mu))
+            if denom == 0:
+                continue
+            value = total / denom
+            if value.denominator != 1:
+                raise ArithmeticError("non-integral multiplicity at %s" % (mu,))
+            if value > 0:
+                mult[mu] = int(value)
+                frontier.append(mu)
+    return mult

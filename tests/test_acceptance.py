@@ -21,9 +21,9 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
 from affine_singular.liealg import build_algebra
 from affine_singular.vacuum import (apply_generator, state_weight, straighten)
 from affine_singular.weights import multiplicity, weyl_dim
-from affine_singular.zhu import (uenv_normal_form, verify_weyl_vanishing,
-                                 verify_zhu_generator, weyl_image)
-from oracles import straighten_rightmost
+from affine_singular.zhu import (verify_weyl_vanishing, verify_zhu_generator,
+                                 weyl_image)
+from oracles import straighten_rightmost, uenv_normal_form
 
 SEED = 20240817
 

@@ -13,7 +13,8 @@ from affine_singular.determinants import DeterminantSpec
 from affine_singular.linalg import SparseBasis
 from affine_singular.scalars import UniPoly
 from affine_singular.weights import multiplicity, weyl_dim
-from affine_singular.zhu import UEnvElement, uenv_normal_form
+from affine_singular.zhu import UEnvElement
+from oracles import uenv_normal_form
 
 
 def test_uelem_weight(table_c2):

@@ -141,6 +141,32 @@ def test_tampered_cache_recomputes_with_note(capsys, tmp_path):
     assert warm == cold
 
 
+def test_unwritable_cache_keeps_the_verdict_exit_code(capsys, tmp_path):
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file\n")
+    argv = ["singular", "factor", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+            "--json", "--cache-dir", str(not_a_directory)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert str(not_a_directory) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    obj = json.loads(captured.out)
+    code, cold = run_json(capsys, argv + ["--no-cache"])
+    assert code == 0
+    obj.pop("timing_ms")
+    cold.pop("timing_ms")
+    assert obj == cold
+    assert not_a_directory.read_text() == "a regular file\n"
+    # a refuted check keeps exit code 1 and fails without a traceback
+    off = ["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+           "--level", "0", "--cache-dir", str(not_a_directory)]
+    assert main(off) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL")
+    assert "Traceback" not in captured.err
+    assert str(not_a_directory) in captured.err
+
+
 def test_no_cache_bypasses_directory(capsys, tmp_path):
     argv = ["singular", "verify", "--type", "A", "--rank", "2", "-m", "1", "-n", "1",
             "--json", "--cache-dir", str(tmp_path), "--no-cache"]

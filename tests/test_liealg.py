@@ -8,9 +8,8 @@ import pytest
 from affine_singular import liealg
 from affine_singular.liealg import (BasisElement, RealizationError, build_algebra,
                                     element_weight, parse_element)
-from affine_singular.weights import coroot_pairing
 from affine_singular.weyl import creation
-from oracles import det_dense
+from oracles import coroot_pairing, det_dense
 
 
 def combo_bracket(table, u: dict, v: dict) -> dict:

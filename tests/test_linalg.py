@@ -3,8 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from affine_singular.linalg import SparseBasis, vec_sub_scaled
-from oracles import det_dense
+from affine_singular.linalg import SparseBasis
+from oracles import det_dense, vec_sub_scaled
 
 
 def test_vec_sub_scaled():

@@ -9,11 +9,10 @@ from affine_singular import zhu
 from affine_singular.determinants import DeterminantSpec, determinant_vector
 from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
-from affine_singular.zhu import (UEnvElement, _uenv_reduce, ad_action,
-                                 finite_determinant, uenv_mul,
-                                 uenv_normal_form, uenv_pow,
-                                 verify_weyl_vanishing, verify_zhu_generator,
-                                 weyl_image, zhu_project)
+from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
+                                 uenv_mul, uenv_pow, verify_weyl_vanishing,
+                                 verify_zhu_generator, weyl_image, zhu_project)
+from oracles import uenv_normal_form, uenv_product, uenv_sum
 from test_acceptance import A_GRID, C_GRID
 
 GRID = C_GRID + A_GRID + [("C", 4, 4, 3)]
@@ -155,20 +154,10 @@ def test_weyl_survival_for_size_one(table_c2, table_a4):
 # -- the sorted-word rule against the general rewriter --------------------
 
 
-def _oracle_mul(t, u, v):
-    out = {}
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            _uenv_reduce(t, c1 * c2, w1 + w2, out)
-    return UEnvElement(out)
-
-
 def _oracle_project(t, state):
-    out = {}
-    for mono, c in state.terms.items():
-        sign = (-1) ** sum(-n - 1 for n, _ in mono)
-        _uenv_reduce(t, sign * c.constant_value(), tuple(x for _, x in reversed(mono)), out)
-    return UEnvElement(out)
+    return uenv_sum(t, (((-1) ** sum(-n - 1 for n, _ in mono) * c.constant_value(),
+                         tuple(x for _, x in reversed(mono)))
+                        for mono, c in state.terms.items()))
 
 
 def _no_rewriting(*args):
@@ -181,10 +170,10 @@ def test_commuting_products_match_the_rewriter(kind, rank, m, n, monkeypatch):
     t = spec.table()
     det = finite_determinant(t, spec)
     state = determinant_vector(t, spec).specialize(spec.level)
-    power = _oracle_mul(t, UEnvElement.one(), det)
+    power = uenv_product(t, UEnvElement.one(), det)
     for _ in range(n - 1):
-        power = _oracle_mul(t, power, det)
-    square = _oracle_mul(t, det, det)
+        power = uenv_product(t, power, det)
+    square = uenv_product(t, det, det)
     projected = _oracle_project(t, state)
     # the determinant entries commute, so the rewriter must not run
     monkeypatch.setattr(zhu, "_uenv_reduce", _no_rewriting)
@@ -210,7 +199,7 @@ def test_noncommuting_letters_keep_the_cartan_term(table_a2, table_a3):
     t = table_a3
     u = UEnvElement({(t.idx("X[e1-e2]"),): 1, (t.idx("X[e2-e1]"),): 1,
                      (t.idx("X[e1-e3]"), t.idx("X[e1-e3]")): 1})
-    assert uenv_pow(t, u, 3) == _oracle_mul(t, _oracle_mul(t, u, u), u)
+    assert uenv_pow(t, u, 3) == uenv_product(t, uenv_product(t, u, u), u)
 
 
 @pytest.mark.parametrize("kind, rank, m, n", GRID)
