@@ -1,10 +1,10 @@
 """Digest-checked on-disk cache for verification payloads.
 
 Records are JSON files carrying a format version, the identifying key, the
-canonical payload text and its SHA-256 digest.  A version mismatch or a
-failed digest check makes the record invisible (with a warning passed back),
-so stale or corrupted files can only cause recomputation, never wrong
-answers.  Writes go to a temporary file first and are renamed into place,
+canonical payload text and its SHA-256 digest.  A version mismatch makes
+the record invisible; so does a key mismatch, a failed digest check or a
+file that is not such a record, with a warning passed back.  Stale or
+corrupted files can only cause recomputation, never wrong answers.  Writes go to a temporary file first and are renamed into place,
 which keeps concurrent writers safe: the loser of a race simply overwrites
 with an identical record.
 """
@@ -60,25 +60,38 @@ def cache_put(directory: str, key: dict, payload_obj) -> str:
 
 
 def cache_get(directory: str, key: dict):
-    """Returns (payload object or None, list of warnings)."""
+    """Returns (payload object or None, list of warnings).
+
+    Only a record of this format version and key, whose payload string
+    passes its digest check and decodes to a JSON object, is a hit.  Every
+    other record is a miss with a warning, except a stale version, which
+    is silent.
+    """
     path = cache_path(directory, key)
-    warnings = []
+    unreadable = "cache record unreadable, recomputing: %s" % path
     try:
         with open(path) as handle:
             record = json.load(handle)
     except (FileNotFoundError, NotADirectoryError):
-        return None, warnings  # no record, or no directory to hold one
-    except (OSError, json.JSONDecodeError):
-        warnings.append("cache record unreadable, recomputing: %s" % path)
-        return None, warnings
+        return None, []  # no record, or no directory to hold one
+    except (OSError, ValueError):  # ValueError: malformed JSON or UTF-8
+        return None, [unreadable]
+    if not isinstance(record, dict):
+        return None, [unreadable]
     if record.get("format_version") != FORMAT_VERSION:
-        return None, warnings  # silently stale
+        return None, []  # silently stale
     if record.get("key") != key:
-        warnings.append("cache record key mismatch, recomputing: %s" % path)
-        return None, warnings
-    payload = record.get("payload", "")
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    if digest != record.get("digest"):
-        warnings.append("cache record failed its digest check, recomputing: %s" % path)
-        return None, warnings
-    return json.loads(payload), warnings
+        return None, ["cache record key mismatch, recomputing: %s" % path]
+    payload, digest = record.get("payload"), record.get("digest")
+    if not (isinstance(payload, str) and isinstance(digest, str)):
+        return None, [unreadable]
+    # surrogatepass: a lone surrogate that JSON let through fails the digest
+    if hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest() != digest:
+        return None, ["cache record failed its digest check, recomputing: %s" % path]
+    try:
+        obj = json.loads(payload)
+    except ValueError:
+        obj = None
+    if not isinstance(obj, dict):
+        return None, [unreadable]
+    return obj, []

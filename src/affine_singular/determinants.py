@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import vacuum
 from .liealg import BasisElement, StructureTable, build_algebra
 from .report import VerificationReport
-from .scalars import UniPoly, add_term, coerce_rational, format_rational
+from .scalars import UniPoly, add_term, format_rational
 from .vacuum import VacuumState
 
 EntryPoly = dict  # sorted index tuple -> int, a polynomial in commuting entries
@@ -83,46 +83,6 @@ def build_matrix(table: StructureTable, spec: DeterminantSpec):
         [table.idx(entry_element(spec.kind, spec.rank, i, j)) for j in range(1, spec.m + 1)]
         for i in range(1, spec.m + 1)
     ]
-
-
-def entries_commute_check(kind: str, rank: int, m: int) -> VerificationReport:
-    """Pairwise-commutation scan over the would-be matrix entries.
-
-    Deliberately does not enforce the size guard, so it can demonstrate what
-    goes wrong for oversized "A" matrices: overlapping indices give entries
-    with nonzero brackets (and possibly ill-formed diagonal labels).
-    """
-    start = time.perf_counter()
-    table = build_algebra(kind, rank)
-    entries = []
-    bad_labels = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            try:
-                entries.append(((i, j), table.idx(entry_element(kind, rank, i, j))))
-            except ValueError:
-                bad_labels.append("(%d,%d)" % (i, j))
-    witness = None
-    for ((pi, pj), x), ((qi, qj), y) in itertools.combinations(entries, 2):
-        terms = table.bracket(x, y)
-        if terms:
-            body = " + ".join("(%s) %s" % (c, table.text(z)) for z, c in terms)
-            witness = {
-                "pair": ["entry(%d,%d) = %s" % (pi, pj, table.text(x)),
-                         "entry(%d,%d) = %s" % (qi, qj, table.text(y))],
-                "bracket": body,
-            }
-            break
-    if witness is None and bad_labels:
-        witness = {"undefined_entries": bad_labels}
-    ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        claim="matrix entries commute %s%d m=%d" % (kind, rank, m),
-        verdict=witness is None,
-        parameters={"algebra": "%s_%d" % (kind, rank), "m": m},
-        witness=witness,
-        timing_ms=ms,
-    )
 
 
 # -- polynomials in the commuting entries -------------------------------
@@ -195,10 +155,6 @@ def determinant_vector(table: StructureTable, spec: DeterminantSpec) -> VacuumSt
     return ep_state(ep_pow(det_entry_poly(table, spec), spec.n))
 
 
-def minor_vector(table: StructureTable, spec: DeterminantSpec, i: int, j: int) -> VacuumState:
-    return ep_state(minor_entry_poly(table, spec, i, j))
-
-
 # -- the two verifications ---------------------------------------------
 
 
@@ -263,15 +219,3 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
         timing_ms=ms,
         notes=notes,
     )
-
-
-def coexisting_singulars(kind: str, rank: int, level) -> list[DeterminantSpec]:
-    """All determinant vectors that become singular at the given level."""
-    level = coerce_rational(level)
-    found = []
-    top = rank if kind == "C" else rank // 2
-    for m in range(1, top + 1):
-        n = level + (Fraction(m + 1, 2) if kind == "C" else Fraction(m))
-        if n.denominator == 1 and n >= 1:
-            found.append(DeterminantSpec(kind, rank, m, int(n)))
-    return found

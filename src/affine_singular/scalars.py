@@ -271,11 +271,6 @@ class UniPoly(TermMap):
         return _join_terms(parts)
 
 
-def level_var() -> UniPoly:
-    """The formal level as a polynomial."""
-    return UniPoly.variable("k")
-
-
 class HPoly(TermMap):
     """Sparse polynomial in the Cartan coordinates h_1..h_n over Q."""
 
@@ -302,9 +297,6 @@ class HPoly(TermMap):
             raise ValueError("coordinate index out of range")
         expo = tuple(1 if t == i - 1 else 0 for t in range(nvars))
         return cls(nvars, {expo: ONE})
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):

@@ -76,19 +76,22 @@ class VacuumState(TermMap):
     __mul__ = __rmul__ = TermMap.scale
 
     def specialize(self, level) -> "VacuumState":
-        """Evaluate every coefficient at a numeric level."""
-        level = coerce_rational(level)
-        values = ((m, c(level)) for m, c in self.terms.items())
-        return VacuumState._wrap({m: UniPoly._wrap({0: v}, "k") for m, v in values if v})
+        """Evaluate every coefficient at a numeric level.
 
-    def mode_degree(self) -> int:
-        """Total mode of the state; raises if it is mixed."""
-        degrees = {sum(n for n, _ in mono) for mono in self.terms}
-        if not degrees:
-            return 0
-        if len(degrees) > 1:
-            raise ValueError("state mixes mode degrees %s" % sorted(degrees))
-        return degrees.pop()
+        A constant coefficient is kept as it is, the same UniPoly object, as
+        ep_state shares them; only coefficients of degree >= 1 are
+        evaluated, and a monomial whose value is zero is dropped.
+        """
+        level = coerce_rational(level)
+        out = {}
+        for mono, c in self.terms.items():
+            if len(c.terms) == 1 and 0 in c.terms:  # a constant
+                out[mono] = c
+            else:
+                value = c(level)
+                if value:
+                    out[mono] = UniPoly._wrap({0: value}, "k")
+        return VacuumState._wrap(out)
 
     def text(self, table) -> str:
         if not self.terms:

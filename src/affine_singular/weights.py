@@ -59,6 +59,10 @@ def weight_multiplicities(table, lam) -> dict:
     scaled by the lcm of their denominators, which scales both sides of every
     quotient by the same square.  The keys of the result are rational weights
     again, and the multiplicities ints.
+
+    lam must be dominant integral: <lam, alpha^vee> a nonnegative integer for
+    every simple root.  Any other lam raises ValueError at once, since the
+    recursion would never end or would fail at a weight below lam.
     """
     lam = tuple(coerce_rational(c) for c in lam)
     rho = table.rho()
@@ -70,6 +74,11 @@ def weight_multiplicities(table, lam) -> dict:
 
     top, rho = scaled(lam), scaled(rho)
     simple = [scaled(alpha) for alpha in table.simple_roots]
+    for alpha in simple:
+        pairing, rest = divmod(2 * _idot(top, alpha), _idot(alpha, alpha))
+        if rest or pairing < 0:
+            raise ValueError("highest weight (%s) is not dominant integral"
+                             % ", ".join(map(str, lam)))
     roots = [(alpha, _idot(alpha, alpha)) for alpha in map(scaled, positive)]
     c2 = _idot(_add(top, rho), _add(top, rho))
 

@@ -9,14 +9,19 @@ so a product is normalised pair by pair with the closed formula
 
     (a*)^b a^c = sum_t (-1)^t C(b,t) C(c,t) t!  a^(c-t) (a*)^(b-t).
 
-The t = 0 term of a product of two monomials does not depend on their
-order, so a commutator sums only the terms with at least one contraction.
+Distinct indices commute, so a^a1 (a*)^b1 . a^a2 (a*)^b2 is the t = 0 term
+a^(a1+a2) (a*)^(b1+b2) plus contraction terms with t_i >= 1 only at indices
+where b1_i and a2_i are both nonzero; with no such index it is the t = 0
+term alone.  That term does not depend on the order of the factors, so a
+commutator sums only the contraction terms.  The same routines add Fraction
+and int coefficients alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational
@@ -84,21 +89,16 @@ class WeylElement(TermMap):
 
 
 def _accumulate_product(a1, b1, a2, b2, coeff, out):
-    # normalise (a*)^b1 a^a2 index by index; distinct indices commute
-    ranges = [range(min(b1[i], a2[i]) + 1) for i in range(len(a1))]
-    for ts in itertools.product(*ranges):
-        c = coeff
-        for i, t in enumerate(ts):
-            if t:
-                c *= (-1) ** t * math.comb(b1[i], t) * math.comb(a2[i], t) * math.factorial(t)
-        alpha = tuple(a1[i] + a2[i] - ts[i] for i in range(len(a1)))
-        beta = tuple(b1[i] + b2[i] - ts[i] for i in range(len(b1)))
-        add_term(out, (alpha, beta), c)
+    """Add coeff * a^a1 (a*)^b1 a^a2 (a*)^b2, normally ordered, into out."""
+    add_term(out, (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))), coeff)
+    _accumulate_contractions(a1, b1, a2, b2, coeff, out)
 
 
 def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
-    # the terms of _accumulate_product with at least one t_i > 0
-    shared = [i for i in range(len(a1)) if b1[i] and a2[i]]
+    """Add the terms of that product with at least one contraction."""
+    if not any(map(operator.mul, b1, a2)):
+        return  # no index can contract
+    shared = [i for i, (b, a) in enumerate(zip(b1, a2)) if b and a]
     ranges = [range(min(b1[i], a2[i]) + 1) for i in shared]
     for ts in itertools.islice(itertools.product(*ranges), 1, None):
         c = coeff
@@ -109,8 +109,8 @@ def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
                 c *= (-1) ** t * math.comb(b1[i], t) * math.comb(a2[i], t) * math.factorial(t)
                 alpha[i] -= t
                 beta[i] -= t
-        alpha = tuple(e + f for e, f in zip(alpha, a2))
-        beta = tuple(e + f for e, f in zip(beta, b2))
+        alpha = tuple(map(operator.add, alpha, a2))
+        beta = tuple(map(operator.add, beta, b2))
         add_term(out, (alpha, beta), c)
 
 

@@ -38,7 +38,7 @@ import time
 from fractions import Fraction
 
 from . import weyl
-from .determinants import DeterminantSpec, det_entry_poly, determinant_vector
+from .determinants import DeterminantSpec, det_entry_poly, ep_pow, ep_state
 from .liealg import StructureTable
 from .report import VerificationReport
 from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational, over_common_denominator
@@ -168,9 +168,9 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
     """
     values = {}  # position in state.terms -> constant coefficient
     for pos, c in enumerate(state.terms.values()):
-        if c.degree > 0:
+        if len(c.terms) != 1 or 0 not in c.terms:
             raise ValueError("projection needs a numeric level; specialize the state first")
-        values[pos] = c.constant_value()
+        values[pos] = c.terms[0]
     commuting = table.commute({x for mono in state.terms for _, x in mono})
     scaled, scale = over_common_denominator(values)
     products = (((-1) ** sum(-n - 1 for n, _ in mono) * c, tuple(x for _, x in reversed(mono)))
@@ -181,18 +181,47 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
 
 def finite_determinant(table: StructureTable, spec: DeterminantSpec) -> UEnvElement:
     """The plain determinant of the entry matrix inside U(g)."""
-    return UEnvElement._wrap({word: Fraction(c) for word, c in det_entry_poly(table, spec).items()})
+    return _entry_uenv(det_entry_poly(table, spec))
+
+
+def _entry_uenv(poly) -> UEnvElement:
+    """An entry polynomial as an element of U(g); its sorted words are PBW words."""
+    return UEnvElement._wrap({word: Fraction(c) for word, c in poly.items()})
 
 
 def weyl_image(table: StructureTable, u: UEnvElement) -> weyl.WeylElement:
-    """Multiplicative extension of the quadratic realization to U(g)."""
-    total = weyl.WeylElement(table.rank)
-    for word, c in u.terms.items():
-        piece = weyl.WeylElement.constant(table.rank, c)
+    """Multiplicative extension of the quadratic realization to U(g).
+
+    The fold runs on ints: u is scaled over its common denominator den and
+    the realizations of its letters over theirs, r (2 when a kind-C Cartan
+    letter, which carries a 1/2, occurs; 1 otherwise).  A word of length L
+    then has its image over r**L; it is lifted by r**(longest - L), folded
+    one letter at a time with weyl._accumulate_product, and each output
+    monomial is divided once by den * r**longest.
+    """
+    scaled, den = over_common_denominator(u.terms)
+    letters = {x for word in scaled for x in word}
+    realized, r = over_common_denominator(
+        {(x, mono): c for x in letters for mono, c in table.realizations[x].terms.items()})
+    factors = {x: [] for x in letters}
+    for (x, (alpha, beta)), c in realized.items():
+        factors[x].append((alpha, beta, c))
+    longest = _longest(scaled)
+    one = (0,) * table.rank
+    total: dict[weyl.Monomial, int] = {}
+    for word, c in scaled.items():
+        piece = {(one, one): c * r ** (longest - len(word))}
         for x in word:
-            piece = piece * table.realizations[x]
-        total = total + piece
-    return total
+            folded: dict[weyl.Monomial, int] = {}
+            for (a1, b1), c1 in piece.items():
+                for a2, b2, c2 in factors[x]:
+                    weyl._accumulate_product(a1, b1, a2, b2, c1 * c2, folded)
+            piece = folded
+        for mono, c in piece.items():
+            total[mono] = total.get(mono, 0) + c
+    scale = den * r ** longest
+    return weyl.WeylElement._wrap({mono: Fraction(c, scale) for mono, c in total.items() if c},
+                                  table.rank)
 
 
 def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
@@ -200,9 +229,10 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
     n-th power of the finite determinant."""
     start = time.perf_counter()
     table = spec.table()
-    state = determinant_vector(table, spec).specialize(spec.level)
+    det = det_entry_poly(table, spec)  # expanded once, for both sides
+    state = ep_state(ep_pow(det, spec.n)).specialize(spec.level)
     projected = zhu_project(table, state)
-    expected = uenv_pow(table, finite_determinant(table, spec), spec.n)
+    expected = uenv_pow(table, _entry_uenv(det), spec.n)
     witness = None
     if projected != expected:
         witness = {"difference": (projected - expected).text(table)}

@@ -1,14 +1,22 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations and helpers that only the tests use.
 
-Each one computes something the library computes by other means, so a test
-can compare the two.
+Each reference implementation computes something the library computes by
+other means, so a test can compare the two.  The helpers at the end state
+facts the library never needs to ask (a state's mode degree, which specs
+share a level), so they live here rather than in the library.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from affine_singular.scalars import ZERO, UniPoly, coerce_rational, level_var
+from affine_singular import weyl
+from affine_singular.determinants import (DeterminantSpec, ep_state, entry_element,
+                                          minor_entry_poly)
+from affine_singular.liealg import build_algebra
+from affine_singular.report import VerificationReport
+from affine_singular.scalars import ZERO, UniPoly, coerce_rational
 from affine_singular.vacuum import VacuumState, apply_generator
 from affine_singular.zhu import UEnvElement
 
@@ -199,3 +207,92 @@ def freudenthal(table, lam) -> dict:
                 mult[mu] = int(value)
                 frontier.append(mu)
     return mult
+
+
+def weyl_image(table, u) -> weyl.WeylElement:
+    """The oscillator image of u as a sum over its words of products of
+    WeylElements, in Fraction arithmetic."""
+    total = weyl.WeylElement(table.rank)
+    for word, c in u.terms.items():
+        piece = weyl.WeylElement.constant(table.rank, c)
+        for x in word:
+            piece = piece * table.realizations[x]
+        total = total + piece
+    return total
+
+
+# -- helpers ------------------------------------------------------------
+
+
+def level_var() -> UniPoly:
+    """The formal level as a polynomial."""
+    return UniPoly.variable("k")
+
+
+def minor_vector(table, spec: DeterminantSpec, i: int, j: int) -> VacuumState:
+    return ep_state(minor_entry_poly(table, spec, i, j))
+
+
+def mode_degree(state: VacuumState) -> int:
+    """Total mode of a state; raises if it is mixed."""
+    degrees = {sum(n for n, _ in mono) for mono in state.terms}
+    if not degrees:
+        return 0
+    if len(degrees) > 1:
+        raise ValueError("state mixes mode degrees %s" % sorted(degrees))
+    return degrees.pop()
+
+
+def total_degree(poly) -> int:
+    """Total degree of an HPoly; -1 for zero."""
+    return max((sum(e) for e in poly.terms), default=-1)
+
+
+def coexisting_singulars(kind: str, rank: int, level) -> list[DeterminantSpec]:
+    """All determinant vectors that become singular at the given level."""
+    level = coerce_rational(level)
+    found = []
+    top = rank if kind == "C" else rank // 2
+    for m in range(1, top + 1):
+        n = level + (Fraction(m + 1, 2) if kind == "C" else Fraction(m))
+        if n.denominator == 1 and n >= 1:
+            found.append(DeterminantSpec(kind, rank, m, int(n)))
+    return found
+
+
+def entries_commute_check(kind: str, rank: int, m: int) -> VerificationReport:
+    """Pairwise-commutation scan over the would-be matrix entries.
+
+    Deliberately does not enforce the size guard, so it can demonstrate what
+    goes wrong for oversized "A" matrices: overlapping indices give entries
+    with nonzero brackets (and possibly ill-formed diagonal labels).
+    """
+    table = build_algebra(kind, rank)
+    entries = []
+    bad_labels = []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            try:
+                entries.append(((i, j), table.idx(entry_element(kind, rank, i, j))))
+            except ValueError:
+                bad_labels.append("(%d,%d)" % (i, j))
+    witness = None
+    for ((pi, pj), x), ((qi, qj), y) in itertools.combinations(entries, 2):
+        terms = table.bracket(x, y)
+        if terms:
+            body = " + ".join("(%s) %s" % (c, table.text(z)) for z, c in terms)
+            witness = {
+                "pair": ["entry(%d,%d) = %s" % (pi, pj, table.text(x)),
+                         "entry(%d,%d) = %s" % (qi, qj, table.text(y))],
+                "bracket": body,
+            }
+            break
+    if witness is None and bad_labels:
+        witness = {"undefined_entries": bad_labels}
+    return VerificationReport(
+        claim="matrix entries commute %s%d m=%d" % (kind, rank, m),
+        verdict=witness is None,
+        parameters={"algebra": "%s_%d" % (kind, rank), "m": m},
+        witness=witness,
+        timing_ms=0,
+    )

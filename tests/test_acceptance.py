@@ -14,16 +14,16 @@ from fractions import Fraction
 
 from affine_singular.category_o import classify_sp6
 from affine_singular.determinants import (DeterminantSpec, beta_constant,
-                                          coexisting_singulars, det_entry_poly,
-                                          determinant_vector, ep_mul, ep_pow,
-                                          ep_state, lowering_factor_check,
+                                          det_entry_poly, determinant_vector,
+                                          ep_mul, ep_pow, ep_state,
+                                          lowering_factor_check,
                                           minor_entry_poly, verify_singular)
 from affine_singular.liealg import build_algebra
 from affine_singular.vacuum import (apply_generator, state_weight, straighten)
 from affine_singular.weights import multiplicity, weyl_dim
 from affine_singular.zhu import (verify_weyl_vanishing, verify_zhu_generator,
                                  weyl_image)
-from oracles import straighten_rightmost, uenv_normal_form
+from oracles import coexisting_singulars, straighten_rightmost, uenv_normal_form
 
 SEED = 20240817
 

@@ -141,6 +141,29 @@ def test_tampered_cache_recomputes_with_note(capsys, tmp_path):
     assert warm == cold
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda record: [1, 2],
+    lambda record: dict(record, payload=5),
+], ids=["list", "int-payload"])
+def test_malformed_cache_record_recomputes_with_note(capsys, tmp_path, corrupt):
+    argv = ["singular", "factor", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+            "--json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (record_path,) = tmp_path.glob("*.json")
+    record_path.write_text(json.dumps(corrupt(json.loads(record_path.read_text()))))
+    code, obj = run_json(capsys, argv)
+    assert code == 0
+    warning = "cache record unreadable, recomputing: %s" % record_path
+    assert warning in obj["notes"]
+    code, cold = run_json(capsys, argv + ["--no-cache"])
+    assert code == 0
+    obj["notes"].remove(warning)
+    obj.pop("timing_ms")
+    cold.pop("timing_ms")
+    assert obj == cold
+
+
 def test_unwritable_cache_keeps_the_verdict_exit_code(capsys, tmp_path):
     not_a_directory = tmp_path / "cache"
     not_a_directory.write_text("a regular file\n")

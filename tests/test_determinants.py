@@ -5,16 +5,14 @@ from fractions import Fraction
 import pytest
 
 from affine_singular.determinants import (DeterminantSpec, beta_constant,
-                                          build_matrix, coexisting_singulars,
-                                          det_entry_poly, determinant_vector,
-                                          entries_commute_check, entry_element,
+                                          build_matrix, det_entry_poly,
+                                          determinant_vector, entry_element,
                                           ep_mul, ep_pow, ep_state,
                                           lowering_factor_check,
-                                          minor_entry_poly, minor_vector,
-                                          verify_singular)
+                                          minor_entry_poly, verify_singular)
 from affine_singular.scalars import UniPoly
 from affine_singular.vacuum import VacuumState, state_weight, straighten
-from oracles import ep_apply
+from oracles import coexisting_singulars, entries_commute_check, ep_apply, minor_vector
 
 
 def test_spec_validation():

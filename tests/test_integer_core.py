@@ -133,10 +133,11 @@ def test_non_integral_multiplicity_raises(table_c2):
         freudenthal(wrong_rho, (1,))
     with pytest.raises(ArithmeticError):
         weight_multiplicities(wrong_rho, (1,))
-    # (0, 1) is not dominant, and the recursion meets a non-integral quotient
+    # (0, 1) is not dominant: the oracle's recursion meets a non-integral
+    # quotient, and the library refuses the weight before it recurses
     with pytest.raises(ArithmeticError):
         freudenthal(table_c2, (0, 1))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
         weight_multiplicities(table_c2, (0, 1))
 
 

@@ -22,6 +22,9 @@ from affine_singular.zhu import verify_weyl_vanishing, verify_zhu_generator
 from test_acceptance import A_GRID, C_GRID
 
 GRID = [DeterminantSpec(*case) for case in C_GRID + A_GRID]
+# the specs of the benchmark's enveloping workload
+BENCHMARK_SPECS = [DeterminantSpec(*case)
+                   for case in (("C", 4, 4, 3), ("C", 5, 5, 2), ("A", 8, 4, 2), ("C", 6, 6, 1))]
 
 OPERATIONS = {
     "verify_auto": verify_singular,
@@ -43,6 +46,8 @@ DIGESTS = {
     "zhu_generator": "2ae9a5d1aadae7b080857489f7470f937f05b8e8f27bdeffeef5ec5e38f42641",
     "classify_sp6_seed0": "33d174723839ecd8efa3b223b772126e206c14f5a637a0192136dc26c6b8429c",
     "classify_sp6_seed1": "c667c7292b4f2fe33207c5ccb506b0ee39671d35678ee8e20c70c13b96891720",
+    "benchmark_zhu_generator": "bc2584c3608c54f61bcddda29b4731b4cbeb2e2a0aa7da84bc238a3e6d32b39b",
+    "benchmark_weyl_vanishing": "23caab72609d34fd58d4e1c1ea17c0f5af88552bfdaf47bc7b5b048d3a1191ff",
 }
 
 
@@ -58,6 +63,12 @@ def _digest(reports) -> str:
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_grid_reports_are_pinned(name):
     assert _digest(OPERATIONS[name](spec) for spec in GRID) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["zhu_generator", "weyl_vanishing"])
+def test_benchmark_spec_reports_are_pinned(name):
+    reports = (OPERATIONS[name](spec) for spec in BENCHMARK_SPECS)
+    assert _digest(reports) == DIGESTS["benchmark_" + name]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from affine_singular.determinants import DeterminantSpec, determinant_vector
-from affine_singular.scalars import UniPoly, level_var
+from affine_singular.scalars import UniPoly
 from affine_singular.vacuum import (VacuumState, _differential_action,
                                     _reduce_into, annihilation_operators,
                                     apply_generator, monomial_text,
                                     singular_check, state_weight, straighten)
-from oracles import straighten_rightmost
+from oracles import level_var, mode_degree, straighten_rightmost
 from test_acceptance import A_GRID, C_GRID
 
 
@@ -23,7 +23,7 @@ def random_word(rng, table, length, low=-3):
 def test_vacuum_and_zero():
     v = VacuumState.vacuum()
     assert not v.is_zero
-    assert v.mode_degree() == 0
+    assert mode_degree(v) == 0
     assert (v - v).is_zero
     assert VacuumState.zero().is_zero
 
@@ -73,6 +73,40 @@ def test_frozen_level_action(table_c2):
     state = apply_generator(t, "X[-2e1]", 1, straighten(t, [(-1, "X[2e1]")]))
     assert state == VacuumState.vacuum() * (level_var() * (-4))
     assert state.specialize(Fraction(1, 2)).terms == {(): UniPoly.constant(-2)}
+
+
+def test_specialize_keeps_constants_and_evaluates_the_rest():
+    k = level_var()
+    half, seven = UniPoly.constant(Fraction(1, 2)), UniPoly.constant(7)
+    state = VacuumState({((-1, 0),): half, ((-1, 1),): seven,
+                         ((-1, 2),): k * 3 - 2,  # k-linear with a constant term
+                         ((-2, 0),): k * Fraction(-4, 3),  # k-linear without one
+                         ((-1, 3),): k + 1,  # zero at k = -1
+                         ((-1, 0), (-1, 1)): k * k - 4})
+    got = state.specialize(-1)
+    assert got.terms[((-1, 0),)] is half
+    assert got.terms[((-1, 1),)] is seven
+    assert got.terms == {((-1, 0),): half, ((-1, 1),): seven,
+                         ((-1, 2),): UniPoly.constant(-5),
+                         ((-2, 0),): UniPoly.constant(Fraction(4, 3)),
+                         ((-1, 0), (-1, 1)): UniPoly.constant(-3)}
+    assert ((-1, 2),) not in state.specialize(Fraction(2, 3)).terms  # 3k - 2 vanishes there
+
+
+def test_specialize_evaluates_a_k_linear_residual_exactly():
+    """x(1) det|0> = beta (k - level) minor(1,1)|0>: zero at the level, the
+    minor times beta/3 a third above it."""
+    spec = DeterminantSpec("C", 3, 2, 1)
+    t = spec.table()
+    residual = apply_generator(t, t.theta_lowering, 1, determinant_vector(t, spec))
+    assert residual.terms and all(c.degree == 1 for c in residual.terms.values())
+    assert residual.specialize(spec.level).is_zero
+    third = spec.level + Fraction(1, 3)
+    got = residual.specialize(third)
+    assert got.terms == {mono: UniPoly.constant(c(third)) for mono, c in residual.terms.items()}
+    beta = t.form(t.theta_lowering, t.theta_raising)
+    minor = straighten(t, [(-1, "X[2e2]")])
+    assert got == minor * (beta / 3)
 
 
 def test_commutation_contract_random(table_c2, table_a3):
@@ -182,8 +216,8 @@ def test_state_weight(table_c2):
 def test_mode_degree_mixed(table_c2):
     state = straighten(table_c2, [(-1, 0)]) + straighten(table_c2, [(-2, 0)])
     with pytest.raises(ValueError):
-        state.mode_degree()
-    assert straighten(table_c2, [(-2, 0), (-1, 1)]).mode_degree() == -3
+        mode_degree(state)
+    assert mode_degree(straighten(table_c2, [(-2, 0), (-1, 1)])) == -3
 
 
 def test_annihilation_operators(table_c2, table_a4):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +102,24 @@ def test_degenerate_inputs(table_c2):
     # a weight outside the lattice cannot give an integer
     with pytest.raises(ArithmeticError):
         weyl_dim(table_c2, (Fraction(1, 2), 0))
+
+
+@pytest.mark.parametrize("lam, shown", [
+    ("(Fraction(1, 2), 0)", "(1/2, 0)"),  # off the weight lattice: the recursion never ended
+    ("(-1, 0)", "(-1, 0)"),  # not dominant: it failed at a weight below lam
+])
+def test_weights_that_are_not_dominant_integral_are_refused(lam, shown):
+    # in a child process, so a regression that loops fails here instead of hanging
+    code = ("from fractions import Fraction\n"
+            "from affine_singular.liealg import build_algebra\n"
+            "from affine_singular.weights import weight_multiplicities\n"
+            "try:\n"
+            "    weight_multiplicities(build_algebra('C', 2), %s)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n" % lam)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "highest weight %s is not dominant integral" % shown in done.stdout

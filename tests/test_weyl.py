@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from affine_singular.weyl import (WeylElement, annihilation, commutator, creation,
-                                  degree1_action, monomial_text, normal_ordered)
+from affine_singular.weyl import (WeylElement, _accumulate_product, annihilation,
+                                  commutator, creation, degree1_action, monomial_text,
+                                  normal_ordered)
 
 
 def naive_product(nvars, word):
@@ -94,6 +95,67 @@ def test_random_words_against_naive_oracle():
             for sp, i in word:
                 product = product * letter(nvars, sp, i)
             assert product.terms == naive_product(nvars, word)
+
+
+def _word(mono):
+    """The letters of a normally ordered monomial, creations first."""
+    alpha, beta = mono
+    return ([("c", i + 1) for i, e in enumerate(alpha) for _ in range(e)]
+            + [("n", i + 1) for i, e in enumerate(beta) for _ in range(e)])
+
+
+NONE = ((0, 0, 0), (0, 0, 0))
+MONOMIAL_PAIRS = [
+    (NONE, ((1, 2, 0), (0, 1, 3))),  # a constant on the left
+    (((1, 0, 2), (0, 3, 0)), NONE),  # and on the right
+    (NONE, NONE),
+    (((1, 0, 0), (0, 2, 0)), ((0, 0, 1), (1, 0, 0))),  # index sets disjoint
+    (((0, 0, 0), (2, 0, 1)), ((0, 1, 0), (0, 3, 0))),  # a* on 1 and 3, a on 2 only
+    (((2, 2, 2), (0, 0, 0)), ((3, 1, 0), (1, 1, 1))),  # no a* on the left: nothing contracts
+    (((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (0, 0, 0))),  # a*_1 a_1
+    (((0, 1, 0), (2, 0, 1)), ((3, 0, 2), (0, 1, 0))),  # two contracting indices
+    (((1, 1, 1), (3, 2, 1)), ((2, 3, 1), (1, 1, 1))),  # three, of several orders
+]
+
+
+def test_monomial_products_against_naive_oracle():
+    """Contracting pairs, disjoint pairs and constants, as Fraction elements
+    and through the int term dicts that the oscillator image folds on."""
+    rng = random.Random(31)
+    pairs = list(MONOMIAL_PAIRS)
+    for _ in range(40):
+        pairs.append(tuple((tuple(rng.randint(0, 2) for _ in range(3)),
+                            tuple(rng.randint(0, 2) for _ in range(3))) for _ in range(2)))
+    contracting = 0
+    for m1, m2 in pairs:
+        expected = naive_product(3, _word(m1) + _word(m2))
+        disjoint = not any(b and a for b, a in zip(m1[1], m2[0]))
+        contracting += not disjoint
+        if disjoint:  # the t = 0 term alone
+            assert list(expected) == [tuple(tuple(map(sum, zip(*p))) for p in zip(m1, m2))]
+        x = WeylElement(3, {m1: Fraction(-5, 2)})
+        y = WeylElement(3, {m2: Fraction(1, 3)})
+        assert (x * y).terms == {key: Fraction(-5, 6) * c for key, c in expected.items()}
+        out = {}
+        _accumulate_product(*m1, *m2, 7, out)
+        assert out == {key: 7 * c for key, c in expected.items()}
+        assert all(type(c) is int for c in out.values())
+    assert contracting >= 6
+
+
+def test_sums_of_monomials_multiply_term_by_term():
+    rng = random.Random(47)
+    for _ in range(20):
+        x, y = (WeylElement(3, {(tuple(rng.randint(0, 2) for _ in range(3)),
+                                 tuple(rng.randint(0, 2) for _ in range(3))):
+                                rng.choice([Fraction(1, 3), Fraction(-5, 2), 2, -1])
+                                for _ in range(3)}) for _ in range(2))
+        expected = {}
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                for key, c in naive_product(3, _word(m1) + _word(m2)).items():
+                    expected[key] = expected.get(key, 0) + c1 * c2 * c
+        assert (x * y).terms == {key: c for key, c in expected.items() if c}
 
 
 def test_associativity_spot_checks():

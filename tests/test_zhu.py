@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from affine_singular import zhu
 from affine_singular.determinants import DeterminantSpec, determinant_vector
+from affine_singular.liealg import build_algebra
+from affine_singular.scalars import over_common_denominator
 from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
 from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
                                  uenv_mul, uenv_pow, verify_weyl_vanishing,
                                  verify_zhu_generator, weyl_image, zhu_project)
+import oracles
 from oracles import uenv_normal_form, uenv_product, uenv_sum
 from test_acceptance import A_GRID, C_GRID
 
@@ -213,3 +217,66 @@ def test_weyl_image_of_a_power_is_the_power_of_the_image(kind, rank, m, n):
         power = power * base
     assert power == weyl_image(t, uenv_pow(t, det, n))
     assert power.is_zero == (m >= 2)
+
+
+# -- the oscillator image on ints against the fold of WeylElement products --
+
+
+@pytest.mark.parametrize("kind, rank, m, n", GRID)
+def test_weyl_image_matches_the_product_fold(kind, rank, m, n):
+    spec = DeterminantSpec(kind, rank, m, n)
+    t = spec.table()
+    det = finite_determinant(t, spec)
+    for u in (det, uenv_pow(t, det, n)):
+        image = weyl_image(t, u)
+        assert image == oracles.weyl_image(t, u)
+        assert all(type(c) is Fraction for c in image.terms.values())
+
+
+def _random_element(rng, t, coefficients):
+    """Words of 0 to 4 random letters; every third word also starts with a
+    Cartan letter."""
+    cartan = [x for x in range(t.dimension) if t.element(x).kind == "cartan"]
+    terms = {}
+    for count in range(6):
+        word = [rng.randrange(t.dimension) for _ in range(rng.randint(0, 4))]
+        if count % 3 == 0:
+            word.insert(0, rng.choice(cartan))
+        terms[tuple(word)] = rng.choice(coefficients)
+    return UEnvElement(terms)
+
+
+@pytest.mark.parametrize("kind, rank", [("C", 2), ("C", 3), ("A", 3), ("A", 4)])
+def test_weyl_image_of_random_words(kind, rank):
+    t = build_algebra(kind, rank)
+    coefficients = [Fraction(1, 3), Fraction(-5, 2), 1, -2]
+    rng = random.Random(rank * 10 + len(kind))
+    for _ in range(12):
+        u = _random_element(rng, t, coefficients)
+        assert weyl_image(t, u) == oracles.weyl_image(t, u)
+
+
+def test_weyl_image_of_contracting_sl3_words(table_a3):
+    t = table_a3
+    e12, e21 = t.idx("X[e1-e2]"), t.idx("X[e2-e1]")
+    e13, e31, e23 = t.idx("X[e1-e3]"), t.idx("X[e3-e1]"), t.idx("X[e2-e3]")
+    h12 = t.idx("h1-h2")
+    u = UEnvElement({(e12, e21): Fraction(1, 3), (e21, e12, e12): Fraction(-5, 2),
+                     (e13, e31, e23, h12): 1, (h12, e31, e13): Fraction(2, 7)})
+    assert weyl_image(t, u) == oracles.weyl_image(t, u)
+    # X[e1-e2] X[e2-e1] -> a1 a*2 . a2 a*1 = a1 a2 a*1 a*2 - a1 a*1: the
+    # contraction at index 2 leaves a degree-2 term
+    image = weyl_image(t, UEnvElement({(e12, e21): 1}))
+    assert {sum(a) + sum(b) for a, b in image.terms} == {2, 4}
+
+
+def test_kind_c_cartan_realizations_carry_a_half(table_c2, table_a3):
+    for t, den in ((table_c2, 2), (table_a3, 1)):
+        for x in range(t.dimension):
+            if t.element(x).kind == "cartan":
+                assert over_common_denominator(t.realizations[x].terms)[1] == den
+    # words of different lengths over a Cartan letter of C2: h1 -> 1/2 - a1 a*1
+    t = table_c2
+    h1 = t.idx("h1")
+    u = UEnvElement({(): Fraction(1, 3), (h1,): 1, (h1, h1, h1): Fraction(-5, 2)})
+    assert weyl_image(t, u) == oracles.weyl_image(t, u)
