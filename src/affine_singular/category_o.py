@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import weights as weight_util
-from .determinants import DeterminantSpec
 from .linalg import SparseBasis
 from .report import VerificationReport
 from .scalars import ONE, ZERO, HPoly, UniPoly, coerce_rational, format_rational
+from .spec import DeterminantSpec
 from .zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
 
 
@@ -40,16 +39,26 @@ def uelem_weight(table, u: UEnvElement):
     return found
 
 
-@dataclass
 class TopLevelModule:
-    """Adjoint closure of a generator inside U(g), graded by weight."""
+    """Adjoint closure of a generator inside U(g), graded by weight.
 
-    table: object
-    generator: UEnvElement
-    highest_weight: tuple
-    elements: list  # UEnvElement, in discovery order
-    element_weights: list
-    raising_closed: bool
+    elements are UEnvElements in discovery order, element_weights their weights.
+    """
+
+    def __init__(self, table, generator: UEnvElement, highest_weight: tuple, elements: list,
+                 element_weights: list, raising_closed: bool):
+        self.table = table
+        self.generator = generator
+        self.highest_weight = highest_weight
+        self.elements = elements
+        self.element_weights = element_weights
+        self.raising_closed = raising_closed
+
+    def __repr__(self) -> str:
+        return ("TopLevelModule(table=%r, generator=%r, highest_weight=%r, elements=%r, "
+                "element_weights=%r, raising_closed=%r)" % (
+                    self.table, self.generator, self.highest_weight, self.elements,
+                    self.element_weights, self.raising_closed))
 
     @property
     def dimension(self) -> int:

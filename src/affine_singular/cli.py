@@ -13,6 +13,9 @@ Every check prints a report; --json emits it as canonical JSON.  Reports of
 singular verify/factor are cached on disk keyed by the full parameter set,
 so repeated runs are byte-stable; corrupted or stale cache records are
 ignored with a warning.
+
+Each command imports the modules it needs when it runs: a warm singular
+verify or factor loads only this module, cache, serialize, scalars and spec.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ import sys
 
 from . import __version__
 from . import cache as cache_mod
-from . import category_o, determinants, zhu
-from .determinants import DeterminantSpec
-from .liealg import build_algebra
 from .scalars import format_rational, parse_rational
 from .serialize import canonical_json
 
@@ -68,7 +68,9 @@ def _emit(args, obj, text_lines=None) -> None:
             print(line)
 
 
-def _spec_from(args) -> DeterminantSpec:
+def _spec_from(args):
+    from .spec import DeterminantSpec
+
     return DeterminantSpec(args.type, args.rank, args.m, args.n)
 
 
@@ -110,6 +112,8 @@ def _cached_report(args, key, compute):
 
 
 def cmd_alg_info(args) -> int:
+    from .liealg import build_algebra
+
     table = build_algebra(args.type, args.rank)
     if args.json:
         obj = {
@@ -152,7 +156,12 @@ def cmd_singular_verify(args) -> int:
         "kind": spec.kind, "rank": spec.rank, "m": spec.m, "n": spec.n,
         "level": level_text,
     }
-    obj = _cached_report(args, key, lambda: determinants.verify_singular(spec, level))
+    def compute():
+        from .determinants import verify_singular
+
+        return verify_singular(spec, level)
+
+    obj = _cached_report(args, key, compute)
     _emit(args, obj)
     return 0 if obj["verdict"] else 1
 
@@ -164,27 +173,38 @@ def cmd_singular_factor(args) -> int:
         "kind": spec.kind, "rank": spec.rank, "m": spec.m, "n": spec.n,
         "level": "symbolic",
     }
-    obj = _cached_report(args, key, lambda: determinants.lowering_factor_check(spec))
+    def compute():
+        from .determinants import lowering_factor_check
+
+        return lowering_factor_check(spec)
+
+    obj = _cached_report(args, key, compute)
     _emit(args, obj)
     return 0 if obj["verdict"] else 1
 
 
 def cmd_zhu_project(args) -> int:
+    from .zhu import verify_zhu_generator
+
     spec = _spec_from(args)
-    obj = _report_obj(zhu.verify_zhu_generator(spec))
+    obj = _report_obj(verify_zhu_generator(spec))
     _emit(args, obj)
     return 0 if obj["verdict"] else 1
 
 
 def cmd_zhu_phi(args) -> int:
+    from .zhu import verify_weyl_vanishing
+
     spec = _spec_from(args)
-    obj = _report_obj(zhu.verify_weyl_vanishing(spec))
+    obj = _report_obj(verify_weyl_vanishing(spec))
     _emit(args, obj)
     return 0 if obj["verdict"] else 1
 
 
 def cmd_classify(args) -> int:
-    report = category_o.classify_sp6(seed=args.seed, controls=args.controls, dim_cap=args.dim_cap)
+    from .category_o import classify_sp6
+
+    report = classify_sp6(seed=args.seed, controls=args.controls, dim_cap=args.dim_cap)
     obj = _report_obj(report)
     if args.json:
         _emit(args, obj)

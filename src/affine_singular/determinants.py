@@ -18,53 +18,16 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import vacuum
-from .liealg import BasisElement, StructureTable, build_algebra
+from .liealg import BasisElement, StructureTable
 from .report import VerificationReport
 from .scalars import UniPoly, add_term, format_rational
+from .spec import DeterminantSpec
 from .vacuum import VacuumState
 
 EntryPoly = dict  # sorted index tuple -> int, a polynomial in commuting entries
-
-
-@dataclass(frozen=True)
-class DeterminantSpec:
-    """Size and power of one determinant vector, with its distinguished level."""
-
-    kind: str
-    rank: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in ("C", "A"):
-            raise ValueError("kind must be 'C' or 'A'")
-        if self.rank < 2:
-            raise ValueError("rank must be at least 2")
-        if self.n < 1:
-            raise ValueError("power must be at least 1")
-        if self.m < 1:
-            raise ValueError("size must be at least 1")
-        if self.kind == "C" and self.m > self.rank:
-            raise ValueError("size %d exceeds rank %d" % (self.m, self.rank))
-        if self.kind == "A" and 2 * self.m > self.rank:
-            raise ValueError("size %d needs 2m <= rank %d" % (self.m, self.rank))
-
-    @property
-    def level(self) -> Fraction:
-        """The level at which the vector becomes singular."""
-        if self.kind == "C":
-            return Fraction(self.n) - Fraction(self.m + 1, 2)
-        return Fraction(self.n - self.m)
-
-    def table(self) -> StructureTable:
-        return build_algebra(self.kind, self.rank)
-
-    def label(self) -> str:
-        return "%s%d m=%d n=%d" % (self.kind, self.rank, self.m, self.n)
 
 
 def entry_element(kind: str, rank: int, i: int, j: int) -> BasisElement:

@@ -19,7 +19,6 @@ normalisation the affine central terms are built on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -28,19 +27,44 @@ from .scalars import ONE, ZERO, HPoly, add_term, over_common_denominator
 
 Weight = tuple
 
+# build_algebra refuses larger algebras: the table holds dim^2 brackets and
+# form entries (C18 has dimension 666 and A26 has 675)
+MAX_DIMENSION = 700
 
-@dataclass(frozen=True)
+
 class BasisElement:
     """A label for one basis vector: a root vector or a Cartan element.
 
     kind "plus" is X[ei+ej] (i <= j, with i == j giving X[2ei]), "minus" is
     its opposite, "mixed" is X[ei-ej] (i != j), and "cartan" is the i-th
-    Cartan basis element.
+    Cartan basis element.  Immutable, compared and hashed by (kind, i, j).
     """
 
-    kind: str
-    i: int
-    j: int = 0
+    __slots__ = ("kind", "i", "j")
+
+    def __init__(self, kind: str, i: int, j: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BasisElement, (self.kind, self.i, self.j)
+
+    def __eq__(self, other):
+        if other.__class__ is not BasisElement:
+            return NotImplemented
+        return self.kind == other.kind and self.i == other.i and self.j == other.j
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.j))
+
+    def __repr__(self) -> str:
+        return "BasisElement(kind=%r, i=%r, j=%r)" % (self.kind, self.i, self.j)
 
     def text(self, algebra_kind: str = "C") -> str:
         if self.kind == "cartan":
@@ -58,21 +82,22 @@ class BasisElement:
         return "X[e%d-e%d]" % (self.i, self.j)
 
 
+# compiled by re on first use, not at import
 _ELEMENT_PATTERNS = [
-    (re.compile(r"^X\[2e(\d+)\]$"), lambda m: BasisElement("plus", int(m.group(1)), int(m.group(1)))),
-    (re.compile(r"^X\[-2e(\d+)\]$"), lambda m: BasisElement("minus", int(m.group(1)), int(m.group(1)))),
-    (re.compile(r"^X\[e(\d+)\+e(\d+)\]$"), lambda m: BasisElement("plus", *sorted((int(m.group(1)), int(m.group(2)))))),
-    (re.compile(r"^X\[-e(\d+)-e(\d+)\]$"), lambda m: BasisElement("minus", *sorted((int(m.group(1)), int(m.group(2)))))),
-    (re.compile(r"^X\[e(\d+)-e(\d+)\]$"), lambda m: BasisElement("mixed", int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^h(\d+)-h(\d+)$"), lambda m: BasisElement("cartan", int(m.group(1)))),
-    (re.compile(r"^h(\d+)$"), lambda m: BasisElement("cartan", int(m.group(1)))),
+    (r"^X\[2e(\d+)\]$", lambda m: BasisElement("plus", int(m.group(1)), int(m.group(1)))),
+    (r"^X\[-2e(\d+)\]$", lambda m: BasisElement("minus", int(m.group(1)), int(m.group(1)))),
+    (r"^X\[e(\d+)\+e(\d+)\]$", lambda m: BasisElement("plus", *sorted((int(m.group(1)), int(m.group(2)))))),
+    (r"^X\[-e(\d+)-e(\d+)\]$", lambda m: BasisElement("minus", *sorted((int(m.group(1)), int(m.group(2)))))),
+    (r"^X\[e(\d+)-e(\d+)\]$", lambda m: BasisElement("mixed", int(m.group(1)), int(m.group(2)))),
+    (r"^h(\d+)-h(\d+)$", lambda m: BasisElement("cartan", int(m.group(1)))),
+    (r"^h(\d+)$", lambda m: BasisElement("cartan", int(m.group(1)))),
 ]
 
 
 def parse_element(text: str) -> BasisElement:
     text = text.strip()
     for pattern, make in _ELEMENT_PATTERNS:
-        m = pattern.match(text)
+        m = re.match(pattern, text)
         if m:
             return make(m)
     raise ValueError("cannot parse basis element %r" % text)
@@ -259,16 +284,17 @@ def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
 
 
 def _pivot(elem: BasisElement, rank: int):
-    """A monomial held by this realization and by no later one in elimination order."""
+    """A monomial held by this realization and by no later one in elimination
+    order, with its coefficient there."""
     unit = lambda *idxs: tuple(sum(1 for t in idxs if t == p + 1) for p in range(rank))
     zero = (0,) * rank
     if elem.kind == "plus":
-        return (unit(elem.i, elem.j), zero), ONE
+        return (unit(elem.i, elem.j), zero), 1
     if elem.kind == "minus":
-        return (zero, unit(elem.i, elem.j)), ONE
+        return (zero, unit(elem.i, elem.j)), 1
     if elem.kind == "mixed":
-        return (unit(elem.i), unit(elem.j)), ONE
-    return (unit(elem.i), unit(elem.i)), -ONE
+        return (unit(elem.i), unit(elem.j)), 1
+    return (unit(elem.i), unit(elem.i)), -1
 
 
 class RealizationError(ArithmeticError):
@@ -277,23 +303,30 @@ class RealizationError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def build_algebra(kind: str, rank: int) -> StructureTable:
-    """Construct the full structure table for sp_2l (kind "C") or sl_l (kind "A")."""
+    """Construct the full structure table for sp_2l (kind "C") or sl_l (kind "A").
+
+    The realizations are scaled once to integers over their common
+    denominator den.  Commutators, eliminations and traces then add ints,
+    and each stored constant becomes a Fraction once, equal values shared.
+    """
     if kind not in ("C", "A"):
         raise ValueError("kind must be 'C' or 'A'")
     if rank < 2:
         raise ValueError("rank must be at least 2")
+    expected = rank * (2 * rank + 1) if kind == "C" else rank * rank - 1
+    if expected > MAX_DIMENSION:
+        raise ValueError("%s_%d has dimension %d, above the limit of %d basis elements"
+                         % (kind, rank, expected, MAX_DIMENSION))
 
     if kind == "C":
         lower = [BasisElement("minus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
         lower += [BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i > j]
         upper = [BasisElement("plus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
         upper += [BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i < j]
-        expected = rank * (2 * rank + 1)
         cartan_count = rank
     else:
         lower = [BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i > j]
         upper = [BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i < j]
-        expected = rank * rank - 1
         cartan_count = rank - 1
 
     weight_key = lambda e: element_weight(e, rank)
@@ -307,6 +340,21 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
 
     realizations = [_realize(kind, rank, e) for e in basis]
     dim = len(basis)
+    flat, den = over_common_denominator(
+        {(n, mono): c for n, z in enumerate(realizations) for mono, c in z.terms.items()})
+    scaled = [{} for _ in range(dim)]
+    for (n, mono), c in flat.items():
+        scaled[n][mono] = c
+    scaled = [weyl.WeylElement._wrap(terms, rank) for terms in scaled]  # den * realization
+
+    shared = {}
+
+    def exact(num, d):
+        """Fraction(num, d), one object per (num, d)."""
+        value = shared.get((num, d))
+        if value is None:
+            value = shared[num, d] = Fraction(num, d)
+        return value
 
     # root vectors are read off their disjoint pivot monomials; the Cartans
     # are then eliminated in ascending order, so each a_i a*_i pivot is
@@ -319,60 +367,62 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         mono, lead = pivots[n]
         c = rem.get(mono)
         if c:
-            c = c / lead
-            coeffs[n] = c
-            for m, r in realizations[n].terms.items():
-                add_term(rem, m, -c * r)
+            q, r = divmod(c, lead * den)
+            if r:
+                raise RealizationError("coefficient %d/%d is not a multiple of 1/%d" % (c, den * den, den))
+            coeffs[n] = q
+            for m, v in scaled[n].terms.items():
+                add_term(rem, m, -q * v)
 
-    def to_basis(z: weyl.WeylElement) -> dict[int, Fraction]:
+    def to_basis(z: dict) -> dict[int, int]:
+        """{n: q} with z / den^2 equal to the sum of q / den times basis element n."""
         coeffs = {}
-        rem = dict(z.terms)
-        for mono in z.terms:
+        rem = dict(z)
+        for mono in z:
             if mono in root_at:
                 eliminate(root_at[mono], rem, coeffs)
-        for n in cartan_indices:
-            eliminate(n, rem, coeffs)
         if rem:
-            raise RealizationError("element %r is outside the basis span" % z)
+            for n in cartan_indices:
+                eliminate(n, rem, coeffs)
+        if rem:
+            raise RealizationError("element %r is outside the basis span"
+                                   % weyl.WeylElement(rank, z).scale(Fraction(1, den * den)))
         return coeffs
 
     brackets = {}
     for x in range(dim):
         brackets[x, x] = ()
         for y in range(x + 1, dim):
-            terms = tuple(sorted(to_basis(weyl.commutator(realizations[x], realizations[y])).items()))
-            brackets[x, y] = terms
-            brackets[y, x] = tuple((z, -c) for z, c in terms)
+            coeffs = sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items())
+            brackets[x, y] = tuple((z, exact(q, den)) for z, q in coeffs)
+            brackets[y, x] = tuple((z, exact(-q, den)) for z, q in coeffs)
 
-    # sparse matrices {(row, column): entry} of the degree-1 action on
-    # span(a_1..a_l, a*_1..a*_l)
-    gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
-    gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
-    gen_index = {}
-    for g, gen in enumerate(gens):
-        (mono,) = gen.terms
-        gen_index[mono] = g
+    # sparse matrices {(row, column): den * entry} of the degree-1 action on
+    # span(a_1..a_l, a*_1..a*_l), and every matrix's entries by position
+    zero = (0,) * rank
+    units = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
+    gens = [(u, zero) for u in units] + [(zero, u) for u in units]
+    gen_index = {mono: g for g, mono in enumerate(gens)}
     matrices = []
+    at_entry = {}
     for n in range(dim):
         mat = {}
         for g, gen in enumerate(gens):
-            image = weyl.degree1_action(realizations[n], gen)
+            image = weyl.degree1_action(scaled[n], weyl.WeylElement._wrap({gen: 1}, rank))
             for mono, c in image.terms.items():
                 mat[gen_index[mono], g] = c
+                at_entry.setdefault((gen_index[mono], g), []).append((n, c))
         matrices.append(mat)
 
-    scale = ONE if kind == "C" else Fraction(1, 2)
+    # (x, y) = tr(x y) over den^2, halved for kind "A"; row x sums only the
+    # nonzero products M_x[r, t] M_y[t, r]
+    form_den = den * den * (1 if kind == "C" else 2)
     form = []
     for x in range(dim):
-        row = []
-        for y in range(dim):
-            other = matrices[y]
-            tr = ZERO
-            for (r, t), c in matrices[x].items():
-                d = other.get((t, r))
-                if d:
-                    tr += c * d
-            row.append(scale * tr)
-        form.append(tuple(row))
+        row = [0] * dim
+        for (r, t), c in matrices[x].items():
+            for y, d in at_entry.get((t, r), ()):
+                row[y] += c * d
+        form.append(tuple(exact(tr, form_den) if tr else ZERO for tr in row))
 
     return StructureTable(kind, rank, basis, realizations, brackets, tuple(form), blocks)

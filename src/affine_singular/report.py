@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class VerificationReport:
     """Outcome of one mechanical check.
 
@@ -15,14 +12,23 @@ class VerificationReport:
     reader should know, e.g. that a constant was derived rather than imposed.
     """
 
-    claim: str
-    verdict: bool
-    parameters: dict = field(default_factory=dict)
-    witness: dict | None = None
-    timing_ms: int = 0
-    seed: int | None = None
-    notes: list = field(default_factory=list)
-    details: dict | None = None
+    def __init__(self, claim: str, verdict: bool, parameters: dict | None = None,
+                 witness: dict | None = None, timing_ms: int = 0, seed: int | None = None,
+                 notes: list | None = None, details: dict | None = None):
+        self.claim = claim
+        self.verdict = verdict
+        self.parameters = {} if parameters is None else parameters
+        self.witness = witness
+        self.timing_ms = timing_ms
+        self.seed = seed
+        self.notes = [] if notes is None else notes
+        self.details = details
+
+    def __repr__(self) -> str:
+        return ("VerificationReport(claim=%r, verdict=%r, parameters=%r, witness=%r, timing_ms=%r, "
+                "seed=%r, notes=%r, details=%r)" % (
+                    self.claim, self.verdict, self.parameters, self.witness, self.timing_ms,
+                    self.seed, self.notes, self.details))
 
     def to_obj(self) -> dict:
         obj = {

@@ -1,0 +1,73 @@
+"""The parameters of one determinant vector.
+
+This module imports only fractions, so a command that only reads a cached
+report can name its input without loading the algebra.  determinants
+re-exports DeterminantSpec.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class DeterminantSpec:
+    """Size and power of one determinant vector, with its distinguished level.
+
+    Immutable, compared and hashed by its four fields.
+    """
+
+    __slots__ = ("kind", "rank", "m", "n")
+
+    def __init__(self, kind: str, rank: int, m: int, n: int):
+        if kind not in ("C", "A"):
+            raise ValueError("kind must be 'C' or 'A'")
+        if rank < 2:
+            raise ValueError("rank must be at least 2")
+        if n < 1:
+            raise ValueError("power must be at least 1")
+        if m < 1:
+            raise ValueError("size must be at least 1")
+        if kind == "C" and m > rank:
+            raise ValueError("size %d exceeds rank %d" % (m, rank))
+        if kind == "A" and 2 * m > rank:
+            raise ValueError("size %d needs 2m <= rank %d" % (m, rank))
+        for name, value in zip(self.__slots__, (kind, rank, m, n)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.kind, self.rank, self.m, self.n
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "DeterminantSpec(kind=%r, rank=%r, m=%r, n=%r)" % self._fields()
+
+    @property
+    def level(self) -> Fraction:
+        """The level at which the vector becomes singular."""
+        if self.kind == "C":
+            return Fraction(self.n) - Fraction(self.m + 1, 2)
+        return Fraction(self.n - self.m)
+
+    def table(self):
+        """The structure table of the algebra, built on first use."""
+        from .liealg import build_algebra
+
+        return build_algebra(self.kind, self.rank)
+
+    def label(self) -> str:
+        return "%s%d m=%d n=%d" % (self.kind, self.rank, self.m, self.n)

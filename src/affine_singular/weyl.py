@@ -116,14 +116,18 @@ def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     """[x, y] = xy - yx, from the contracted terms of both products alone."""
-    nvars = x._join(y)
+    return WeylElement._wrap(commutator_terms(x.terms, y.terms), x._join(y))
+
+
+def commutator_terms(x: dict, y: dict) -> dict:
+    """commutator on bare term dicts of one arity."""
     out: dict[Monomial, Fraction] = {}
-    for (a1, b1), c1 in x.terms.items():
-        for (a2, b2), c2 in y.terms.items():
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
             c = c1 * c2
             _accumulate_contractions(a1, b1, a2, b2, c, out)
             _accumulate_contractions(a2, b2, a1, b1, -c, out)
-    return WeylElement._wrap(out, nvars)
+    return out
 
 
 def monomial_text(mono: Monomial) -> str:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from affine_singular import weyl
 from affine_singular.determinants import (DeterminantSpec, ep_state, entry_element,
                                           minor_entry_poly)
+from affine_singular import liealg
 from affine_singular.liealg import build_algebra
 from affine_singular.report import VerificationReport
 from affine_singular.scalars import ZERO, UniPoly, coerce_rational
@@ -219,6 +220,72 @@ def weyl_image(table, u) -> weyl.WeylElement:
             piece = piece * table.realizations[x]
         total = total + piece
     return total
+
+
+def structure_table(kind: str, rank: int) -> liealg.StructureTable:
+    """The structure table in Fraction arithmetic, uncached.  Each bracket
+    is xy - yx from full oscillator products, not the contraction-only
+    commutator, and each form entry is a trace over all of one matrix."""
+    if kind == "C":
+        lower = [liealg.BasisElement("minus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+        lower += [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, i)]
+        upper = [liealg.BasisElement("plus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+        upper += [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+        cartans = [liealg.BasisElement("cartan", i) for i in range(1, rank + 1)]
+    else:
+        lower = [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, i)]
+        upper = [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+        cartans = [liealg.BasisElement("cartan", i) for i in range(1, rank)]
+    lower.sort(key=lambda e: liealg.element_weight(e, rank))
+    upper.sort(key=lambda e: liealg.element_weight(e, rank))
+    basis = lower + cartans + upper
+    blocks = ["lower"] * len(lower) + ["cartan"] * len(cartans) + ["raise"] * len(upper)
+    realizations = [liealg._realize(kind, rank, e) for e in basis]
+    dim = len(basis)
+    pivots = [liealg._pivot(e, rank) for e in basis]
+    root_at = {pivots[n][0]: n for n in range(dim) if basis[n].kind != "cartan"}
+
+    def to_basis(z: weyl.WeylElement) -> dict:
+        coeffs = {}
+        rem = dict(z.terms)
+        order = [root_at[mono] for mono in z.terms if mono in root_at]
+        for n in order + [n for n in range(dim) if basis[n].kind == "cartan"]:
+            mono, lead = pivots[n]
+            c = rem.get(mono)
+            if c:
+                coeffs[n] = c = c / lead
+                for m, r in realizations[n].terms.items():
+                    rem[m] = rem.get(m, ZERO) - c * r
+                    if not rem[m]:
+                        del rem[m]
+        assert not rem, "element %r is outside the basis span" % z
+        return coeffs
+
+    brackets = {}
+    for x in range(dim):
+        brackets[x, x] = ()
+        for y in range(x + 1, dim):
+            rx, ry = realizations[x], realizations[y]
+            terms = tuple(sorted(to_basis(rx * ry - ry * rx).items()))
+            brackets[x, y] = terms
+            brackets[y, x] = tuple((z, -c) for z, c in terms)
+
+    gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
+    gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
+    gen_index = {next(iter(gen.terms)): g for g, gen in enumerate(gens)}
+    matrices = []
+    for r in realizations:
+        mat = {}
+        for g, gen in enumerate(gens):
+            for mono, c in (r * gen - gen * r).terms.items():
+                mat[gen_index[mono], g] = c
+        matrices.append(mat)
+    scale = Fraction(1) if kind == "C" else Fraction(1, 2)
+    form = tuple(
+        tuple(scale * sum((c * matrices[y].get((t, r), ZERO) for (r, t), c in matrices[x].items()), ZERO)
+              for y in range(dim))
+        for x in range(dim))
+    return liealg.StructureTable(kind, rank, basis, realizations, brackets, form, blocks)
 
 
 # -- helpers ------------------------------------------------------------

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,8 @@ def test_alg_info_text(capsys):
 @pytest.mark.parametrize("kind, rank, digest", [
     ("C", 4, "12ab7e491a38f05aea3a9a744fc89dbcf4e760cb0ea01c0c4214a5cac785c15f"),
     ("A", 5, "21f7aec8bd781fcaf03d7b8392be567707d15365f730cb94dabc4ba502dc235c"),
+    ("C", 6, "f6ba13a33232b44803d6025c4e8db43ca150a906e58023f61039df47dcb70202"),
+    ("A", 8, "e88092abe38ac64d17e7fff7d3c7b644a465b14aa76272c53ba5d6abc082779c"),
 ])
 def test_alg_info_json_is_pinned(capsys, kind, rank, digest):
     assert main(["alg", "info", "--type", kind, "--rank", str(rank), "--json"]) == 0
@@ -257,3 +262,62 @@ def test_versions_follow_package(capsys, tmp_path):
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     (declared,) = re.findall(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
     assert declared == affine_singular.__version__
+
+
+# Each child process runs one command and writes the modules it loaded to stderr.
+_CHILD = ("import sys\n"
+          "from affine_singular.cli import main\n"
+          "code = main(sys.argv[1:])\n"
+          "print(' '.join(sys.modules), file=sys.stderr)\n"
+          "sys.exit(code)\n")
+
+
+def run_child(argv):
+    src = str(Path(affine_singular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+@pytest.mark.parametrize("command", ["verify", "factor"])
+def test_warm_cached_command_loads_no_algebra(tmp_path, command):
+    argv = ["singular", command, "--type", "C", "--rank", "3", "-m", "3", "-n", "1", "--json",
+            "--cache-dir", str(tmp_path)]
+    assert run_child(argv).returncode == 0
+    warm = run_child(argv)
+    assert warm.returncode == 0
+    assert json.loads(warm.stdout)["verdict"] is True
+    loaded = set(warm.stderr.split())
+    assert "affine_singular.cache" in loaded
+    for name in ("vacuum", "determinants", "liealg", "weyl", "zhu", "category_o", "weights", "linalg"):
+        assert "affine_singular." + name not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_alg_info_loads_only_the_table_modules():
+    done = run_child(["alg", "info", "--type", "C", "--rank", "2"])
+    assert done.returncode == 0
+    loaded = set(done.stderr.split())
+    assert "affine_singular.liealg" in loaded
+    for name in ("vacuum", "determinants", "zhu", "category_o"):
+        assert "affine_singular." + name not in loaded
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["alg", "info", "--type", "C", "--rank", "40"],
+    ["alg", "info", "--type", "A", "--rank", "40", "--json"],
+    ["singular", "verify", "--type", "C", "--rank", "40", "-m", "2", "--no-cache"],
+    ["singular", "factor", "--type", "A", "--rank", "40", "-m", "2", "--no-cache"],
+    ["zhu", "project", "--type", "C", "--rank", "40", "-m", "2"],
+    ["zhu", "phi", "--type", "C", "--rank", "40", "-m", "2"],
+])
+def test_oversized_rank_exits_2_at_once(argv):
+    # in a child process with a timeout, so a regression fails instead of hanging
+    done = run_child(argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    kind = argv[argv.index("--type") + 1]
+    dim = 3240 if kind == "C" else 1599
+    assert done.stderr.startswith("error: %s_40 has dimension %d, above the limit of 700 basis elements"
+                                  % (kind, dim))

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
 
+from affine_singular import spec as spec_module
 from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           build_matrix, det_entry_poly,
                                           determinant_vector, entry_element,
                                           ep_mul, ep_pow, ep_state,
                                           lowering_factor_check,
                                           minor_entry_poly, verify_singular)
+from affine_singular.liealg import build_algebra
 from affine_singular.scalars import UniPoly
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from oracles import coexisting_singulars, entries_commute_check, ep_apply, minor_vector
@@ -26,6 +29,18 @@ def test_spec_validation():
         DeterminantSpec("C", 2, 1, 0)
     with pytest.raises(ValueError):
         DeterminantSpec("C", 2, 0, 1)
+
+
+def test_spec_is_a_frozen_value():
+    assert DeterminantSpec is spec_module.DeterminantSpec
+    spec = DeterminantSpec("C", 4, 3, 2)
+    assert spec == DeterminantSpec("C", 4, 3, 2) != DeterminantSpec("C", 4, 3, 1)
+    assert len({spec, DeterminantSpec("C", 4, 3, 2)}) == 1
+    assert repr(spec) == "DeterminantSpec(kind='C', rank=4, m=3, n=2)"
+    with pytest.raises(AttributeError):
+        spec.n = 1
+    assert copy.deepcopy(spec) == spec
+    assert spec.table() is build_algebra("C", 4)
 
 
 def test_distinguished_levels():

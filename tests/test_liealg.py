@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from affine_singular import liealg
 from affine_singular.liealg import (BasisElement, RealizationError, build_algebra,
                                     element_weight, parse_element)
 from affine_singular.weyl import creation
-from oracles import coroot_pairing, det_dense
+from oracles import coroot_pairing, det_dense, structure_table
 
 
 def combo_bracket(table, u: dict, v: dict) -> dict:
@@ -237,6 +238,45 @@ def test_build_algebra_guards():
         build_algebra("C", 1)
     # cached: same object on repeat calls
     assert build_algebra("C", 2) is build_algebra("C", 2)
+
+
+@pytest.mark.parametrize("kind, rank", [("C", r) for r in range(2, 8)] + [("A", r) for r in range(2, 11)])
+def test_integer_build_matches_the_fraction_oracle(kind, rank):
+    table = build_algebra(kind, rank)
+    oracle = structure_table(kind, rank)
+    assert table.basis == oracle.basis
+    assert table.blocks == oracle.blocks
+    assert table.realizations == oracle.realizations
+    assert table._bracket == oracle._bracket
+    assert table._form == oracle._form
+    # equal values could still differ in type: 1 == Fraction(1)
+    constants = [c for terms in table._bracket.values() for _, c in terms]
+    constants += [c for row in table._form for c in row]
+    constants += [c for z in table.realizations for c in z.terms.values()]
+    assert {type(c) for c in constants} == {Fraction}
+
+
+def test_oversized_algebras_are_refused_before_any_work():
+    # C18 (dimension 666) and A26 (675) are the largest algebras still built
+    assert liealg.MAX_DIMENSION == 700
+    with pytest.raises(ValueError, match=r"^C_19 has dimension 741, above the limit of 700 basis elements$"):
+        build_algebra("C", 19)
+    with pytest.raises(ValueError, match=r"^A_27 has dimension 728, above the limit"):
+        build_algebra("A", 27)
+
+
+def test_basis_elements_are_frozen_values():
+    elem = BasisElement("plus", 1, 2)
+    assert elem == BasisElement("plus", 1, 2) != BasisElement("plus", 2, 1)
+    assert elem != ("plus", 1, 2)
+    assert hash(elem) == hash(BasisElement("plus", 1, 2))
+    assert BasisElement("cartan", 3) == BasisElement("cartan", 3, 0)
+    assert repr(elem) == "BasisElement(kind='plus', i=1, j=2)"
+    with pytest.raises(AttributeError):
+        elem.i = 3
+    with pytest.raises(AttributeError):
+        del elem.kind
+    assert copy.deepcopy(elem) == elem
 
 
 def test_info_lines(table_c2):

@@ -1,5 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
 import affine_singular
 
 # What the README quick start and perfbench/run.py take from the top-level
@@ -15,3 +23,45 @@ def test_top_level_names_resolve():
     assert sorted(affine_singular.__all__) == TOP_LEVEL
     for name in TOP_LEVEL:
         assert callable(getattr(affine_singular, name)), name
+
+SUBMODULES = [
+    "cache", "category_o", "cli", "determinants", "liealg", "linalg", "report", "scalars",
+    "serialize", "spec", "vacuum", "weights", "weyl", "zhu",
+]
+
+
+def test_submodule_list_is_complete():
+    package = Path(affine_singular.__file__).parent
+    assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == SUBMODULES
+
+
+def test_import_loads_no_submodule():
+    src = str(Path(affine_singular.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, affine_singular\n"
+            "print(sorted(m for m in sys.modules if m.startswith('affine_singular')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['affine_singular']"
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from affine_singular import *", namespace)
+    for name in TOP_LEVEL:
+        assert namespace[name] is getattr(affine_singular, name)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodules_resolve_as_attributes(name):
+    module = getattr(affine_singular, name)
+    assert isinstance(module, types.ModuleType)
+    assert module.__name__ == "affine_singular." + name
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "__no_such_dunder__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(affine_singular, name)
+    assert not hasattr(affine_singular, "Liealg")
