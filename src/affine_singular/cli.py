@@ -15,7 +15,7 @@ so repeated runs are byte-stable; corrupted or stale cache records are
 ignored with a warning.
 
 Each command imports the modules it needs when it runs: a warm singular
-verify or factor loads only this module, cache, serialize, scalars and spec.
+verify or factor loads only this module, cache, serialize and spec.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import sys
 
 from . import __version__
 from . import cache as cache_mod
-from .scalars import format_rational, parse_rational
 from .serialize import canonical_json
+from .spec import format_rational, parse_rational
 
 
 def _versions() -> dict:

@@ -16,7 +16,6 @@ times the lower power, with a factor linear in the level.
 
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -51,14 +50,6 @@ def build_matrix(table: StructureTable, spec: DeterminantSpec):
 # -- polynomials in the commuting entries -------------------------------
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a, b in itertools.combinations(range(len(perm)), 2):
-        if perm[a] > perm[b]:
-            sign = -sign
-    return sign
-
-
 def ep_mul(p: EntryPoly, q: EntryPoly) -> EntryPoly:
     out: EntryPoly = {}
     for k1, c1 in p.items():
@@ -75,7 +66,13 @@ def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
 
 
 def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols=None) -> EntryPoly:
-    """Leibniz expansion of the determinant over the given rows and columns."""
+    """Leibniz expansion of the determinant over the given rows and columns.
+
+    Row t takes one of the columns still free; taking the one at position p
+    among them (in ascending order) contributes p inversions, so the sign is
+    carried down the expansion instead of recounted per permutation.  The
+    terms come in lexicographic order of the permutations.
+    """
     rows = list(rows) if rows is not None else list(range(1, spec.m + 1))
     cols = list(cols) if cols is not None else list(range(1, spec.m + 1))
     if len(rows) != len(cols):
@@ -85,9 +82,16 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
     matrix = build_matrix(table, spec)
     entries = [[matrix[r - 1][c - 1] for c in cols] for r in rows]
     out: EntryPoly = {}
-    for perm in itertools.permutations(range(len(rows))):
-        key = tuple(sorted(entries[t][perm[t]] for t in range(len(rows))))
-        add_term(out, key, _perm_sign(perm))
+
+    def expand(t, free, picked, sign):
+        if t == len(entries):
+            add_term(out, tuple(sorted(picked)), sign)
+            return
+        row = entries[t]
+        for p, c in enumerate(free):
+            expand(t + 1, free[:p] + free[p + 1:], picked + (row[c],), -sign if p & 1 else sign)
+
+    expand(0, tuple(range(len(cols))), (), 1)
     return out
 
 

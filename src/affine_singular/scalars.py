@@ -20,18 +20,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .spec import format_rational, parse_rational  # re-exported
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or plain "p") text into an exact rational."""
-    return Fraction(text.strip())
-
-
-def format_rational(value) -> str:
-    """Render an exact rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
 
 
 def coerce_rational(value) -> Fraction:

@@ -1,13 +1,24 @@
-"""The parameters of one determinant vector.
+"""The parameters of one determinant vector, and rationals as text.
 
 This module imports only fractions, so a command that only reads a cached
-report can name its input without loading the algebra.  determinants
-re-exports DeterminantSpec.
+report can name its input and parse its level without loading the algebra.
+determinants re-exports DeterminantSpec, and scalars re-exports
+parse_rational and format_rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" (or plain "p") text into an exact rational."""
+    return Fraction(text.strip())
+
+
+def format_rational(value) -> str:
+    """Render an exact rational as "p/q", or "p" when the denominator is 1."""
+    return str(Fraction(value))
 
 
 class DeterminantSpec:

@@ -12,14 +12,15 @@ import itertools
 from fractions import Fraction
 
 from affine_singular import weyl
-from affine_singular.determinants import (DeterminantSpec, ep_state, entry_element,
-                                          minor_entry_poly)
+from affine_singular.determinants import (DeterminantSpec, build_matrix, ep_state,
+                                          entry_element, minor_entry_poly)
 from affine_singular import liealg
 from affine_singular.liealg import build_algebra
+from affine_singular.linalg import SparseBasis
 from affine_singular.report import VerificationReport
-from affine_singular.scalars import ZERO, UniPoly, coerce_rational
+from affine_singular.scalars import ZERO, UniPoly, add_term, coerce_rational
 from affine_singular.vacuum import VacuumState, apply_generator
-from affine_singular.zhu import UEnvElement
+from affine_singular.zhu import UEnvElement, ad_action
 
 
 def straighten_rightmost(table, word, coeff=1) -> VacuumState:
@@ -82,6 +83,60 @@ def det_dense(matrix) -> Fraction:
                 factor = rows[r][col] / lead
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+def perm_sign(perm) -> int:
+    """(-1) to the number of inverted pairs, counted pair by pair."""
+    sign = 1
+    for a, b in itertools.combinations(range(len(perm)), 2):
+        if perm[a] > perm[b]:
+            sign = -sign
+    return sign
+
+
+def leibniz_entry_poly(table, spec: DeterminantSpec, rows, cols) -> dict:
+    """The Leibniz expansion over itertools.permutations, each sign counted
+    afresh; keys in lexicographic order of the permutations."""
+    matrix = build_matrix(table, spec)
+    entries = [[matrix[r - 1][c - 1] for c in cols] for r in rows]
+    out = {}
+    for perm in itertools.permutations(range(len(rows))):
+        key = tuple(sorted(entries[t][perm[t]] for t in range(len(rows))))
+        add_term(out, key, perm_sign(perm))
+    return out
+
+
+def adjoint_closure_scan(table, generator) -> tuple[int, bool]:
+    """(dimension, raising_closed) of the adjoint closure of generator under
+    the simple lowering operators, with raising closure checked by applying
+    every simple raising operator to every element."""
+    def weight(u):
+        word = next(iter(u.terms))
+        return tuple(sum((table.weights[x][t] for x in word), ZERO) for t in range(table.rank))
+
+    def shifted(w, g):
+        return tuple(a + b for a, b in zip(w, table.weights[g]))
+
+    top = weight(generator)
+    spaces = {top: SparseBasis()}
+    spaces[top].insert(generator.terms)
+    elements = [(generator, top)]
+    at = 0
+    while at < len(elements):
+        u, uw = elements[at]
+        at += 1
+        for g in table.simple_lowering:
+            image = ad_action(table, g, u)
+            if not image.is_zero and spaces.setdefault(shifted(uw, g), SparseBasis()).insert(image.terms):
+                elements.append((image, shifted(uw, g)))
+    closed = True
+    for u, uw in elements:
+        for g in table.simple_raising:
+            image = ad_action(table, g, u)
+            space = spaces.get(shifted(uw, g))
+            if not image.is_zero and (space is None or not space.contains(image.terms)):
+                closed = False
+    return len(elements), closed
 
 
 def uenv_normal_form(table, word, coeff=1) -> UEnvElement:

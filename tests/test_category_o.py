@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from affine_singular import category_o
 from affine_singular.category_o import (SP6_LINES, SP6_POINTS,
                                         adjoint_orbit_top, classify_sp6,
                                         determinant_top_module, hc_projection,
                                         sp6_printed_polynomials, uelem_weight,
                                         weight_convert, zero_weight_subspace)
 from affine_singular.determinants import DeterminantSpec
+from affine_singular.liealg import StructureTable, build_algebra
 from affine_singular.linalg import SparseBasis
 from affine_singular.scalars import UniPoly
 from affine_singular.weights import multiplicity, weyl_dim
-from affine_singular.zhu import UEnvElement
-from oracles import uenv_normal_form
+from affine_singular.zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
+from oracles import adjoint_closure_scan, uenv_normal_form
 
 
 def test_uelem_weight(table_c2):
@@ -146,3 +148,74 @@ def test_classify_sp6_seed_determinism():
     second = classify_sp6(seed=5, controls=4)
     assert ([c["weight"] for c in first.details["negative_controls"]]
             == [c["weight"] for c in second.details["negative_controls"]])
+
+
+def _certificate_generators():
+    """The determinant for C2, C3, A4 and C3 m=2, one and two nonzero
+    lowerings of each (not highest weight, so not raising closed), and
+    every single basis element of C3."""
+    cases = []
+    for spec in (DeterminantSpec("C", 2, 2, 1), DeterminantSpec("C", 3, 3, 1),
+                 DeterminantSpec("A", 4, 2, 1), DeterminantSpec("C", 3, 2, 1)):
+        table = spec.table()
+        u = finite_determinant(table, spec)
+        cases.append((table, u))
+        for _ in range(2):
+            u = next(image for image in (ad_action(table, f, u) for f in table.simple_lowering)
+                     if not image.is_zero)
+            cases.append((table, u))
+    c3 = build_algebra("C", 3)
+    cases += [(c3, UEnvElement({(x,): 1})) for x in range(c3.dimension)]
+    return cases
+
+
+def test_raising_certificate_matches_the_full_scan():
+    cases = _certificate_generators()
+    assert len(cases) == 33
+    verdicts = []
+    for table, generator in cases:
+        module = adjoint_orbit_top(table, generator)
+        assert (module.dimension, module.raising_closed) == adjoint_closure_scan(table, generator)
+        verdicts.append(module.raising_closed)
+    assert True in verdicts and False in verdicts
+
+
+def _mutated(table, changes):
+    """A copy of table with the brackets in changes replaced."""
+    brackets = {(x, y): table.bracket(x, y) for x in range(table.dimension) for y in range(table.dimension)}
+    brackets.update(changes)
+    return StructureTable(table.kind, table.rank, table.basis, table.realizations, brackets,
+                          tuple(tuple(table.form(x, y) for y in range(table.dimension))
+                                for x in range(table.dimension)),
+                          table.blocks)
+
+
+def test_raising_certificate_needs_the_chevalley_relations(table_c2):
+    t = table_c2
+    (e1, e2), (f1, f2) = t.simple_raising, t.simple_lowering
+    h1 = t.cartan_indices[0]
+    generator = UEnvElement({(t.theta_raising,): 1})
+    assert adjoint_orbit_top(t, generator).raising_closed
+    assert t.bracket(e1, f2) == ()
+    off_diagonal = {(e1, f2): ((h1, Fraction(1)),), (f2, e1): ((h1, Fraction(-1)),)}
+    assert not adjoint_orbit_top(_mutated(t, off_diagonal), generator).raising_closed
+    non_cartan = {(e1, f1): t.bracket(e1, f1) + ((e2, Fraction(1)),),
+                  (f1, e1): t.bracket(f1, e1) + ((e2, Fraction(-1)),)}
+    assert not adjoint_orbit_top(_mutated(t, non_cartan), generator).raising_closed
+
+
+def test_closure_applies_each_raising_operator_once(monkeypatch):
+    spec = DeterminantSpec("C", 3, 3, 1)
+    table = spec.table()
+    generator = uenv_pow(table, finite_determinant(table, spec), 1)
+    calls = []
+
+    def counted(table, g, u):
+        calls.append(g)
+        return ad_action(table, g, u)
+
+    monkeypatch.setattr(category_o, "ad_action", counted)
+    module = adjoint_orbit_top(table, generator)
+    assert module.dimension == 84 and module.raising_closed
+    assert len(calls) == 84 * len(table.simple_lowering) + len(table.simple_raising) == 255
+    assert calls[-3:] == list(table.simple_raising)

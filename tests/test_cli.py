@@ -289,8 +289,11 @@ def test_warm_cached_command_loads_no_algebra(tmp_path, command):
     assert json.loads(warm.stdout)["verdict"] is True
     loaded = set(warm.stderr.split())
     assert "affine_singular.cache" in loaded
-    for name in ("vacuum", "determinants", "liealg", "weyl", "zhu", "category_o", "weights", "linalg"):
+    for name in ("vacuum", "determinants", "liealg", "weyl", "zhu", "category_o", "weights", "linalg",
+                 "scalars"):
         assert "affine_singular." + name not in loaded
+    assert {name for name in loaded if name.startswith("affine_singular.")} == {
+        "affine_singular.cli", "affine_singular.cache", "affine_singular.serialize", "affine_singular.spec"}
     assert "dataclasses" not in loaded
 
 

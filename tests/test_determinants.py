@@ -15,7 +15,8 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
 from affine_singular.liealg import build_algebra
 from affine_singular.scalars import UniPoly
 from affine_singular.vacuum import VacuumState, state_weight, straighten
-from oracles import coexisting_singulars, entries_commute_check, ep_apply, minor_vector
+from oracles import (coexisting_singulars, entries_commute_check, ep_apply, leibniz_entry_poly,
+                     minor_vector)
 
 
 def test_spec_validation():
@@ -117,6 +118,23 @@ def test_leibniz_matches_cofactor_expansion(table_c3, table_a4):
                 cofactor[key] = cofactor.get(key, Fraction(0)) + sign * c
         cofactor = {key: c for key, c in cofactor.items() if c}
         assert full == cofactor, (kind, rank, m)
+
+
+@pytest.mark.parametrize("kind, rank", [("C", r) for r in range(2, 7)] + [("A", r) for r in range(4, 9)])
+def test_carried_sign_matches_the_leibniz_oracle(kind, rank):
+    m = rank if kind == "C" else rank // 2
+    spec = DeterminantSpec(kind, rank, m, 1)
+    table = spec.table()
+    every = list(range(1, m + 1))
+    # equal term by term and in key order
+    assert list(det_entry_poly(table, spec).items()) == list(
+        leibniz_entry_poly(table, spec, every, every).items())
+    for i in every:
+        for j in every:
+            rows = [r for r in every if r != i]
+            cols = [c for c in every if c != j]
+            assert list(minor_entry_poly(table, spec, i, j).items()) == list(
+                leibniz_entry_poly(table, spec, rows, cols).items()), (i, j)
 
 
 def test_power_is_iterated_product(table_c2):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from affine_singular import zhu
-from affine_singular.determinants import DeterminantSpec, determinant_vector
-from affine_singular.liealg import build_algebra
+from affine_singular.determinants import DeterminantSpec, det_entry_poly, determinant_vector, ep_pow
+from affine_singular.liealg import StructureTable, build_algebra
 from affine_singular.scalars import over_common_denominator
 from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
@@ -280,3 +280,44 @@ def test_kind_c_cartan_realizations_carry_a_half(table_c2, table_a3):
     h1 = t.idx("h1")
     u = UEnvElement({(): Fraction(1, 3), (h1,): 1, (h1, h1, h1): Fraction(-5, 2)})
     assert weyl_image(t, u) == oracles.weyl_image(t, u)
+
+
+# -- the shortcuts of verify_zhu_generator and zhu_project -----------------
+
+
+@pytest.mark.parametrize("kind, rank, m, n", [("C", 4, 4, 3), ("C", 5, 5, 2), ("A", 8, 4, 2),
+                                              ("C", 6, 6, 1), ("C", 3, 3, 2)])
+def test_entry_ring_power_is_the_pbw_power(kind, rank, m, n):
+    spec = DeterminantSpec(kind, rank, m, n)
+    t = spec.table()
+    det = det_entry_poly(t, spec)
+    assert t.commute({x for word in det for x in word})
+    assert zhu._entry_uenv(ep_pow(det, n)) == uenv_pow(t, zhu._entry_uenv(det), n)
+
+
+@pytest.mark.parametrize("kind, rank, m, n", [("C", 2, 2, 2), ("A", 4, 2, 1)])
+def test_zhu_generator_without_commuting_letters_takes_the_pbw_power(kind, rank, m, n, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return uenv_pow(*args)
+
+    monkeypatch.setattr(StructureTable, "commute", lambda self, letters: False)
+    monkeypatch.setattr(zhu, "uenv_pow", counted)
+    report = verify_zhu_generator(DeterminantSpec(kind, rank, m, n))
+    assert report.verdict, report.witness
+    assert calls == [n]
+
+
+def test_projection_sign_by_parity(table_c2):
+    t = table_c2
+    x, y, f = t.idx("X[2e1]"), t.idx("X[2e2]"), t.idx("X[-2e1]")
+    state = VacuumState.zero()
+    for word in ([(-3, x), (-2, y), (-1, x)], [(-2, x), (-2, y)], [(-3, y)],
+                 [(-2, f), (-3, x), (-1, y)], [(-3, x), (-3, f), (-2, f)]):
+        state = state + straighten(t, word)
+    state = state.specialize(Fraction(-1, 2))
+    assert {sum(n for n, _ in mono) % 2 for mono in state.terms} == {0, 1}
+    assert {n for mono in state.terms for n, _ in mono} >= {-3, -2}
+    assert zhu_project(t, state) == _oracle_project(t, state)
