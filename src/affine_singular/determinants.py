@@ -16,6 +16,7 @@ times the lower power, with a factor linear in the level.
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -68,10 +69,10 @@ def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
 def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols=None) -> EntryPoly:
     """Leibniz expansion of the determinant over the given rows and columns.
 
-    Row t takes one of the columns still free; taking the one at position p
-    among them (in ascending order) contributes p inversions, so the sign is
-    carried down the expansion instead of recounted per permutation.  The
-    terms come in lexicographic order of the permutations.
+    Each permutation is walked as its Lehmer code: row t takes the column at
+    position p_t among those still free, which inverts p_t pairs, so the
+    sign is (-1)**sum(p_t).  Codes in lexicographic order give the
+    permutations in lexicographic order.
     """
     rows = list(rows) if rows is not None else list(range(1, spec.m + 1))
     cols = list(cols) if cols is not None else list(range(1, spec.m + 1))
@@ -81,17 +82,12 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
         raise ValueError("row or column index out of range")
     matrix = build_matrix(table, spec)
     entries = [[matrix[r - 1][c - 1] for c in cols] for r in rows]
+    size = len(rows)
     out: EntryPoly = {}
-
-    def expand(t, free, picked, sign):
-        if t == len(entries):
-            add_term(out, tuple(sorted(picked)), sign)
-            return
-        row = entries[t]
-        for p, c in enumerate(free):
-            expand(t + 1, free[:p] + free[p + 1:], picked + (row[c],), -sign if p & 1 else sign)
-
-    expand(0, tuple(range(len(cols))), (), 1)
+    for code in itertools.product(*(range(size - t) for t in range(size))):
+        free = list(range(size))
+        key = tuple(sorted(entries[t][free.pop(p)] for t, p in enumerate(code)))
+        add_term(out, key, -1 if sum(code) & 1 else 1)
     return out
 
 

@@ -121,7 +121,7 @@ def test_leibniz_matches_cofactor_expansion(table_c3, table_a4):
 
 
 @pytest.mark.parametrize("kind, rank", [("C", r) for r in range(2, 7)] + [("A", r) for r in range(4, 9)])
-def test_carried_sign_matches_the_leibniz_oracle(kind, rank):
+def test_det_entry_poly_matches_the_leibniz_oracle(kind, rank):
     m = rank if kind == "C" else rank // 2
     spec = DeterminantSpec(kind, rank, m, 1)
     table = spec.table()

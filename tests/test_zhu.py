@@ -8,7 +8,7 @@ import pytest
 
 from affine_singular import zhu
 from affine_singular.determinants import DeterminantSpec, det_entry_poly, determinant_vector, ep_pow
-from affine_singular.liealg import StructureTable, build_algebra
+from affine_singular.liealg import build_algebra
 from affine_singular.scalars import over_common_denominator
 from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
@@ -293,21 +293,6 @@ def test_entry_ring_power_is_the_pbw_power(kind, rank, m, n):
     det = det_entry_poly(t, spec)
     assert t.commute({x for word in det for x in word})
     assert zhu._entry_uenv(ep_pow(det, n)) == uenv_pow(t, zhu._entry_uenv(det), n)
-
-
-@pytest.mark.parametrize("kind, rank, m, n", [("C", 2, 2, 2), ("A", 4, 2, 1)])
-def test_zhu_generator_without_commuting_letters_takes_the_pbw_power(kind, rank, m, n, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2])
-        return uenv_pow(*args)
-
-    monkeypatch.setattr(StructureTable, "commute", lambda self, letters: False)
-    monkeypatch.setattr(zhu, "uenv_pow", counted)
-    report = verify_zhu_generator(DeterminantSpec(kind, rank, m, n))
-    assert report.verdict, report.witness
-    assert calls == [n]
 
 
 def test_projection_sign_by_parity(table_c2):
