@@ -31,7 +31,7 @@ def uelem_weight(table, u: UEnvElement):
         raise ValueError("the zero element has no weight")
     found = None
     for word in sorted(u.terms):
-        w = tuple(sum(col) for col in zip(*(table.weights[x] for x in word))) if word else (ZERO,) * table.rank
+        w = tuple(sum(col) for col in zip(*(table.weights[x] for x in word))) if word else (0,) * table.rank
         if found is None:
             found = w
         elif w != found:

@@ -286,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative level such as -1/2 as an option: glue it to its flag
+    for t in reversed(range(1, len(argv))):
+        if argv[t - 1] == "--level" and argv[t][:1] == "-" and argv[t][1:2].isdigit():
+            argv[t - 1:t + 1] = ["--level=" + argv[t]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,16 +14,22 @@ structure constant is entered by hand; [y, x] is its negative and [x, x]
 is zero.  The invariant form is the trace form of the natural action on the
 2l-dimensional generator span, halved for kind "A"; this is the
 normalisation the affine central terms are built on.
+
+Every structure constant, form entry and weight coordinate is an integer in
+this basis, as in a Chevalley basis, and the table holds them as ints (a
+constant that is not one raises RealizationError).  Divide one with
+Fraction(c, d), never c / d, which gives a float.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import weyl
-from .scalars import ONE, ZERO, HPoly, add_term, over_common_denominator
+from .scalars import ONE, ZERO, HPoly, add_term
 
 Weight = tuple
 
@@ -104,7 +110,7 @@ def parse_element(text: str) -> BasisElement:
 
 
 def element_weight(elem: BasisElement, rank: int) -> Weight:
-    w = [ZERO] * rank
+    w = [0] * rank
     if elem.kind == "plus":
         w[elem.i - 1] += 1
         w[elem.j - 1] += 1
@@ -163,25 +169,11 @@ class StructureTable:
     # -- structure ------------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] as a tuple of (basis index, coefficient) pairs."""
+        """[x, y] as a tuple of (basis index, int coefficient) pairs."""
         return self._bracket[self.idx(x), self.idx(y)]
 
-    @cached_property
-    def scaled_brackets(self):
-        """(rows, den): rows[x][y] is [x, y] as (basis index, int) pairs, every
-        structure constant times den, their least common denominator.
-
-        The integer loops of the enveloping layer read this view; it is built
-        on first use and kept with the table.
-        """
-        flat, den = over_common_denominator(
-            {(x, y, z): c for (x, y), terms in self._bracket.items() for z, c in terms})
-        rows = [[()] * self.dimension for _ in range(self.dimension)]
-        for (x, y), terms in self._bracket.items():
-            rows[x][y] = tuple((z, flat[x, y, z]) for z, _ in terms)
-        return rows, den
-
-    def form(self, x, y) -> Fraction:
+    def form(self, x, y) -> int:
+        """The invariant form (x, y), an int; divide it with Fraction(c, d)."""
         return self._form[self.idx(x)][self.idx(y)]
 
     def commute(self, letters) -> bool:
@@ -247,7 +239,7 @@ class StructureTable:
         yield "basis (negative block, Cartan block, positive block):"
         for n, elem in enumerate(self.basis):
             yield "  %2d  %-12s weight %s  realization %s" % (
-                n, self.text(n), _weight_text(self.weights[n]), self.realizations[n])
+                n, self.text(n), self.weights[n], self.realizations[n])
         yield "brackets (nonzero, upper triangle):"
         for a in range(self.dimension):
             for b in range(a + 1, self.dimension):
@@ -263,10 +255,6 @@ class StructureTable:
                 value = self._form[a][b]
                 if value:
                     yield "  (%s, %s) = %s" % (self.text(a), self.text(b), value)
-
-
-def _weight_text(w: Weight) -> str:
-    return "(" + ", ".join(str(c) for c in w) + ")"
 
 
 def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
@@ -306,8 +294,8 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     """Construct the full structure table for sp_2l (kind "C") or sl_l (kind "A").
 
     The realizations are scaled once to integers over their common
-    denominator den.  Commutators, eliminations and traces then add ints,
-    and each stored constant becomes a Fraction once, equal values shared.
+    denominator den.  Commutators, eliminations and traces then add ints, and
+    each constant is divided exactly, a remainder raising RealizationError.
     """
     if kind not in ("C", "A"):
         raise ValueError("kind must be 'C' or 'A'")
@@ -340,21 +328,9 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
 
     realizations = [_realize(kind, rank, e) for e in basis]
     dim = len(basis)
-    flat, den = over_common_denominator(
-        {(n, mono): c for n, z in enumerate(realizations) for mono, c in z.terms.items()})
-    scaled = [{} for _ in range(dim)]
-    for (n, mono), c in flat.items():
-        scaled[n][mono] = c
-    scaled = [weyl.WeylElement._wrap(terms, rank) for terms in scaled]  # den * realization
-
-    shared = {}
-
-    def exact(num, d):
-        """Fraction(num, d), one object per (num, d)."""
-        value = shared.get((num, d))
-        if value is None:
-            value = shared[num, d] = Fraction(num, d)
-        return value
+    den = math.lcm(*(c.denominator for z in realizations for c in z.terms.values()))
+    scaled = [weyl.WeylElement._wrap({mono: int(c * den) for mono, c in z.terms.items()}, rank)
+              for z in realizations]  # den * realization
 
     # root vectors are read off their disjoint pivot monomials; the Cartans
     # are then eliminated in ascending order, so each a_i a*_i pivot is
@@ -367,15 +343,16 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         mono, lead = pivots[n]
         c = rem.get(mono)
         if c:
-            q, r = divmod(c, lead * den)
+            q, r = divmod(c, lead * den * den)
             if r:
-                raise RealizationError("coefficient %d/%d is not a multiple of 1/%d" % (c, den * den, den))
+                raise RealizationError("structure constant %s at %s is not an integer"
+                                       % (Fraction(c, lead * den * den), basis[n].text(kind)))
             coeffs[n] = q
             for m, v in scaled[n].terms.items():
-                add_term(rem, m, -q * v)
+                add_term(rem, m, -q * den * v)
 
     def to_basis(z: dict) -> dict[int, int]:
-        """{n: q} with z / den^2 equal to the sum of q / den times basis element n."""
+        """{n: q} with z / den^2 equal to the sum of q times basis element n."""
         coeffs = {}
         rem = dict(z)
         for mono in z:
@@ -394,8 +371,8 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         brackets[x, x] = ()
         for y in range(x + 1, dim):
             coeffs = sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items())
-            brackets[x, y] = tuple((z, exact(q, den)) for z, q in coeffs)
-            brackets[y, x] = tuple((z, exact(-q, den)) for z, q in coeffs)
+            brackets[x, y] = tuple(coeffs)
+            brackets[y, x] = tuple((z, -q) for z, q in coeffs)
 
     # sparse matrices {(row, column): den * entry} of the degree-1 action on
     # span(a_1..a_l, a*_1..a*_l), and every matrix's entries by position
@@ -423,6 +400,8 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         for (r, t), c in matrices[x].items():
             for y, d in at_entry.get((t, r), ()):
                 row[y] += c * d
-        form.append(tuple(exact(tr, form_den) if tr else ZERO for tr in row))
+        if any(tr % form_den for tr in row):
+            raise RealizationError("the form row of %s is not integral" % basis[x].text(kind))
+        form.append(tuple(tr // form_den for tr in row))
 
     return StructureTable(kind, rank, basis, realizations, brackets, tuple(form), blocks)

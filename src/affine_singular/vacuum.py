@@ -32,13 +32,11 @@ Otherwise it straightens.
 from __future__ import annotations
 
 import bisect
-import math
 import time
 from fractions import Fraction
 
 from .report import VerificationReport
-from .scalars import (ONE, ZERO, TermMap, UniPoly, add_term, coerce_rational, format_rational,
-                      over_common_denominator)
+from .scalars import ONE, TermMap, UniPoly, add_term, coerce_rational, format_rational, over_common_denominator
 
 Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
@@ -194,22 +192,17 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
                 central[a] = pairing
             for b in letters:
                 if a <= b:
-                    nested: dict[int, Fraction] = {}
+                    nested: dict[int, int] = {}
                     for z, cz in first[a]:
                         for w, cw in table.bracket(z, b):
-                            nested[w] = nested.get(w, ZERO) + cz * cw
+                            nested[w] = nested.get(w, 0) + cz * cw
                     replace[a, b] = [(w, c) for w, c in nested.items() if c]
     span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
     if not table.commute(span):
         return None
 
-    # The sums run over integers: the operator constants are scaled by den,
-    # the state's coefficients by scale, and the result divided by both.
-    constants, den = over_common_denominator(
-        {**{(r, w): c for r, terms in replace.items() for w, c in terms},
-         **{(a, None): g for a, g in central.items()}})
-    replace = {r: [(w, constants[r, w]) for w, _ in terms] for r, terms in replace.items()}
-    central = {a: constants[a, None] for a in central}
+    # The sums run over integers: the operator constants are the table's
+    # ints, and the state's coefficients are scaled by scale, divided out last.
     scaled, scale = over_common_denominator(
         {(pos, d): v for pos, c in enumerate(state.terms.values()) for d, v in c.terms.items()})
 
@@ -249,7 +242,7 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
     out: dict[Monomial, dict[int, Fraction]] = {}
     for (d, key), v in acc.items():
         if v:
-            out.setdefault(tuple(letter[y] for y in key), {})[d] = Fraction(v, den * scale)
+            out.setdefault(tuple(letter[y] for y in key), {})[d] = Fraction(v, scale)
     return VacuumState._wrap({mono: UniPoly._wrap(coeffs, "k") for mono, coeffs in out.items()})
 
 
@@ -260,23 +253,17 @@ def _insert(key: tuple, y: int) -> tuple:
 
 
 def _monomial_weight(table, mono: Monomial) -> tuple:
-    w = [ZERO] * table.rank
-    for _, x in mono:
-        for t, c in enumerate(table.weights[x]):
-            w[t] += c
-    return tuple(w)
+    return tuple(map(sum, zip(*(table.weights[x] for _, x in mono)))) if mono else (0,) * table.rank
 
 
 def state_weight(table, state: VacuumState):
     """The common weight of all monomials; raises with a witness pair if mixed."""
     if state.is_zero:
         raise ValueError("the zero state has no weight")
-    # Each letter's weight, scaled to integers, is packed into 64-bit fields
-    # of one integer, so a monomial's weight is one integer sum.  Distinct
+    # Each letter's weight (int coordinates) is packed into 64-bit fields of
+    # one integer, so a monomial's weight is one integer sum.  Distinct
     # weights stay distinct while every coordinate is below 2**63 in size.
-    den = math.lcm(*(c.denominator for w in table.weights for c in w))
-    packed = [sum((c.numerator * (den // c.denominator)) << (64 * t) for t, c in enumerate(w))
-              for w in table.weights]
+    packed = [sum(c << (64 * t) for t, c in enumerate(w)) for w in table.weights]
     if len({sum(packed[x] for _, x in mono) for mono in state.terms}) == 1:
         monos = [next(iter(state.terms))]
     else:

@@ -33,9 +33,20 @@ def _sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def weyl_dim(table, lam) -> int:
-    """Dimension of the irreducible with highest weight lam (epsilon coordinates)."""
+def _dominant_integral(table, lam) -> tuple:
+    """lam as rationals; ValueError unless <lam, alpha^vee> is in N for each simple alpha."""
     lam = tuple(coerce_rational(c) for c in lam)
+    for alpha in table.simple_roots:
+        pairing = 2 * dot(lam, alpha) / dot(alpha, alpha)
+        if pairing.denominator != 1 or pairing < 0:
+            raise ValueError("highest weight (%s) is not dominant integral"
+                             % ", ".join(map(str, lam)))
+    return lam
+
+
+def weyl_dim(table, lam) -> int:
+    """Dimension of the irreducible with dominant integral highest weight lam."""
+    lam = _dominant_integral(table, lam)
     rho = table.rho()
     num = Fraction(1)
     for alpha in table.positive_root_weights:
@@ -64,7 +75,7 @@ def weight_multiplicities(table, lam) -> dict:
     every simple root.  Any other lam raises ValueError at once, since the
     recursion would never end or would fail at a weight below lam.
     """
-    lam = tuple(coerce_rational(c) for c in lam)
+    lam = _dominant_integral(table, lam)
     rho = table.rho()
     positive = table.positive_root_weights
     scale = math.lcm(*(c.denominator for w in (lam, rho, *positive) for c in w))
@@ -74,11 +85,6 @@ def weight_multiplicities(table, lam) -> dict:
 
     top, rho = scaled(lam), scaled(rho)
     simple = [scaled(alpha) for alpha in table.simple_roots]
-    for alpha in simple:
-        pairing, rest = divmod(2 * _idot(top, alpha), _idot(alpha, alpha))
-        if rest or pairing < 0:
-            raise ValueError("highest weight (%s) is not dominant integral"
-                             % ", ".join(map(str, lam)))
     roots = [(alpha, _idot(alpha, alpha)) for alpha in map(scaled, positive)]
     c2 = _idot(_add(top, rho), _add(top, rho))
 

@@ -23,8 +23,8 @@ sends the whole call through the general straightening.
 
 Elements carry Fraction coefficients, but uenv_mul, ad_action and
 zhu_project add Python ints: their inputs are scaled to one common
-denominator, the straightening reads the table's integer bracket view
-(scaled_brackets), and each output coefficient is divided once at the end.
+denominator, the table's brackets are ints (see liealg), and each output
+coefficient is divided once at the end, with Fraction(c, den).
 
 The realization extends to an algebra homomorphism U(g) -> Weyl, because
 it respects every bracket of the table (build_algebra computes each bracket
@@ -78,14 +78,12 @@ class UEnvElement(TermMap):
         return "UEnvElement(%d terms)" % len(self.terms)
 
 
-def _uenv_reduce(brackets, den: int, work: list, out: dict):
+def _uenv_reduce(brackets, work: list, out: dict):
     """Straighten the (int coefficient, word) pairs of work into PBW order,
     adding into out; work is used up.
 
-    brackets and den are the table's scaled_brackets.  A bracket step
-    multiplies by an int constant and divides by den, so the caller scales
-    each coefficient by den**(len(word) - 1) or more to keep every division
-    exact; out then holds the result times that scale.
+    brackets is the table's {(x, y): [x, y]} map.  Its constants are ints,
+    so a bracket step stays in the integers and needs no division.
     """
     while work:
         c, w = work.pop()
@@ -98,26 +96,21 @@ def _uenv_reduce(brackets, den: int, work: list, out: dict):
         x, y = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         work.append((c, head + (y, x) + tail))
-        for z, cz in brackets[x][y]:
-            work.append((c * cz // den, head + (z,) + tail))
+        for z, cz in brackets[x, y]:
+            work.append((c * cz, head + (z,) + tail))
 
 
-def _normal_form(table: StructureTable, commuting: bool, products) -> tuple[dict, int]:
-    """(acc, lift): the sum of the (int coefficient, word) products in PBW
-    order, times lift.  Words whose letters commute are sorted (lift 1);
-    otherwise they are straightened, with lift a power of the bracket
-    denominator that keeps every division exact."""
+def _normal_form(table: StructureTable, commuting: bool, products) -> dict:
+    """The sum of the (int coefficient, word) products in PBW order.  Words
+    whose letters commute are sorted; otherwise they are straightened."""
     acc: dict[Word, int] = {}
     if commuting:
         for c, word in products:
             key = tuple(sorted(word))
             acc[key] = acc.get(key, 0) + c
-        return acc, 1
-    brackets, den = table.scaled_brackets
-    products = list(products)
-    lift = den ** _longest(word for _, word in products)
-    _uenv_reduce(brackets, den, [(c * lift, word) for c, word in products], acc)
-    return acc, lift
+    else:
+        _uenv_reduce(table._bracket, list(products), acc)
+    return acc
 
 
 def _fractions(acc: dict, den: int) -> UEnvElement:
@@ -128,17 +121,12 @@ def _fractions(acc: dict, den: int) -> UEnvElement:
                               for word, c in acc.items() if c})
 
 
-def _longest(words) -> int:
-    return max(map(len, words), default=0)
-
-
 def uenv_mul(table: StructureTable, u: UEnvElement, v: UEnvElement) -> UEnvElement:
     commuting = table.commute({x for word in (*u.terms, *v.terms) for x in word})
     us, u_den = over_common_denominator(u.terms)
     vs, v_den = over_common_denominator(v.terms)
     products = ((c1 * c2, w1 + w2) for w1, c1 in us.items() for w2, c2 in vs.items())
-    acc, lift = _normal_form(table, commuting, products)
-    return _fractions(acc, u_den * v_den * lift)
+    return _fractions(_normal_form(table, commuting, products), u_den * v_den)
 
 
 def uenv_pow(table: StructureTable, u: UEnvElement, n: int) -> UEnvElement:
@@ -150,15 +138,11 @@ def uenv_pow(table: StructureTable, u: UEnvElement, n: int) -> UEnvElement:
 
 def ad_action(table: StructureTable, g, u: UEnvElement) -> UEnvElement:
     """The adjoint action of a basis element, as a derivation on words."""
-    brackets, den = table.scaled_brackets
-    row = brackets[table.idx(g)]
-    lift = den ** _longest(u.terms)
+    g = table.idx(g)
     us, u_den = over_common_denominator(u.terms)
-    work = [(c * lift * cz // den, word[:t] + (z,) + word[t + 1:])
-            for word, c in us.items() for t, x in enumerate(word) for z, cz in row[x]]
-    acc: dict[Word, int] = {}
-    _uenv_reduce(brackets, den, work, acc)
-    return _fractions(acc, u_den * lift)
+    terms = ((c * cz, word[:t] + (z,) + word[t + 1:])
+             for word, c in us.items() for t, x in enumerate(word) for z, cz in table._bracket[g, x])
+    return _fractions(_normal_form(table, False, terms), u_den)
 
 
 def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
@@ -177,8 +161,7 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
     products = ((-c if (len(mono) + sum(n for n, _ in mono)) & 1 else c,
                  tuple(x for _, x in reversed(mono)))
                 for mono, c in zip(state.terms, scaled.values()))
-    acc, lift = _normal_form(table, commuting, products)
-    return _fractions(acc, scale * lift)
+    return _fractions(_normal_form(table, commuting, products), scale)
 
 
 def finite_determinant(table: StructureTable, spec: DeterminantSpec) -> UEnvElement:
@@ -208,7 +191,7 @@ def weyl_image(table: StructureTable, u: UEnvElement) -> weyl.WeylElement:
     factors = {x: [] for x in letters}
     for (x, (alpha, beta)), c in realized.items():
         factors[x].append((alpha, beta, c))
-    longest = _longest(scaled)
+    longest = max(map(len, scaled), default=0)
     one = (0,) * table.rank
     total: dict[weyl.Monomial, int] = {}
     for word, c in scaled.items():

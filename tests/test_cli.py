@@ -70,6 +70,19 @@ def test_singular_verify_fail_exit_code(capsys, tmp_path):
     assert "witness" in obj
 
 
+def test_a_negative_rational_level_follows_its_flag(capsys):
+    args = ["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
+            "--json", "--no-cache", "--level"]
+    code, obj = run_json(capsys, args + ["-1/2"])
+    assert code == 0
+    assert obj["parameters"]["level"] == "-1/2"
+    code, obj = run_json(capsys, args + ["-3/2"])
+    assert code == 1
+    assert obj["verdict"] is False
+    assert obj["parameters"]["level"] == "-3/2"
+    assert obj["witness"]["residual"]
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["singular", "verify", "--type", "C", "--rank", "2", "-m", "5", "-n", "1",
                  "--no-cache"])

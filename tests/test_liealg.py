@@ -231,6 +231,25 @@ def test_bracket_outside_the_span_is_refused(monkeypatch):
         build_algebra.__wrapped__("C", 2)
 
 
+def test_a_constant_that_is_not_an_integer_is_refused(monkeypatch):
+    # with h1 realized twice over, [X[e1-e2], X[e2-e1]] = (1/2)(2 h1) - h2
+    realize, pivot = liealg._realize, liealg._pivot
+    h1 = BasisElement("cartan", 1)
+
+    def doubled_h1(kind, rank, elem):
+        z = realize(kind, rank, elem)
+        return z.scale(2) if elem == h1 else z
+
+    def doubled_lead(elem, rank):
+        mono, lead = pivot(elem, rank)
+        return mono, 2 * lead if elem == h1 else lead
+
+    monkeypatch.setattr(liealg, "_realize", doubled_h1)
+    monkeypatch.setattr(liealg, "_pivot", doubled_lead)
+    with pytest.raises(RealizationError, match=r"^structure constant 1/2 at h1 is not an integer$"):
+        build_algebra.__wrapped__("C", 2)
+
+
 def test_build_algebra_guards():
     with pytest.raises(ValueError):
         build_algebra("B", 2)
@@ -252,8 +271,9 @@ def test_integer_build_matches_the_fraction_oracle(kind, rank):
     # equal values could still differ in type: 1 == Fraction(1)
     constants = [c for terms in table._bracket.values() for _, c in terms]
     constants += [c for row in table._form for c in row]
-    constants += [c for z in table.realizations for c in z.terms.values()]
-    assert {type(c) for c in constants} == {Fraction}
+    constants += [c for w in table.weights for c in w]
+    assert {type(c) for c in constants} == {int}
+    assert {type(c) for z in table.realizations for c in z.terms.values()} == {Fraction}
 
 
 def test_oversized_algebras_are_refused_before_any_work():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -65,3 +66,28 @@ def test_unknown_names_raise_attribute_error():
         with pytest.raises(AttributeError, match=name):
             getattr(affine_singular, name)
     assert not hasattr(affine_singular, "Liealg")
+
+
+# module-level imports kept for other modules to import from here
+RE_EXPORTS = {
+    "scalars": {"parse_rational", "format_rational"},
+    "determinants": {"DeterminantSpec"},
+}
+
+
+def test_every_module_level_import_is_used():
+    package = Path(affine_singular.__file__).parent
+    unused = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        left = imported - used - RE_EXPORTS.get(path.stem, set())
+        if left:
+            unused[path.stem] = sorted(left)
+    assert unused == {}

@@ -106,7 +106,7 @@ def test_specialize_evaluates_a_k_linear_residual_exactly():
     assert got.terms == {mono: UniPoly.constant(c(third)) for mono, c in residual.terms.items()}
     beta = t.form(t.theta_lowering, t.theta_raising)
     minor = straighten(t, [(-1, "X[2e2]")])
-    assert got == minor * (beta / 3)
+    assert got == minor * Fraction(beta, 3)
 
 
 def test_commutation_contract_random(table_c2, table_a3):

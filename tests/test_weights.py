@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -97,11 +98,16 @@ def test_random_dominant_weights_consistent(table_c2, table_a3):
 
 
 def test_degenerate_inputs(table_c2):
-    # a weight on a shifted reflection wall gives the zero product
-    assert weyl_dim(table_c2, (0, 1)) == 0
-    # a weight outside the lattice cannot give an integer
-    with pytest.raises(ArithmeticError):
-        weyl_dim(table_c2, (Fraction(1, 2), 0))
+    # Weyl's product alone gives 0 on the first three (not dominant; (-3, 0)
+    # lies on a shifted reflection wall) and a non-integer on (1/2, 0), which
+    # is off the lattice; both functions refuse all four with one message
+    for lam, shown in (((-3, 0), "(-3, 0)"), ((1, 2), "(1, 2)"), ((0, 1), "(0, 1)"),
+                       ((Fraction(1, 2), 0), "(1/2, 0)")):
+        message = r"^highest weight %s is not dominant integral$" % re.escape(shown)
+        with pytest.raises(ValueError, match=message):
+            weyl_dim(table_c2, lam)
+        with pytest.raises(ValueError, match=message):
+            weight_multiplicities(table_c2, lam)
 
 
 @pytest.mark.parametrize("lam, shown", [
