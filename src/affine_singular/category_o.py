@@ -7,8 +7,10 @@ p_u(h_1..h_l) per basis vector u.  An irreducible highest weight module is
 killed by the whole ideal exactly when all the p_u vanish at its weight, so
 the common zero locus is a complete classification of the surviving simple
 modules.  For sp_6 with the 3 x 3 determinant this locus is three parameter
-lines plus six isolated weights; classify_sp6 recomputes everything and
-checks it against that printed description.
+lines plus six isolated weights, all of level -1, stated once as exact
+affine data (SP6_LINES as base + x*direction, SP6_POINTS).  classify_sp6
+recomputes everything, checks that data against it, and reads the same
+data to keep its seeded controls off the locus.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from . import weights as weight_util
 from .linalg import SparseBasis
 from .report import VerificationReport
-from .scalars import ONE, ZERO, HPoly, UniPoly, coerce_rational, format_rational
+from .scalars import ZERO, HPoly, UniPoly, coerce_rational, format_rational
 from .spec import DeterminantSpec
 from .zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
 
@@ -53,12 +55,6 @@ class TopLevelModule:
         self.elements = elements
         self.element_weights = element_weights
         self.raising_closed = raising_closed
-
-    def __repr__(self) -> str:
-        return ("TopLevelModule(table=%r, generator=%r, highest_weight=%r, elements=%r, "
-                "element_weights=%r, raising_closed=%r)" % (
-                    self.table, self.generator, self.highest_weight, self.elements,
-                    self.element_weights, self.raising_closed))
 
     @property
     def dimension(self) -> int:
@@ -165,43 +161,27 @@ def hc_projection(table, u: UEnvElement) -> HPoly:
 def weight_convert(table, coefficients):
     """Level and finite weight of an affine weight sum(c_j Lambda_j).
 
-    coefficients has rank+1 entries, numbers or polynomials in one parameter.
-    The level is the plain coefficient sum and the finite part is the
-    combination of fundamental weights, in epsilon coordinates.
+    coefficients has rank+1 rational entries.  The level is their sum and
+    the finite part is the combination of fundamental weights, in epsilon
+    coordinates.
     """
-    coeffs = []
-    for c in coefficients:
-        if isinstance(c, UniPoly):
-            coeffs.append(c)
-        else:
-            coeffs.append(UniPoly.constant(coerce_rational(c), "x"))
+    coeffs = [coerce_rational(c) for c in coefficients]
     if len(coeffs) != table.rank + 1:
         raise ValueError("expected %d coefficients" % (table.rank + 1))
-    level = UniPoly({}, "x")
-    for c in coeffs:
-        level = level + c
-    finite = [UniPoly({}, "x") for _ in range(table.rank)]
+    finite = [ZERO] * table.rank
     for j in range(1, table.rank + 1):
-        omega = table.fundamental_weight(j)
-        for t in range(table.rank):
-            if omega[t]:
-                finite[t] = finite[t] + coeffs[j] * omega[t]
-    return level, tuple(finite)
+        finite = [f + coeffs[j] * w for f, w in zip(finite, table.fundamental_weight(j))]
+    return sum(coeffs, ZERO), tuple(finite)
 
 
-def _affine_pair(poly: UniPoly):
-    """Split a degree <= 1 polynomial into (constant, slope)."""
-    if poly.degree > 1:
-        raise ValueError("weight coordinate %s is not affine" % poly)
-    return poly.terms.get(0, ZERO), poly.terms.get(1, ZERO)
-
-
-# printed classification data for the sp_6 check: three lines of affine
-# weights (parameter x) and six isolated ones, all of level -1
+# printed classification data for the sp_6 check, all of level -1: three
+# lines of affine weights base + x*direction, with base and direction given
+# as coefficients of L0..L3 ((-x-1)L0 + xL1 = -L0 + x(L1 - L0)), and six
+# isolated weights
 SP6_LINES = [
-    {"label": "(-x-1)L0 + xL1", "coefficients": ["-x-1", "x", "0", "0"]},
-    {"label": "(-x-1)L1 + xL2", "coefficients": ["0", "-x-1", "x", "0"]},
-    {"label": "(-x-1)L2 + xL3", "coefficients": ["0", "0", "-x-1", "x"]},
+    {"label": "(-x-1)L0 + xL1", "base": [-1, 0, 0, 0], "direction": [-1, 1, 0, 0]},
+    {"label": "(-x-1)L1 + xL2", "base": [0, -1, 0, 0], "direction": [0, -1, 1, 0]},
+    {"label": "(-x-1)L2 + xL3", "base": [0, 0, -1, 0], "direction": [0, 0, -1, 1]},
 ]
 
 SP6_POINTS = [
@@ -212,14 +192,6 @@ SP6_POINTS = [
     {"label": "-3/2L0 + L1 - 1/2L3", "coefficients": [Fraction(-3, 2), 1, 0, Fraction(-1, 2)]},
     {"label": "-3/2L0 + L1 + L2 - 3/2L3", "coefficients": [Fraction(-3, 2), 1, 1, Fraction(-3, 2)]},
 ]
-
-
-def _parse_line_coeff(text: str) -> UniPoly:
-    if text == "x":
-        return UniPoly({1: ONE}, "x")
-    if text == "-x-1":
-        return UniPoly({1: -ONE, 0: -ONE}, "x")
-    return UniPoly.constant(Fraction(text), "x")
 
 
 def sp6_printed_polynomials() -> list:
@@ -235,17 +207,12 @@ def sp6_printed_polynomials() -> list:
     return [p1, p2, p3, p4]
 
 
-def _on_printed_locus(point, printed_points) -> bool:
-    """point lies on one of the three printed lines or is one of the
-    printed isolated weights (given as finite weights)."""
-    h1, h2, h3 = point
-    if h2 == 0 and h3 == 0:
-        return True
-    if h1 == -1 and h3 == 0:
-        return True
-    if h1 == -1 and h2 == -1:
-        return True
-    return point in printed_points
+def _on_line(point, pairs) -> bool:
+    """Whether point is b + x*d for some rational x, one (b, d) per coordinate."""
+    if any(p != b for p, (b, d) in zip(point, pairs) if not d):
+        return False  # cheap rejection before any Fraction arithmetic
+    x = next(((p - b) / d for p, (b, d) in zip(point, pairs) if d), ZERO)
+    return all(p == b + x * d for p, (b, d) in zip(point, pairs))
 
 
 def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> VerificationReport:
@@ -288,17 +255,17 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
                      + ", ".join(str(t + 1) for t, ok in enumerate(in_span) if not ok))
 
     line_results = []
+    line_pairs = []
     for entry in SP6_LINES:
-        coeffs = [_parse_line_coeff(c) for c in entry["coefficients"]]
-        level, finite = weight_convert(table, coeffs)
-        level_ok = level.degree <= 0 and level.constant_value() == spec.level
-        assignment = [_affine_pair(c) for c in finite]
-        residuals = [p.substitute_affine(assignment) for p in computed]
-        vanish = all(r.is_zero for r in residuals)
+        level, base = weight_convert(table, entry["base"])
+        slope, direction = weight_convert(table, entry["direction"])
+        pairs = list(zip(base, direction))
+        line_pairs.append(pairs)
+        vanish = all(p.substitute_affine(pairs).is_zero for p in computed)
         line_results.append({
             "line": entry["label"],
-            "finite_weight": [str(c) for c in finite],
-            "level_matches": level_ok,
+            "finite_weight": [str(UniPoly({0: b, 1: d}, "x")) for b, d in pairs],
+            "level_matches": level == spec.level and slope == 0,
             "all_polynomials_vanish": vanish,
         })
     subchecks["lines_vanish"] = all(r["level_matches"] and r["all_polynomials_vanish"] for r in line_results)
@@ -306,17 +273,13 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
     point_results = []
     printed_points = []
     for entry in SP6_POINTS:
-        level, finite = weight_convert(table, entry["coefficients"])
-        coords = tuple(c.constant_value() for c in finite)
+        level, coords = weight_convert(table, entry["coefficients"])
         printed_points.append(coords)
-        level_ok = level.constant_value() == spec.level
-        values = [p.evaluate(coords) for p in computed]
-        vanish = all(v == 0 for v in values)
         point_results.append({
             "weight": entry["label"],
             "finite_weight": [format_rational(c) for c in coords],
-            "level_matches": level_ok,
-            "all_polynomials_vanish": vanish,
+            "level_matches": level == spec.level,
+            "all_polynomials_vanish": all(p.evaluate(coords) == 0 for p in computed),
         })
     subchecks["points_vanish"] = all(r["level_matches"] and r["all_polynomials_vanish"] for r in point_results)
 
@@ -325,7 +288,7 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
     rejected = 0
     while len(control_results) < controls:
         point = tuple(Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4])) for _ in range(3))
-        if _on_printed_locus(point, printed_points):
+        if point in printed_points or any(_on_line(point, pairs) for pairs in line_pairs):
             rejected += 1
             continue
         violated = None

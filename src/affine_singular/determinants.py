@@ -127,6 +127,7 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     level "auto" uses spec.level, the distinguished level; None keeps the
     level symbolic; any rational overrides it (the negative-control path).
     """
+    start = time.perf_counter()
     table = spec.table()
     if level == "auto":
         level = spec.level
@@ -136,6 +137,7 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
         table, state, level=level,
         claim="determinant vector singular: %s level=%s" % (spec.label(), level_text))
     report.parameters.update({"m": spec.m, "n": spec.n, "distinguished_level": format_rational(spec.level)})
+    report.timing_ms = int((time.perf_counter() - start) * 1000)
     return report
 
 

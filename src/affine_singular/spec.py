@@ -1,19 +1,23 @@
 """The parameters of one determinant vector, and rationals as text.
 
-This module imports only fractions, so a command that only reads a cached
-report can name its input and parse its level without loading the algebra.
-determinants re-exports DeterminantSpec, and scalars re-exports
+This module imports only fractions and re, so a command that only reads a
+cached report can name its input and parse its level without loading the
+algebra.  determinants re-exports DeterminantSpec, and scalars re-exports
 parse_rational and format_rational.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or plain "p") text into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "[-]p" or "[-]p/q" text in decimal digits into an exact rational."""
+    text = text.strip()
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError("not a rational p/q: %r" % text)
+    return Fraction(text)
 
 
 def format_rational(value) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from affine_singular.category_o import (SP6_LINES, SP6_POINTS,
 from affine_singular.determinants import DeterminantSpec
 from affine_singular.liealg import StructureTable, build_algebra
 from affine_singular.linalg import SparseBasis
-from affine_singular.scalars import UniPoly
 from affine_singular.weights import multiplicity, weyl_dim
 from affine_singular.zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
 from oracles import adjoint_closure_scan, uenv_normal_form
@@ -79,16 +79,12 @@ def test_hc_projection_c2(table_c2):
 
 def test_weight_convert(table_c3):
     t = table_c3
-    # numeric: -2 L0 + L2 has level -1 and finite part omega_2
-    level, finite = weight_convert(t, [-2, 0, 1, 0])
-    assert level.constant_value() == -1
-    assert tuple(c.constant_value() for c in finite) == (1, 1, 0)
-    # affine line: (-x-1) L0 + x L1
-    x = UniPoly.variable("x")
-    level, finite = weight_convert(t, [-x - 1, x, 0, 0])
-    assert level.constant_value() == -1
-    assert finite[0].terms == {1: Fraction(1)}
-    assert finite[1].is_zero and finite[2].is_zero
+    # -2 L0 + L2 has level -1 and finite part omega_2
+    assert weight_convert(t, [-2, 0, 1, 0]) == (-1, (1, 1, 0))
+    # the line (-x-1) L0 + x L1 is -L0 + x (L1 - L0)
+    line = SP6_LINES[0]
+    assert weight_convert(t, line["base"]) == (-1, (0, 0, 0))
+    assert weight_convert(t, line["direction"]) == (0, (1, 0, 0))
     with pytest.raises(ValueError):
         weight_convert(t, [1, 2, 3])
 
@@ -111,10 +107,36 @@ def test_sp6_printed_data_shapes(table_c3):
     assert len(SP6_LINES) == 3
     assert len(SP6_POINTS) == 6
     for entry in SP6_LINES:
-        assert len(entry["coefficients"]) == 4
+        assert weight_convert(table_c3, entry["base"])[0] == -1
+        assert weight_convert(table_c3, entry["direction"])[0] == 0
     for entry in SP6_POINTS:
         level, _ = weight_convert(table_c3, entry["coefficients"])
-        assert level.constant_value() == -1
+        assert level == -1
+
+
+def test_on_line_matches_the_hand_written_line_conditions(table_c3):
+    lines = []
+    for entry in SP6_LINES:
+        _, base = weight_convert(table_c3, entry["base"])
+        _, direction = weight_convert(table_c3, entry["direction"])
+        lines.append(list(zip(base, direction)))
+    values = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2)})
+    hits = 0
+    for point in itertools.product(values, repeat=3):
+        h1, h2, h3 = point
+        expected = (h2 == h3 == 0) or (h1 == -1 and h3 == 0) or (h1 == h2 == -1)
+        assert any(category_o._on_line(point, pairs) for pairs in lines) == expected, point
+        hits += expected
+    assert hits == 3 * len(values) - 2
+
+
+def test_a_wrong_printed_line_fails_the_classification(monkeypatch):
+    wrong = dict(SP6_LINES[0], direction=[-1, 1, 1, -1])
+    monkeypatch.setattr(category_o, "SP6_LINES", [wrong] + SP6_LINES[1:])
+    report = classify_sp6(seed=0, controls=4)
+    assert not report.verdict
+    assert "lines_vanish" in report.witness["subchecks"]
+    assert not report.details["lines"][0]["all_polynomials_vanish"]
 
 
 def test_sp6_zero_weight_projections_match_printed(table_c3):

@@ -91,7 +91,7 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_arithmetic_error_exit_code(capsys):
-    for text in ("1/0", "abc"):
+    for text in ("1/0", "abc", "1e5000", "0.5"):
         code = main(["singular", "verify", "--type", "C", "--rank", "2", "-m", "2", "-n", "1",
                      "--level", text, "--no-cache"])
         assert code == 2

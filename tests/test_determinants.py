@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import time
 from fractions import Fraction
 
 import pytest
 
+from affine_singular import determinants
 from affine_singular import spec as spec_module
 from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           build_matrix, det_entry_poly,
@@ -183,6 +185,15 @@ def test_verify_singular_fails_off_level():
     symbolic = verify_singular(spec, level=None)
     assert not symbolic.verdict
     assert symbolic.witness["residual"] == "(-4*k - 2) X[2e2](-1) |0>"
+
+
+def test_verify_singular_timing_covers_the_expansion(monkeypatch):
+    def slow_vector(table, spec):
+        time.sleep(0.05)
+        return determinant_vector(table, spec)
+
+    monkeypatch.setattr(determinants, "determinant_vector", slow_vector)
+    assert verify_singular(DeterminantSpec("C", 2, 2, 1)).timing_ms >= 50
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):
