@@ -161,15 +161,19 @@ def hc_projection(table, u: UEnvElement) -> HPoly:
 def weight_convert(table, coefficients):
     """Level and finite weight of an affine weight sum(c_j Lambda_j).
 
-    coefficients has rank+1 rational entries.  The level is their sum and
-    the finite part is the combination of fundamental weights, in epsilon
-    coordinates.
+    coefficients has one rational entry per fundamental weight of the affine
+    algebra: Lambda_0..Lambda_l for C_l^(1) (rank+1 entries) and
+    Lambda_0..Lambda_(l-1) for A_(l-1)^(1), whose finite part sl_l has l-1
+    fundamental weights (rank entries).  Every comark is 1 in both kinds, so
+    the level is the sum of the entries; the finite part is the combination
+    of the finite fundamental weights, in epsilon coordinates.
     """
     coeffs = [coerce_rational(c) for c in coefficients]
-    if len(coeffs) != table.rank + 1:
-        raise ValueError("expected %d coefficients" % (table.rank + 1))
+    top = table.rank if table.kind == "C" else table.rank - 1
+    if len(coeffs) != top + 1:
+        raise ValueError("expected %d coefficients" % (top + 1))
     finite = [ZERO] * table.rank
-    for j in range(1, table.rank + 1):
+    for j in range(1, top + 1):
         finite = [f + coeffs[j] * w for f, w in zip(finite, table.fundamental_weight(j))]
     return sum(coeffs, ZERO), tuple(finite)
 

@@ -116,27 +116,24 @@ def cmd_alg_info(args) -> int:
 
     table = build_algebra(args.type, args.rank)
     if args.json:
+        texts = [table.text(n) for n in range(table.dimension)]
         obj = {
             "algebra": "%s_%d" % (table.kind, table.rank),
             "dimension": table.dimension,
             "basis": [
-                {"text": table.text(n),
-                 "weight": [format_rational(c) for c in table.weights[n]],
-                 "block": table.blocks[n]}
-                for n in range(table.dimension)
+                {"text": text,
+                 "weight": [format_rational(c) for c in weight],
+                 "block": block}
+                for text, weight, block in zip(texts, table.weights, table.blocks)
             ],
             "brackets": [
-                {"pair": [table.text(a), table.text(b)],
-                 "value": [[table.text(z), format_rational(c)] for z, c in table.bracket(a, b)]}
-                for a in range(table.dimension)
-                for b in range(a + 1, table.dimension)
-                if table.bracket(a, b)
+                {"pair": [texts[a], texts[b]],
+                 "value": [[texts[z], format_rational(c)] for z, c in terms]}
+                for a, b, terms in table.nonzero_brackets()
             ],
             "form": [
-                {"pair": [table.text(a), table.text(b)], "value": format_rational(table.form(a, b))}
-                for a in range(table.dimension)
-                for b in range(a, table.dimension)
-                if table.form(a, b)
+                {"pair": [texts[a], texts[b]], "value": format_rational(value)}
+                for a, b, value in table.nonzero_form()
             ],
             "versions": _versions(),
         }

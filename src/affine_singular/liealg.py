@@ -8,12 +8,18 @@ the labels
     X[ei+ej] = :a_i a_j:    X[-ei-ej] = :a*_i a*_j:    X[ei-ej] = :a_i a*_j:
 
 and the Cartan elements are h_i = -:a_i a*_i: (differences h_i - h_(i+1)
-for kind "A").  Every bracket [x, y] with x < y in basis order is computed
-in the oscillator algebra and re-expressed exactly in the basis, so no
-structure constant is entered by hand; [y, x] is its negative and [x, x]
-is zero.  The invariant form is the trace form of the natural action on the
-2l-dimensional generator span, halved for kind "A"; this is the
-normalisation the affine central terms are built on.
+for kind "A").  No structure constant is entered by hand: a bracket
+[x, y] with x < y in basis order is a commutator in the oscillator algebra,
+re-expressed exactly in the basis; [y, x] is its negative and [x, x] is
+zero.  A commutator of normally ordered monomials is the sum of their
+contractions, each pairing an a*_i of one factor with an a_i of the other.
+So a commutator is computed only for the pairs where the a* indices of one
+realization meet the a indices of the other (828 of the 3,003 pairs of
+C_6), and every other bracket is exactly zero; likewise the degree-1
+action [x, a_i] is computed only when x has an a*_i, and [x, a*_i] only
+when it has an a_i.  The invariant form is the trace form of the natural
+action on the 2l-dimensional generator span, halved for kind "A"; this is
+the normalisation the affine central terms are built on.
 
 Every structure constant, form entry and weight coordinate is an integer in
 this basis, as in a Chevalley basis, and the table holds them as ints (a
@@ -148,13 +154,20 @@ class StructureTable:
     # -- lookup ---------------------------------------------------------
 
     def idx(self, spec) -> int:
-        """Resolve a basis index from an index, a BasisElement or its text form."""
+        """Resolve a basis index from an index, a BasisElement or its text form.
+
+        A Cartan label must be this table's: hI on kind "C", hI-h(I+1) on
+        kind "A".
+        """
         if isinstance(spec, int):
             if not 0 <= spec < self.dimension:
                 raise ValueError("basis index out of range")
             return spec
         if isinstance(spec, str):
-            spec = parse_element(spec)
+            text = spec.strip()
+            spec = parse_element(text)
+            if spec.kind == "cartan" and spec.text(self.kind) != text:
+                raise ValueError("%s is not a Cartan label of %s_%d" % (text, self.kind, self.rank))
         try:
             return self._index[spec]
         except KeyError:
@@ -175,6 +188,21 @@ class StructureTable:
     def form(self, x, y) -> int:
         """The invariant form (x, y), an int; divide it with Fraction(c, d)."""
         return self._form[self.idx(x)][self.idx(y)]
+
+    def nonzero_brackets(self):
+        """(x, y, [x, y]) for each x < y in basis order with [x, y] != 0."""
+        for x in range(self.dimension):
+            for y in range(x + 1, self.dimension):
+                terms = self._bracket[x, y]
+                if terms:
+                    yield x, y, terms
+
+    def nonzero_form(self):
+        """(x, y, (x, y)) for each x <= y in basis order with (x, y) != 0."""
+        for x, row in enumerate(self._form):
+            for y in range(x, self.dimension):
+                if row[y]:
+                    yield x, y, row[y]
 
     def commute(self, letters) -> bool:
         """True when the given basis indices pairwise commute."""
@@ -241,20 +269,13 @@ class StructureTable:
             yield "  %2d  %-12s weight %s  realization %s" % (
                 n, self.text(n), self.weights[n], self.realizations[n])
         yield "brackets (nonzero, upper triangle):"
-        for a in range(self.dimension):
-            for b in range(a + 1, self.dimension):
-                terms = self._bracket[a, b]
-                if terms:
-                    body = " + ".join(
-                        "(%s) %s" % (c, self.text(z)) if c != 1 else self.text(z)
-                        for z, c in terms)
-                    yield "  [%s, %s] = %s" % (self.text(a), self.text(b), body)
+        for a, b, terms in self.nonzero_brackets():
+            body = " + ".join(
+                "(%s) %s" % (c, self.text(z)) if c != 1 else self.text(z) for z, c in terms)
+            yield "  [%s, %s] = %s" % (self.text(a), self.text(b), body)
         yield "invariant form (nonzero pairs):"
-        for a in range(self.dimension):
-            for b in range(a, self.dimension):
-                value = self._form[a][b]
-                if value:
-                    yield "  (%s, %s) = %s" % (self.text(a), self.text(b), value)
+        for a, b, value in self.nonzero_form():
+            yield "  (%s, %s) = %s" % (self.text(a), self.text(b), value)
 
 
 def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
@@ -283,6 +304,11 @@ def _pivot(elem: BasisElement, rank: int):
     if elem.kind == "mixed":
         return (unit(elem.i), unit(elem.j)), 1
     return (unit(elem.i), unit(elem.i)), -1
+
+
+def _index_bits(exponents) -> int:
+    """The bit mask of the indices with a nonzero exponent."""
+    return sum(1 << i for i, e in enumerate(exponents) if e)
 
 
 class RealizationError(ArithmeticError):
@@ -366,10 +392,24 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
                                    % weyl.WeylElement(rank, z).scale(Fraction(1, den * den)))
         return coeffs
 
+    # the indices that each realization's a factors (amask) and a* factors
+    # (bmask) use, one bit each; a pair can contract only where one's a*
+    # bits meet the other's a bits (see the module docstring)
+    amask = [0] * dim
+    bmask = [0] * dim
+    for n, z in enumerate(scaled):
+        for alpha, beta in z.terms:
+            amask[n] |= _index_bits(alpha)
+            bmask[n] |= _index_bits(beta)
+
     brackets = {}
     for x in range(dim):
         brackets[x, x] = ()
+        ax, bx = amask[x], bmask[x]
         for y in range(x + 1, dim):
+            if not (bx & amask[y] or bmask[y] & ax):
+                brackets[x, y] = brackets[y, x] = ()
+                continue
             coeffs = sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items())
             brackets[x, y] = tuple(coeffs)
             brackets[y, x] = tuple((z, -q) for z, q in coeffs)
@@ -384,7 +424,11 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     at_entry = {}
     for n in range(dim):
         mat = {}
+        # [x, a_i] needs a*_i in x and [x, a*_i] needs a_i: bit g of reach
+        reach = bmask[n] | amask[n] << rank
         for g, gen in enumerate(gens):
+            if not reach >> g & 1:
+                continue
             image = weyl.degree1_action(scaled[n], weyl.WeylElement._wrap({gen: 1}, rank))
             for mono, c in image.terms.items():
                 mat[gen_index[mono], g] = c

@@ -91,13 +91,16 @@ class WeylElement(TermMap):
 def _accumulate_product(a1, b1, a2, b2, coeff, out):
     """Add coeff * a^a1 (a*)^b1 a^a2 (a*)^b2, normally ordered, into out."""
     add_term(out, (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))), coeff)
-    _accumulate_contractions(a1, b1, a2, b2, coeff, out)
+    if any(map(operator.mul, b1, a2)):
+        _accumulate_contractions(a1, b1, a2, b2, coeff, out)
 
 
 def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
-    """Add the terms of that product with at least one contraction."""
-    if not any(map(operator.mul, b1, a2)):
-        return  # no index can contract
+    """Add the terms of that product with at least one contraction.
+
+    Callers test first that some index can contract (b1_i a2_i != 0); with
+    none there are no such terms, and the test is cheaper than the call.
+    """
     shared = [i for i, (b, a) in enumerate(zip(b1, a2)) if b and a]
     ranges = [range(min(b1[i], a2[i]) + 1) for i in shared]
     for ts in itertools.islice(itertools.product(*ranges), 1, None):
@@ -124,9 +127,10 @@ def commutator_terms(x: dict, y: dict) -> dict:
     out: dict[Monomial, Fraction] = {}
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
-            c = c1 * c2
-            _accumulate_contractions(a1, b1, a2, b2, c, out)
-            _accumulate_contractions(a2, b2, a1, b1, -c, out)
+            if any(map(operator.mul, b1, a2)):
+                _accumulate_contractions(a1, b1, a2, b2, c1 * c2, out)
+            if any(map(operator.mul, b2, a1)):
+                _accumulate_contractions(a2, b2, a1, b1, -c1 * c2, out)
     return out
 
 

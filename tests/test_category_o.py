@@ -89,6 +89,18 @@ def test_weight_convert(table_c3):
         weight_convert(t, [1, 2, 3])
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+def test_weight_convert_on_kind_a(rank):
+    # A_(l-1)^(1) has Lambda_0..Lambda_(l-1), all of comark 1
+    t = build_algebra("A", rank)
+    unit = lambda j: [int(i == j) for i in range(rank)]
+    assert weight_convert(t, unit(0)) == (1, (0,) * rank)
+    assert weight_convert(t, unit(1)) == (1, t.fundamental_weight(1))
+    for length in (rank - 1, rank + 1):
+        with pytest.raises(ValueError, match="expected %d coefficients" % rank):
+            weight_convert(t, [0] * length)
+
+
 def test_sp6_printed_polynomials_vanish_on_printed_locus():
     polys = sp6_printed_polynomials()
     assert len(polys) == 4

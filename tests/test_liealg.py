@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import collections
 import copy
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from affine_singular import liealg
+from affine_singular import liealg, weyl
 from affine_singular.liealg import (BasisElement, RealizationError, build_algebra,
                                     element_weight, parse_element)
 from affine_singular.weyl import creation
@@ -56,6 +57,18 @@ def test_parse_element_round_trip(table_c3, table_a3):
         table_a3.idx("X[2e1]")  # not an sl_3 element
     with pytest.raises(ValueError):
         table_c3.idx("h4")
+
+
+def test_idx_takes_only_the_tables_own_cartan_labels(table_c3, table_a4):
+    assert table_c3.idx("h1") == table_c3.idx(BasisElement("cartan", 1))
+    assert table_a4.idx("h1-h2") == table_a4.idx(BasisElement("cartan", 1))
+    assert table_a4.idx("h3-h4") == table_a4.idx(BasisElement("cartan", 3))
+    with pytest.raises(ValueError, match="not a Cartan label of C_3"):
+        table_c3.idx("h1-h2")  # used to give h1
+    with pytest.raises(ValueError, match="not a Cartan label of A_4"):
+        table_a4.idx("h1-h4")  # used to give h1-h2
+    with pytest.raises(ValueError, match="not a Cartan label of A_4"):
+        table_a4.idx("h2")  # used to give h2-h3
 
 
 def test_element_weights():
@@ -304,3 +317,50 @@ def test_info_lines(table_c2):
     assert lines[0] == "algebra C_2  dimension 10"
     assert any("[X[-2e1], X[2e1]] = (4) h1" in line for line in lines)
     assert any("(h1, h1) = 2" in line for line in lines)
+
+
+def _index_sets(z):
+    """The indices that z's a factors use and those that its a* factors use."""
+    return ({i for alpha, _ in z.terms for i, e in enumerate(alpha) if e},
+            {i for _, beta in z.terms for i, e in enumerate(beta) if e})
+
+
+@pytest.mark.parametrize("kind, rank, skipped", [("C", 4, 390), ("A", 6, 366)])
+def test_pairs_that_cannot_contract_commute(kind, rank, skipped):
+    # the build stores () for these pairs without a commutator; here each one
+    # is multiplied out both ways
+    table = build_algebra(kind, rank)
+    uses = [_index_sets(z) for z in table.realizations]
+    seen = 0
+    for x, y in itertools.combinations(range(table.dimension), 2):
+        (ax, bx), (ay, by) = uses[x], uses[y]
+        if bx & ay or by & ax:
+            continue
+        seen += 1
+        zx, zy = table.realizations[x], table.realizations[y]
+        assert (zx * zy - zy * zx).is_zero
+        assert table.bracket(x, y) == ()
+    assert seen == skipped
+
+
+@pytest.mark.parametrize("kind, rank, brackets, actions", [("C", 6, 828, 144), ("A", 8, 552, 140)])
+def test_build_computes_only_commutators_that_can_contract(monkeypatch, kind, rank, brackets, actions):
+    calls = collections.Counter()
+
+    def count(name):
+        fn = getattr(weyl, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(weyl, name, counted)
+
+    count("commutator_terms")
+    count("degree1_action")
+    # the undecorated build, so the cached tables are left as they are
+    table = build_algebra.__wrapped__(kind, rank)
+    # every degree-1 action takes one commutator; the other calls are brackets
+    # (all dim (dim - 1) / 2 pairs and dim * 2 rank actions before)
+    assert calls["degree1_action"] == actions
+    assert calls["commutator_terms"] - actions == brackets
+    assert table._bracket == build_algebra(kind, rank)._bracket
