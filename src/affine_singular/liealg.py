@@ -15,11 +15,12 @@ zero.  A commutator of normally ordered monomials is the sum of their
 contractions, each pairing an a*_i of one factor with an a_i of the other.
 So a commutator is computed only for the pairs where the a* indices of one
 realization meet the a indices of the other (828 of the 3,003 pairs of
-C_6), and every other bracket is exactly zero; likewise the degree-1
-action [x, a_i] is computed only when x has an a*_i, and [x, a*_i] only
-when it has an a_i.  The invariant form is the trace form of the natural
-action on the 2l-dimensional generator span, halved for kind "A"; this is
-the normalisation the affine central terms are built on.
+C_6), and every other bracket is exactly zero.  The table stores only
+the nonzero brackets; bracket gives () for any other pair.  Likewise the
+degree-1 action [x, a_i] is computed only when x has an a*_i, and
+[x, a*_i] only when it has an a_i.  The invariant form is the trace form
+of the natural action on the 2l-dimensional generator span, halved for
+kind "A"; this is the normalisation the affine central terms are built on.
 
 Every structure constant, form entry and weight coordinate is an integer in
 this basis, as in a Chevalley basis, and the table holds them as ints (a
@@ -39,8 +40,8 @@ from .scalars import ONE, ZERO, HPoly, add_term
 
 Weight = tuple
 
-# build_algebra refuses larger algebras: the table holds dim^2 brackets and
-# form entries (C18 has dimension 666 and A26 has 675)
+# build_algebra refuses larger algebras: the table holds dim^2 form entries
+# (C18 has dimension 666 and A26 has 675)
 MAX_DIMENSION = 700
 
 
@@ -182,8 +183,8 @@ class StructureTable:
     # -- structure ------------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] as a tuple of (basis index, int coefficient) pairs."""
-        return self._bracket[self.idx(x), self.idx(y)]
+        """[x, y] as a tuple of (basis index, int coefficient) pairs; () when zero."""
+        return self._bracket.get((self.idx(x), self.idx(y)), ())
 
     def form(self, x, y) -> int:
         """The invariant form (x, y), an int; divide it with Fraction(c, d)."""
@@ -193,7 +194,7 @@ class StructureTable:
         """(x, y, [x, y]) for each x < y in basis order with [x, y] != 0."""
         for x in range(self.dimension):
             for y in range(x + 1, self.dimension):
-                terms = self._bracket[x, y]
+                terms = self._bracket.get((x, y))
                 if terms:
                     yield x, y, terms
 
@@ -402,17 +403,16 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
             amask[n] |= _index_bits(alpha)
             bmask[n] |= _index_bits(beta)
 
-    brackets = {}
+    brackets = {}  # nonzero brackets only
     for x in range(dim):
-        brackets[x, x] = ()
         ax, bx = amask[x], bmask[x]
         for y in range(x + 1, dim):
             if not (bx & amask[y] or bmask[y] & ax):
-                brackets[x, y] = brackets[y, x] = ()
                 continue
             coeffs = sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items())
-            brackets[x, y] = tuple(coeffs)
-            brackets[y, x] = tuple((z, -q) for z, q in coeffs)
+            if coeffs:
+                brackets[x, y] = tuple(coeffs)
+                brackets[y, x] = tuple((z, -q) for z, q in coeffs)
 
     # sparse matrices {(row, column): den * entry} of the degree-1 action on
     # span(a_1..a_l, a*_1..a*_l), and every matrix's entries by position

@@ -82,8 +82,9 @@ def _uenv_reduce(brackets, work: list, out: dict):
     """Straighten the (int coefficient, word) pairs of work into PBW order,
     adding into out; work is used up.
 
-    brackets is the table's {(x, y): [x, y]} map.  Its constants are ints,
-    so a bracket step stays in the integers and needs no division.
+    brackets is the table's {(x, y): [x, y]} map, which holds only the
+    nonzero brackets.  Its constants are ints, so a bracket step stays in
+    the integers and needs no division.
     """
     while work:
         c, w = work.pop()
@@ -96,7 +97,7 @@ def _uenv_reduce(brackets, work: list, out: dict):
         x, y = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         work.append((c, head + (y, x) + tail))
-        for z, cz in brackets[x, y]:
+        for z, cz in brackets.get((x, y), ()):
             work.append((c * cz, head + (z,) + tail))
 
 
@@ -140,8 +141,9 @@ def ad_action(table: StructureTable, g, u: UEnvElement) -> UEnvElement:
     """The adjoint action of a basis element, as a derivation on words."""
     g = table.idx(g)
     us, u_den = over_common_denominator(u.terms)
+    brackets = table._bracket
     terms = ((c * cz, word[:t] + (z,) + word[t + 1:])
-             for word, c in us.items() for t, x in enumerate(word) for z, cz in table._bracket[g, x])
+             for word, c in us.items() for t, x in enumerate(word) for z, cz in brackets.get((g, x), ()))
     return _fractions(_normal_form(table, False, terms), u_den)
 
 

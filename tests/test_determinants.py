@@ -8,6 +8,7 @@ import pytest
 
 from affine_singular import determinants
 from affine_singular import spec as spec_module
+from affine_singular import vacuum
 from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           build_matrix, det_entry_poly,
                                           determinant_vector, entry_element,
@@ -15,7 +16,7 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           lowering_factor_check,
                                           minor_entry_poly, verify_singular)
 from affine_singular.liealg import build_algebra
-from affine_singular.scalars import UniPoly
+from affine_singular.scalars import UniPoly, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from oracles import (coexisting_singulars, entries_commute_check, ep_apply, leibniz_entry_poly,
                      minor_vector)
@@ -194,6 +195,40 @@ def test_verify_singular_timing_covers_the_expansion(monkeypatch):
 
     monkeypatch.setattr(determinants, "determinant_vector", slow_vector)
     assert verify_singular(DeterminantSpec("C", 2, 2, 1)).timing_ms >= 50
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_operator_that_det_fails_still_runs_on_the_power(monkeypatch, n):
+    # X[e1-e2](0) does not kill X[2e2](-1)|0>: with that as "det", the mode 0
+    # certificate must not drop the operator, so the report is the plain check's
+    spec = DeterminantSpec("C", 2, 2, n)
+    table = spec.table()
+    fake = {(table.idx("X[2e2]"),): 1}
+    monkeypatch.setattr(determinants, "det_entry_poly", lambda table, spec: dict(fake))
+    state = ep_state(ep_pow(fake, n))
+    for level in (spec.level, spec.level + 1, None):
+        report = verify_singular(spec, level)
+        expected = vacuum.singular_check(table, state, level=level, claim=report.claim)
+        expected.parameters.update(m=2, n=n, distinguished_level=format_rational(spec.level))
+        assert expected.witness["operator"] == "X[e1-e2](0)"
+        report.timing_ms = expected.timing_ms = 0
+        assert report.to_obj() == expected.to_obj()
+
+
+def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
+    spec = DeterminantSpec("C", 3, 3, 2)
+    det = ep_state(det_entry_poly(spec.table(), spec))
+    calls = []
+    apply = vacuum.apply_generator
+
+    def recorded(table, x, n, state):
+        calls.append((n, state == det))
+        return apply(table, x, n, state)
+
+    monkeypatch.setattr(vacuum, "apply_generator", recorded)
+    assert verify_singular(spec).verdict
+    # the three simple raising operators on det|0>, then x(1) on det^2|0>
+    assert calls == [(0, True)] * 3 + [(1, False)]
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):

@@ -22,7 +22,7 @@ from affine_singular.zhu import verify_weyl_vanishing, verify_zhu_generator
 from test_acceptance import A_GRID, C_GRID
 
 GRID = [DeterminantSpec(*case) for case in C_GRID + A_GRID]
-# the specs of the benchmark's enveloping workload
+# the specs of the benchmark's annihilate and enveloping workloads
 BENCHMARK_SPECS = [DeterminantSpec(*case)
                    for case in (("C", 4, 4, 3), ("C", 5, 5, 2), ("A", 8, 4, 2), ("C", 6, 6, 1))]
 
@@ -48,6 +48,10 @@ DIGESTS = {
     "classify_sp6_seed1": "c667c7292b4f2fe33207c5ccb506b0ee39671d35678ee8e20c70c13b96891720",
     "benchmark_zhu_generator": "bc2584c3608c54f61bcddda29b4731b4cbeb2e2a0aa7da84bc238a3e6d32b39b",
     "benchmark_weyl_vanishing": "23caab72609d34fd58d4e1c1ea17c0f5af88552bfdaf47bc7b5b048d3a1191ff",
+    "benchmark_verify_auto": "b275ea57783d82bf794452e00940febb7ddce8998fb7725d0b0f2e56fc044957",
+    "benchmark_verify_level_plus_1": "468187af434e3aea08a4df2b004e34a84910a5a2d0db4a8194af71022fc85efb",
+    "benchmark_verify_symbolic": "8a9c7ea1070d2c3032f92c8b451ec269112451a6cc4857f3150301b804c5c474",
+    "benchmark_lowering_factor": "e3683c6bb2a7557a1974a49fa3bf3e429d03c47833d6a76170db4279b99e757b",
 }
 
 
@@ -65,7 +69,8 @@ def test_grid_reports_are_pinned(name):
     assert _digest(OPERATIONS[name](spec) for spec in GRID) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["zhu_generator", "weyl_vanishing"])
+@pytest.mark.parametrize("name", ["zhu_generator", "weyl_vanishing", "verify_auto", "verify_level_plus_1",
+                                  "verify_symbolic", "lowering_factor"])
 def test_benchmark_spec_reports_are_pinned(name):
     reports = (OPERATIONS[name](spec) for spec in BENCHMARK_SPECS)
     assert _digest(reports) == DIGESTS["benchmark_" + name]
