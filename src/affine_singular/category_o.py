@@ -16,15 +16,17 @@ data to keep its seeded controls off the locus.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from . import weights as weight_util
 from .linalg import SparseBasis
-from .report import VerificationReport
+from .report import VerificationReport, timed
 from .scalars import ZERO, HPoly, UniPoly, coerce_rational, format_rational
 from .spec import DeterminantSpec
 from .zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
+
+DIM_CAP = 2000  # adjoint closures larger than this stop with a RuntimeError
+MAX_CONTROLS = 10_000  # seeded off-locus controls per classify_sp6 call
 
 
 def uelem_weight(table, u: UEnvElement):
@@ -60,12 +62,8 @@ class TopLevelModule:
     def dimension(self) -> int:
         return len(self.elements)
 
-    def weight_space(self, w) -> list:
-        w = tuple(coerce_rational(c) for c in w)
-        return [u for u, uw in zip(self.elements, self.element_weights) if uw == w]
 
-
-def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = 2000) -> TopLevelModule:
+def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = DIM_CAP) -> TopLevelModule:
     """Close the generator under the adjoint lowering operators.
 
     Elements are kept weight-homogeneous; independence is tested with exact
@@ -130,14 +128,15 @@ def _chevalley_relations_hold(table) -> bool:
     return True
 
 
-def determinant_top_module(spec: DeterminantSpec, dim_cap: int = 2000) -> TopLevelModule:
+def determinant_top_module(spec: DeterminantSpec, dim_cap: int = DIM_CAP) -> TopLevelModule:
     table = spec.table()
     gen = uenv_pow(table, finite_determinant(table, spec), spec.n)
     return adjoint_orbit_top(table, gen, dim_cap)
 
 
 def zero_weight_subspace(module: TopLevelModule) -> list:
-    return module.weight_space((0,) * module.table.rank)
+    zero = (0,) * module.table.rank
+    return [u for u, w in zip(module.elements, module.element_weights) if w == zero]
 
 
 def hc_projection(table, u: UEnvElement) -> HPoly:
@@ -219,23 +218,26 @@ def _on_line(point, pairs) -> bool:
     return all(p == b + x * d for p, (b, d) in zip(point, pairs))
 
 
-def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> VerificationReport:
+@timed
+def classify_sp6(seed: int = 0, controls: int = 20) -> VerificationReport:
     """Recompute the sp_6 top-level classification and check the printed answer.
 
     Subchecks: module dimensions against the weight-formula oracles, the four
     printed polynomials against the computed zero-weight span, identical
     vanishing along the three printed lines and six printed weights, and
-    seeded off-locus controls that must each violate some polynomial.
+    seeded off-locus controls that must each violate some polynomial, at
+    most MAX_CONTROLS of them.
     """
     if controls < 0:
         raise ValueError("controls must be nonnegative, got %d" % controls)
-    start = time.perf_counter()
+    if controls > MAX_CONTROLS:
+        raise ValueError("controls must be at most %d, got %d" % (MAX_CONTROLS, controls))
     spec = DeterminantSpec("C", 3, 3, 1)
     table = spec.table()
     notes = []
     subchecks = {}
 
-    module = determinant_top_module(spec, dim_cap)
+    module = determinant_top_module(spec)
     lam = module.highest_weight
     dim_expected = weight_util.weyl_dim(table, lam)
     zero_basis = zero_weight_subspace(module)
@@ -308,14 +310,12 @@ def classify_sp6(seed: int = 0, controls: int = 20, dim_cap: int = 2000) -> Veri
     subchecks["controls_violate"] = all(r["violates"] is not None for r in control_results)
 
     verdict = all(subchecks.values())
-    ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         claim="category O classification for the sp_6 top level",
         verdict=verdict,
         parameters={"algebra": "C_3", "m": 3, "n": 1, "level": format_rational(spec.level),
-                    "controls": controls, "dim_cap": dim_cap},
+                    "controls": controls, "dim_cap": DIM_CAP},
         witness=None if verdict else {"subchecks": {k: v for k, v in subchecks.items() if not v}},
-        timing_ms=ms,
         seed=seed,
         notes=notes,
         details={

@@ -9,24 +9,28 @@ Subcommands:
     zhu phi           oscillator image of the finite determinant power
     classify sp6      the sp_6 top-level classification (alias: exc6)
 
-Every check prints a report; --json emits it as canonical JSON.  Reports of
-singular verify/factor are cached on disk keyed by the full parameter set,
-so repeated runs are byte-stable; corrupted or stale cache records are
-ignored with a warning.
+Every check prints a report; --json emits it as canonical JSON.  The
+singular and zhu commands all run through cmd_check: each names its check
+and, for singular verify/factor, a cache name.  Those reports are cached on
+disk keyed by the full parameter set, so repeated runs are byte-stable;
+corrupted or stale cache records are ignored with a warning.
 
 Each command imports the modules it needs when it runs: a warm singular
 verify or factor loads only this module, cache, serialize and spec.
+Invalid input, such as an oversized algebra or more than
+category_o.MAX_CONTROLS controls, exits with code 2 and a message.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
 from . import __version__
 from . import cache as cache_mod
 from .serialize import canonical_json
-from .spec import format_rational, parse_rational
+from .spec import DeterminantSpec, format_rational, parse_rational
 
 
 def _versions() -> dict:
@@ -61,28 +65,23 @@ def _render_report(obj) -> list:
 
 
 def _emit(args, obj, text_lines=None) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(canonical_json(obj))
     else:
         for line in text_lines if text_lines is not None else _render_report(obj):
             print(line)
 
 
-def _spec_from(args):
-    from .spec import DeterminantSpec
-
-    return DeterminantSpec(args.type, args.rank, args.m, args.n)
-
-
-def _parse_level(args):
-    if getattr(args, "symbolic", False):
+def _parse_level(args, spec):
+    """The level of singular verify: None for --symbolic, else a rational."""
+    if args.symbolic:
         return None
-    if getattr(args, "level", None) is not None:
-        try:
-            return parse_rational(args.level)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("--level expects a rational p/q, got %r" % args.level) from None
-    return "auto"
+    if args.level is None:
+        return spec.level
+    try:
+        return parse_rational(args.level)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--level expects a rational p/q, got %r" % args.level) from None
 
 
 def _cached_report(args, key, compute):
@@ -144,56 +143,27 @@ def cmd_alg_info(args) -> int:
     return 0
 
 
-def cmd_singular_verify(args) -> int:
-    spec = _spec_from(args)
-    level = _parse_level(args)
-    level_text = "symbolic" if level is None else format_rational(spec.level if level == "auto" else level)
-    key = {
-        "command": "singular-verify",
-        "kind": spec.kind, "rank": spec.rank, "m": spec.m, "n": spec.n,
-        "level": level_text,
-    }
+def cmd_check(args) -> int:
+    """Run the check that the subcommand names, "module.function", on the
+    spec of args; singular verify also passes its level.  A subcommand
+    with a cache name reads and writes its report through the cache."""
+    spec = DeterminantSpec(args.type, args.rank, args.m, args.n)
+    options = {"level": _parse_level(args, spec)} if "symbolic" in args else {}
+
     def compute():
-        from .determinants import verify_singular
+        module, name = args.check.rsplit(".", 1)
+        return getattr(import_module("." + module, __package__), name)(spec, **options)
 
-        return verify_singular(spec, level)
-
-    obj = _cached_report(args, key, compute)
-    _emit(args, obj)
-    return 0 if obj["verdict"] else 1
-
-
-def cmd_singular_factor(args) -> int:
-    spec = _spec_from(args)
-    key = {
-        "command": "singular-factor",
-        "kind": spec.kind, "rank": spec.rank, "m": spec.m, "n": spec.n,
-        "level": "symbolic",
-    }
-    def compute():
-        from .determinants import lowering_factor_check
-
-        return lowering_factor_check(spec)
-
-    obj = _cached_report(args, key, compute)
-    _emit(args, obj)
-    return 0 if obj["verdict"] else 1
-
-
-def cmd_zhu_project(args) -> int:
-    from .zhu import verify_zhu_generator
-
-    spec = _spec_from(args)
-    obj = _report_obj(verify_zhu_generator(spec))
-    _emit(args, obj)
-    return 0 if obj["verdict"] else 1
-
-
-def cmd_zhu_phi(args) -> int:
-    from .zhu import verify_weyl_vanishing
-
-    spec = _spec_from(args)
-    obj = _report_obj(verify_weyl_vanishing(spec))
+    if args.cache is None:
+        obj = _report_obj(compute())
+    else:
+        level = options.get("level")
+        key = {
+            "command": args.cache,
+            "kind": spec.kind, "rank": spec.rank, "m": spec.m, "n": spec.n,
+            "level": "symbolic" if level is None else format_rational(level),
+        }
+        obj = _cached_report(args, key, compute)
     _emit(args, obj)
     return 0 if obj["verdict"] else 1
 
@@ -201,7 +171,7 @@ def cmd_zhu_phi(args) -> int:
 def cmd_classify(args) -> int:
     from .category_o import classify_sp6
 
-    report = classify_sp6(seed=args.seed, controls=args.controls, dim_cap=args.dim_cap)
+    report = classify_sp6(seed=args.seed, controls=args.controls)
     obj = _report_obj(report)
     if args.json:
         _emit(args, obj)
@@ -255,19 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     level = p.add_mutually_exclusive_group()
     level.add_argument("--level", default=None, help="rational level override, e.g. -1/2")
     level.add_argument("--symbolic", action="store_true", help="keep the level symbolic")
-    p.set_defaults(func=cmd_singular_verify)
+    p.set_defaults(func=cmd_check, check="determinants.verify_singular", cache="singular-verify")
     p = singular.add_parser("factor", parents=[common, sized, caching],
                             help="symbolic lowering-factor identity")
-    p.set_defaults(func=cmd_singular_factor)
+    p.set_defaults(func=cmd_check, check="determinants.lowering_factor_check", cache="singular-factor")
 
     zhu_cmd = sub.add_parser("zhu", help="projection to U(g) and the oscillator image").add_subparsers(
         dest="subcommand", required=True)
     p = zhu_cmd.add_parser("project", parents=[common, sized],
                            help="determinant vector projects onto the finite determinant power")
-    p.set_defaults(func=cmd_zhu_project)
+    p.set_defaults(func=cmd_check, check="zhu.verify_zhu_generator", cache=None)
     p = zhu_cmd.add_parser("phi", parents=[common, sized],
                            help="oscillator image of the finite determinant power")
-    p.set_defaults(func=cmd_zhu_phi)
+    p.set_defaults(func=cmd_check, check="zhu.verify_weyl_vanishing", cache=None)
 
     classify = sub.add_parser("classify", help="highest weight classifications").add_subparsers(
         dest="subcommand", required=True)
@@ -276,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="sp_6 top-level classification" + ("" if name == "sp6" else " (alias)"))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--controls", type=int, default=20)
-        p.add_argument("--dim-cap", type=int, default=2000)
         p.set_defaults(func=cmd_classify)
 
     return parser

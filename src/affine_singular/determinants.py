@@ -24,12 +24,11 @@ and then x(0)D^n|0> = sum_j D^j [x(0), D] D^(n-1-j)|0> = 0.
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 
 from . import vacuum
 from .liealg import BasisElement, StructureTable
-from .report import VerificationReport
+from .report import VerificationReport, timed
 from .scalars import UniPoly, add_term, format_rational
 from .spec import DeterminantSpec
 from .vacuum import VacuumState
@@ -128,6 +127,7 @@ def determinant_vector(table: StructureTable, spec: DeterminantSpec) -> VacuumSt
 # -- the two verifications ---------------------------------------------
 
 
+@timed
 def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     """Annihilation check for the determinant vector.
 
@@ -139,7 +139,6 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     the module docstring) and is not run on det^n|0>; one that does not is
     run on det^n|0> as before, so the report is the same either way.
     """
-    start = time.perf_counter()
     table = spec.table()
     if level == "auto":
         level = spec.level
@@ -152,7 +151,6 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
         table, state, level=level, operators=operators,
         claim="determinant vector singular: %s level=%s" % (spec.label(), level_text))
     report.parameters.update({"m": spec.m, "n": spec.n, "distinguished_level": format_rational(spec.level)})
-    report.timing_ms = int((time.perf_counter() - start) * 1000)
     return report
 
 
@@ -162,6 +160,7 @@ def beta_constant(table: StructureTable) -> Fraction:
     return table.form(table.theta_lowering, table.theta_raising)
 
 
+@timed
 def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     """Identity for the lowest root vector at mode 1, at the symbolic level:
 
@@ -169,7 +168,6 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
 
     with beta the form pairing of the two extreme root vectors.
     """
-    start = time.perf_counter()
     table = spec.table()
     det = det_entry_poly(table, spec)
     lower = ep_pow(det, spec.n - 1)
@@ -184,7 +182,6 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     notes = ["beta = (x_-theta, x_theta) = %s from the trace form" % format_rational(beta)]
     if spec.kind == "A":
         notes.append("beta for kind A is derived from the invariant form, not imposed")
-    ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         claim="lowering factor identity: %s" % spec.label(),
         verdict=witness is None,
@@ -196,6 +193,5 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
             "distinguished_level": format_rational(spec.level),
         },
         witness=witness,
-        timing_ms=ms,
         notes=notes,
     )

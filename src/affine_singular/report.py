@@ -1,6 +1,9 @@
-"""Verification reports shared by all checkers."""
+"""Verification reports shared by all checkers, and the one timer they use."""
 
 from __future__ import annotations
+
+import functools
+import time
 
 
 class VerificationReport:
@@ -13,13 +16,13 @@ class VerificationReport:
     """
 
     def __init__(self, claim: str, verdict: bool, parameters: dict | None = None,
-                 witness: dict | None = None, timing_ms: int = 0, seed: int | None = None,
+                 witness: dict | None = None, seed: int | None = None,
                  notes: list | None = None, details: dict | None = None):
         self.claim = claim
         self.verdict = verdict
         self.parameters = {} if parameters is None else parameters
         self.witness = witness
-        self.timing_ms = timing_ms
+        self.timing_ms = 0  # set by timed
         self.seed = seed
         self.notes = [] if notes is None else notes
         self.details = details
@@ -48,3 +51,15 @@ class VerificationReport:
 
     def summary(self) -> str:
         return "%s  %s" % ("PASS" if self.verdict else "FAIL", self.claim)
+
+
+def timed(check):
+    """Decorate a check so that its report's timing_ms is the wall time of
+    the whole call."""
+    @functools.wraps(check)
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        report = check(*args, **kwargs)
+        report.timing_ms = int((time.perf_counter() - start) * 1000)
+        return report
+    return run

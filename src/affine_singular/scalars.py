@@ -83,9 +83,9 @@ class TermMap:
     The coefficients are rationals, or polynomials in k for vacuum states.
     A subclass may carry one context value (a variable name, a number of
     variables) in the slot named by _context; results of arithmetic carry it
-    on.  A subclass keeps to itself its validating __init__, its product and
-    its text.  Arithmetic wraps its results with the trusted _wrap, which
-    neither copies nor checks.
+    on.  A subclass keeps to itself its validating __init__ and its product,
+    and gives render the text of one key.  Arithmetic wraps its results with
+    the trusted _wrap, which neither copies nor checks.
     """
 
     __slots__ = ("terms",)
@@ -155,6 +155,10 @@ class TermMap:
             value = coerce_rational(value)
         terms = {key: c * value for key, c in self.terms.items()} if value else {}
         return self._wrap(terms, self._own_context())
+
+    def render(self, body) -> str:
+        """The terms as "(c) body(key)" in key order, joined by " + "; "0" when empty."""
+        return " + ".join("(%s) %s" % (self.terms[key], body(key)) for key in sorted(self.terms)) or "0"
 
     def __eq__(self, other) -> bool:
         other = self._lift(other)

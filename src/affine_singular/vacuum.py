@@ -32,10 +32,9 @@ Otherwise it straightens.
 from __future__ import annotations
 
 import bisect
-import time
 from fractions import Fraction
 
-from .report import VerificationReport
+from .report import VerificationReport, timed
 from .scalars import ONE, TermMap, UniPoly, add_term, coerce_rational, format_rational, over_common_denominator
 
 Letter = tuple  # (mode, basis index)
@@ -92,12 +91,7 @@ class VacuumState(TermMap):
         return VacuumState._wrap(out)
 
     def text(self, table) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            parts.append("(%s) %s" % (self.terms[mono], monomial_text(table, mono)))
-        return " + ".join(parts)
+        return self.render(lambda mono: monomial_text(table, mono))
 
     def __repr__(self) -> str:
         return "VacuumState(%d terms)" % len(self.terms)
@@ -287,6 +281,7 @@ def annihilation_operators(table):
     return ops
 
 
+@timed
 def singular_check(table, state: VacuumState, level=None, claim: str = "",
                    operators=None) -> VerificationReport:
     """Check that every defining annihilation operator kills the state.
@@ -299,7 +294,6 @@ def singular_check(table, state: VacuumState, level=None, claim: str = "",
     """
     if state.is_zero:
         raise ValueError("singular_check expects a nonzero state")
-    start = time.perf_counter()
     state_weight(table, state)  # reject inhomogeneous input
     v = state if level is None else state.specialize(level)
     params = {
@@ -320,11 +314,9 @@ def singular_check(table, state: VacuumState, level=None, claim: str = "",
                 "residual": residual.text(table),
             }
             break
-    ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         claim=claim or "singular vector check",
         verdict=witness is None,
         parameters=params,
         witness=witness,
-        timing_ms=ms,
     )

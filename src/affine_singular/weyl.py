@@ -24,7 +24,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational
+from .scalars import ONE, TermMap, add_term, coerce_rational
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (creation, annihilation) exponents
 
@@ -80,12 +80,7 @@ class WeylElement(TermMap):
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            parts.append("(%s) %s" % (format_rational(self.terms[mono]), monomial_text(mono) or "1"))
-        return " + ".join(parts)
+        return self.render(lambda mono: monomial_text(mono) or "1")
 
 
 def _accumulate_product(a1, b1, a2, b2, coeff, out):

@@ -34,13 +34,12 @@ image of det, and the oscillator check never builds the PBW power.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from . import weyl
 from .determinants import DeterminantSpec, det_entry_poly, ep_pow, ep_state
 from .liealg import StructureTable
-from .report import VerificationReport
+from .report import VerificationReport, timed
 from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational, over_common_denominator
 from .vacuum import VacuumState
 
@@ -66,13 +65,7 @@ class UEnvElement(TermMap):
         return cls({(table.idx(x),): ONE})
 
     def text(self, table: StructureTable) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms):
-            body = " ".join(table.text(x) for x in word) or "1"
-            parts.append("(%s) %s" % (format_rational(self.terms[word]), body))
-        return " + ".join(parts)
+        return self.render(lambda word: " ".join(map(table.text, word)) or "1")
 
     def __repr__(self) -> str:
         return "UEnvElement(%d terms)" % len(self.terms)
@@ -211,6 +204,7 @@ def weyl_image(table: StructureTable, u: UEnvElement) -> weyl.WeylElement:
                                   table.rank)
 
 
+@timed
 def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
     """The determinant vector at its distinguished level projects onto the
     n-th power of the finite determinant.
@@ -224,7 +218,6 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
     leave det^n unchanged, and a mismatch could come only from a fault in
     zhu_project or _normal_form.
     """
-    start = time.perf_counter()
     table = spec.table()
     power = ep_pow(det_entry_poly(table, spec), spec.n)
     projected = zhu_project(table, ep_state(power).specialize(spec.level))
@@ -232,7 +225,6 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
     witness = None
     if projected != expected:
         witness = {"difference": (projected - expected).text(table)}
-    ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         claim="projection sends det vector to det power: %s" % spec.label(),
         verdict=witness is None,
@@ -242,17 +234,16 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
             "level": format_rational(spec.level),
         },
         witness=witness,
-        timing_ms=ms,
     )
 
 
+@timed
 def verify_weyl_vanishing(spec: DeterminantSpec) -> VerificationReport:
     """The oscillator image of the finite determinant power; zero once m >= 2.
 
     The image is taken as phi(det)^n in the oscillator algebra, which equals
     phi(det^n) because phi is an algebra homomorphism.
     """
-    start = time.perf_counter()
     table = spec.table()
     base = weyl_image(table, finite_determinant(table, spec))
     image = weyl.WeylElement.constant(table.rank, ONE)
@@ -263,14 +254,12 @@ def verify_weyl_vanishing(spec: DeterminantSpec) -> VerificationReport:
     witness = None
     if not ok:
         witness = {"image": repr(image)}
-    ms = int((time.perf_counter() - start) * 1000)
     report = VerificationReport(
         claim="oscillator image of det power %s: %s" % (
             "vanishes" if expect_zero else "survives", spec.label()),
         verdict=ok,
         parameters={"algebra": "%s_%d" % (spec.kind, spec.rank), "m": spec.m, "n": spec.n},
         witness=witness,
-        timing_ms=ms,
     )
     if ok and not expect_zero:
         report.details = {"image": repr(image)}

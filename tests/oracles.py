@@ -416,5 +416,4 @@ def entries_commute_check(kind: str, rank: int, m: int) -> VerificationReport:
         verdict=witness is None,
         parameters={"algebra": "%s_%d" % (kind, rank), "m": m},
         witness=witness,
-        timing_ms=0,
     )

@@ -55,6 +55,15 @@ def test_dim_cap(table_c2):
         determinant_top_module(spec, dim_cap=5)
 
 
+def test_too_many_controls_are_refused_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("classify_sp6 started work")
+
+    monkeypatch.setattr(category_o, "determinant_top_module", fail)
+    with pytest.raises(ValueError, match="controls must be at most 10000, got 10001"):
+        classify_sp6(controls=category_o.MAX_CONTROLS + 1)
+
+
 def test_adjoint_orbit_of_highest_root_is_adjoint_rep(table_c2):
     t = table_c2
     gen = UEnvElement({(t.theta_raising,): 1})

@@ -337,3 +337,21 @@ def test_oversized_rank_exits_2_at_once(argv):
     dim = 3240 if kind == "C" else 1599
     assert done.stderr.startswith("error: %s_40 has dimension %d, above the limit of 700 basis elements"
                                   % (kind, dim))
+
+
+@pytest.mark.parametrize("argv, code, name, level", [
+    (["verify"], 0, "singular-verify-C--1_2-2-1-2.json", "-1/2"),
+    (["verify", "--level", "-3/2"], 1, "singular-verify-C--3_2-2-1-2.json", "-3/2"),
+    (["verify", "--symbolic"], 1, "singular-verify-C-symbolic-2-1-2.json", "symbolic"),
+    (["factor"], 0, "singular-factor-C-symbolic-2-1-2.json", "symbolic"),
+], ids=["verify", "verify-level", "verify-symbolic", "factor"])
+def test_cache_file_names_are_pinned(capsys, tmp_path, argv, code, name, level):
+    # names and keys of records written by earlier releases, so their caches stay valid
+    command, *rest = argv
+    assert main(["singular", command, "--type", "C", "--rank", "2", "-m", "2", *rest,
+                 "--cache-dir", str(tmp_path)]) == code
+    capsys.readouterr()
+    assert [path.name for path in tmp_path.iterdir()] == [name]
+    record = json.loads((tmp_path / name).read_text())
+    assert record["key"] == {"command": "singular-" + command, "kind": "C", "rank": 2, "m": 2, "n": 1,
+                             "level": level}

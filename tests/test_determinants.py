@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import time
 from fractions import Fraction
 
 import pytest
@@ -186,15 +185,6 @@ def test_verify_singular_fails_off_level():
     symbolic = verify_singular(spec, level=None)
     assert not symbolic.verdict
     assert symbolic.witness["residual"] == "(-4*k - 2) X[2e2](-1) |0>"
-
-
-def test_verify_singular_timing_covers_the_expansion(monkeypatch):
-    def slow_vector(table, spec):
-        time.sleep(0.05)
-        return determinant_vector(table, spec)
-
-    monkeypatch.setattr(determinants, "determinant_vector", slow_vector)
-    assert verify_singular(DeterminantSpec("C", 2, 2, 1)).timing_ms >= 50
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from affine_singular.scalars import HPoly, UniPoly, format_rational, parse_rational
+from affine_singular.vacuum import VacuumState
+from affine_singular.weyl import WeylElement
+from affine_singular.zhu import UEnvElement
 from oracles import level_var, total_degree
 
 
@@ -113,3 +116,19 @@ def test_hpoly_repr():
     h3 = HPoly.coordinate(3, 3)
     assert repr(h1 * h1 - h3) == "h1^2 - h3"
     assert repr(HPoly.constant(3, 0)) == "0"
+
+
+def test_term_maps_render_in_key_order(table_c2):
+    t = table_c2
+    assert VacuumState.zero().text(t) == "0"
+    assert VacuumState.vacuum().text(t) == "(1) |0>"
+    assert UEnvElement().text(t) == "0"
+    assert UEnvElement.one().text(t) == "(1) 1"
+    assert repr(WeylElement(2)) == "0"
+    assert repr(WeylElement.constant(2, 3)) == "(3) 1"
+    word = (t.idx("X[-2e1]"), t.idx("X[-2e2]"))
+    assert UEnvElement({word: Fraction(-3, 2)}).text(t) == "(-3/2) X[-2e1] X[-2e2]"
+    state = VacuumState({((-2, t.idx("X[2e1]")), (-1, t.idx("X[2e2]"))): Fraction(-3, 2)})
+    assert state.text(t) == "(-3/2) X[2e1](-2) X[2e2](-1) |0>"
+    mixed = WeylElement(2, {((1, 0), (0, 2)): Fraction(-3, 2), ((0, 0), (0, 0)): 5})
+    assert repr(mixed) == "(5) 1 + (-3/2) a1 a*2^2"
