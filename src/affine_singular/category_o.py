@@ -21,9 +21,9 @@ from fractions import Fraction
 from . import weights as weight_util
 from .linalg import SparseBasis
 from .report import VerificationReport, timed
-from .scalars import ZERO, HPoly, UniPoly, coerce_rational, format_rational
+from .scalars import ZERO, HPoly, UniPoly, coerce_rational, format_rational, over_common_denominator
 from .spec import DeterminantSpec
-from .zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
+from .zhu import UEnvElement, _ad_ints, _fractions, finite_determinant, uenv_pow
 
 DIM_CAP = 2000  # adjoint closures larger than this stop with a RuntimeError
 MAX_CONTROLS = 10_000  # seeded off-locus controls per classify_sp6 call
@@ -85,11 +85,15 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = DIM_CAP) -> 
     then part 2 holds, so on any table that passes part 1 the verdict is
     that of applying every e_i to every element.  A table that fails part 1
     is not certified: raising_closed is False.
+
+    The closure and the raising check run on int maps over the generator's
+    common denominator; each element becomes a UEnvElement once, on return.
     """
     top = uelem_weight(table, generator)
+    gen, den = over_common_denominator(generator.terms)
     spaces: dict = {top: SparseBasis()}
-    spaces[top].insert(generator.terms)
-    elements = [generator]
+    spaces[top].insert(gen)
+    elements = [gen]
     element_weights = [top]
     queue = [0]
     while queue:
@@ -97,12 +101,12 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = DIM_CAP) -> 
         u = elements[at]
         uw = element_weights[at]
         for g in table.simple_lowering:
-            image = ad_action(table, g, u)
-            if image.is_zero:
+            image = _ad_ints(table, g, u)
+            if not image:
                 continue
             w = tuple(a + b for a, b in zip(uw, table.weights[g]))
             space = spaces.setdefault(w, SparseBasis())
-            if space.insert(image.terms):
+            if space.insert(image):
                 elements.append(image)
                 element_weights.append(w)
                 queue.append(len(elements) - 1)
@@ -110,11 +114,12 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = DIM_CAP) -> 
                     raise RuntimeError("adjoint closure exceeded the cap of %d" % dim_cap)
     raising_closed = _chevalley_relations_hold(table)
     for g in table.simple_raising:
-        image = ad_action(table, g, generator)
+        image = _ad_ints(table, g, gen)
         space = spaces.get(tuple(a + b for a, b in zip(top, table.weights[g])))
-        if not image.is_zero and (space is None or not space.contains(image.terms)):
+        if image and (space is None or not space.contains(image)):
             raising_closed = False
-    return TopLevelModule(table, generator, top, elements, element_weights, raising_closed)
+    return TopLevelModule(table, generator, top, [_fractions(e, den) for e in elements],
+                          element_weights, raising_closed)
 
 
 def _chevalley_relations_hold(table) -> bool:

@@ -207,11 +207,6 @@ class UniPoly(TermMap):
         """Degree, with the convention that the zero polynomial has degree -1."""
         return max(self.terms, default=-1)
 
-    def constant_value(self) -> Fraction:
-        if self.degree > 0:
-            raise ValueError("polynomial %s is not constant" % (self,))
-        return self.terms.get(0, ZERO)
-
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):
             return UniPoly.constant(other, self.var)

@@ -20,7 +20,7 @@ from affine_singular.linalg import SparseBasis
 from affine_singular.report import VerificationReport
 from affine_singular.scalars import ZERO, UniPoly, add_term, coerce_rational
 from affine_singular.vacuum import VacuumState, apply_generator
-from affine_singular.zhu import UEnvElement, ad_action
+from affine_singular.zhu import UEnvElement
 
 
 def straighten_rightmost(table, word, coeff=1) -> VacuumState:
@@ -126,13 +126,13 @@ def adjoint_closure_scan(table, generator) -> tuple[int, bool]:
         u, uw = elements[at]
         at += 1
         for g in table.simple_lowering:
-            image = ad_action(table, g, u)
+            image = uenv_ad(table, g, u)
             if not image.is_zero and spaces.setdefault(shifted(uw, g), SparseBasis()).insert(image.terms):
                 elements.append((image, shifted(uw, g)))
     closed = True
     for u, uw in elements:
         for g in table.simple_raising:
-            image = ad_action(table, g, u)
+            image = uenv_ad(table, g, u)
             space = spaces.get(shifted(uw, g))
             if not image.is_zero and (space is None or not space.contains(image.terms)):
                 closed = False
@@ -171,6 +171,13 @@ def uenv_product(table, u, v) -> UEnvElement:
     """u v, straightened term by term."""
     return uenv_sum(table, ((c1 * c2, w1 + w2) for w1, c1 in u.terms.items()
                             for w2, c2 in v.terms.items()))
+
+
+def uenv_ad(table, g, u) -> UEnvElement:
+    """ad(g) u, each word's derivation terms straightened on its own."""
+    return uenv_sum(table, ((c * cz, word[:t] + (z,) + word[t + 1:])
+                            for word, c in u.terms.items() for t, x in enumerate(word)
+                            for z, cz in table.bracket(g, x)))
 
 
 def vec_sub_scaled(u: dict, v: dict, c: Fraction) -> dict:
@@ -349,6 +356,13 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
 def level_var() -> UniPoly:
     """The formal level as a polynomial."""
     return UniPoly.variable("k")
+
+
+def constant_value(poly: UniPoly) -> Fraction:
+    """The value of a constant polynomial; raises if it has positive degree."""
+    if poly.degree > 0:
+        raise ValueError("polynomial %s is not constant" % (poly,))
+    return poly.terms.get(0, ZERO)
 
 
 def minor_vector(table, spec: DeterminantSpec, i: int, j: int) -> VacuumState:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -252,13 +254,47 @@ def test_closure_applies_each_raising_operator_once(monkeypatch):
     table = spec.table()
     generator = uenv_pow(table, finite_determinant(table, spec), 1)
     calls = []
+    core = category_o._ad_ints
 
     def counted(table, g, u):
         calls.append(g)
-        return ad_action(table, g, u)
+        return core(table, g, u)
 
-    monkeypatch.setattr(category_o, "ad_action", counted)
+    monkeypatch.setattr(category_o, "_ad_ints", counted)
     module = adjoint_orbit_top(table, generator)
     assert module.dimension == 84 and module.raising_closed
     assert len(calls) == 84 * len(table.simple_lowering) + len(table.simple_raising) == 255
     assert calls[-3:] == list(table.simple_raising)
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 3), Fraction(-5, 2)])
+def test_closure_of_a_scaled_generator_scales_every_element(factor):
+    spec = DeterminantSpec("C", 3, 3, 1)
+    table = spec.table()
+    det = finite_determinant(table, spec)
+    plain = adjoint_orbit_top(table, det)
+    scaled = adjoint_orbit_top(table, det.scale(factor))
+    assert scaled.dimension == plain.dimension == 84 and scaled.raising_closed
+    assert scaled.highest_weight == plain.highest_weight
+    assert scaled.element_weights == plain.element_weights
+    assert scaled.elements == [u.scale(factor) for u in plain.elements]
+    assert all(type(c) is Fraction for u in scaled.elements for c in u.terms.values())
+
+
+# SHA-256 of every element and weight of each module, in discovery order,
+# pinned from the closure that ran on UEnvElements
+MODULE_DIGESTS = {
+    ("C", 3, 3, 1): (84, "adb226a38970a02671eabe89c3b6b1d97963786ffc9184d6f2854fa478794ab5"),
+    ("C", 3, 2, 1): (90, "bf02d8ee8753ea84b94f3c8917981c68e89d6032cfdd47cf5a2e2374c64dbd30"),
+    ("A", 4, 2, 1): (20, "ddf7da4ffb83251e7badf1ce3e1879ab80f966278583e049c45c7dbdbf143154"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODULE_DIGESTS))
+def test_module_elements_and_weights_are_pinned(case):
+    module = determinant_top_module(DeterminantSpec(*case))
+    payload = [[sorted((list(word), str(c)) for word, c in u.terms.items()), list(w)]
+               for u, w in zip(module.elements, module.element_weights)]
+    payload += [list(module.highest_weight), module.raising_closed]
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert (module.dimension, digest) == MODULE_DIGESTS[case]

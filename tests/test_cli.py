@@ -12,6 +12,7 @@ import pytest
 
 import affine_singular
 from affine_singular import cache as cache_mod
+from affine_singular import determinants
 from affine_singular.cli import main
 
 REPORT_FIELDS = {"claim", "verdict", "parameters", "timing_ms", "seed", "versions"}
@@ -106,6 +107,18 @@ def test_negative_controls_exit_code(capsys):
     captured = capsys.readouterr()
     assert "controls must be nonnegative" in captured.err
     assert "PASS" not in captured.out
+
+
+def test_oversized_determinant_exits_2_before_expanding(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the determinant was expanded")
+
+    monkeypatch.setattr(determinants, "det_entry_poly", fail)
+    assert main(["singular", "verify", "--type", "C", "--rank", "12", "-m", "12", "-n", "1",
+                 "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: size 12 is above the limit of 8 (m! determinant terms)\n"
+    assert captured.out == ""
 
 
 def test_level_and_symbolic_are_exclusive(capsys):

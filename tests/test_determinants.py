@@ -32,6 +32,11 @@ def test_spec_validation():
         DeterminantSpec("C", 2, 1, 0)
     with pytest.raises(ValueError):
         DeterminantSpec("C", 2, 0, 1)
+    assert DeterminantSpec("C", 8, 8, 1).m == spec_module.MAX_SIZE == 8
+    with pytest.raises(ValueError, match="size 9 is above the limit of 8"):
+        DeterminantSpec("C", 9, 9, 1)
+    with pytest.raises(ValueError, match="size 9 is above the limit of 8"):
+        DeterminantSpec("A", 18, 9, 1)
 
 
 def test_spec_is_a_frozen_value():

@@ -16,7 +16,7 @@ from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
                                  uenv_mul, uenv_pow, verify_weyl_vanishing,
                                  verify_zhu_generator, weyl_image, zhu_project)
 import oracles
-from oracles import uenv_normal_form, uenv_product, uenv_sum
+from oracles import constant_value, uenv_normal_form, uenv_product, uenv_sum
 from test_acceptance import A_GRID, C_GRID
 
 GRID = C_GRID + A_GRID + [("C", 4, 4, 3)]
@@ -159,7 +159,7 @@ def test_weyl_survival_for_size_one(table_c2, table_a4):
 
 
 def _oracle_project(t, state):
-    return uenv_sum(t, (((-1) ** sum(-n - 1 for n, _ in mono) * c.constant_value(),
+    return uenv_sum(t, (((-1) ** sum(-n - 1 for n, _ in mono) * constant_value(c),
                          tuple(x for _, x in reversed(mono)))
                         for mono, c in state.terms.items()))
 
@@ -306,3 +306,26 @@ def test_projection_sign_by_parity(table_c2):
     assert {sum(n for n, _ in mono) % 2 for mono in state.terms} == {0, 1}
     assert {n for mono in state.terms for n, _ in mono} >= {-3, -2}
     assert zhu_project(t, state) == _oracle_project(t, state)
+
+
+# witness texts pinned from the check that compared UEnvElements
+DROPPED_TERM_WITNESSES = {
+    ("C", 2, 2, 1): "(1) X[e1+e2] X[e1+e2]",
+    ("C", 3, 3, 2): "(-1) X[2e2] X[2e2] X[e1+e3] X[e1+e3] X[e1+e3] X[e1+e3]",
+    ("A", 4, 2, 1): "(1) X[e2-e4] X[e1-e3]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED_TERM_WITNESSES))
+def test_a_dropped_term_fails_the_zhu_check_with_the_same_witness(case, monkeypatch):
+    project = zhu.zhu_project
+
+    def dropped(table, state):
+        terms = dict(project(table, state).terms)
+        del terms[max(terms)]
+        return UEnvElement._wrap(terms)
+
+    monkeypatch.setattr(zhu, "zhu_project", dropped)
+    report = verify_zhu_generator(DeterminantSpec(*case))
+    assert not report.verdict
+    assert report.witness == {"difference": DROPPED_TERM_WITNESSES[case]}
