@@ -63,7 +63,7 @@ class TopLevelModule:
         return len(self.elements)
 
 
-def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = DIM_CAP) -> TopLevelModule:
+def adjoint_orbit_top(table, generator: UEnvElement) -> TopLevelModule:
     """Close the generator under the adjoint lowering operators.
 
     Elements are kept weight-homogeneous; independence is tested with exact
@@ -110,8 +110,8 @@ def adjoint_orbit_top(table, generator: UEnvElement, dim_cap: int = DIM_CAP) -> 
                 elements.append(image)
                 element_weights.append(w)
                 queue.append(len(elements) - 1)
-                if len(elements) > dim_cap:
-                    raise RuntimeError("adjoint closure exceeded the cap of %d" % dim_cap)
+                if len(elements) > DIM_CAP:
+                    raise RuntimeError("adjoint closure exceeded the cap of %d" % DIM_CAP)
     raising_closed = _chevalley_relations_hold(table)
     for g in table.simple_raising:
         image = _ad_ints(table, g, gen)
@@ -133,10 +133,10 @@ def _chevalley_relations_hold(table) -> bool:
     return True
 
 
-def determinant_top_module(spec: DeterminantSpec, dim_cap: int = DIM_CAP) -> TopLevelModule:
+def determinant_top_module(spec: DeterminantSpec) -> TopLevelModule:
     table = spec.table()
     gen = uenv_pow(table, finite_determinant(table, spec), spec.n)
-    return adjoint_orbit_top(table, gen, dim_cap)
+    return adjoint_orbit_top(table, gen)
 
 
 def zero_weight_subspace(module: TopLevelModule) -> list:
@@ -255,11 +255,11 @@ def classify_sp6(seed: int = 0, controls: int = 20) -> VerificationReport:
     computed = [hc_projection(table, u) for u in zero_basis]
     span = SparseBasis()
     for p in computed:
-        span.insert(p.coefficient_vector())
+        span.insert(p.terms)
     subchecks["projection_span_rank"] = len(span) == 4
 
     printed = sp6_printed_polynomials()
-    in_span = [span.contains(p.coefficient_vector()) for p in printed]
+    in_span = [span.contains(p.terms) for p in printed]
     subchecks["printed_polynomials_in_span"] = all(in_span)
     if not all(in_span):
         notes.append("printed polynomial(s) outside the computed span: "

@@ -16,11 +16,12 @@ contractions, each pairing an a*_i of one factor with an a_i of the other.
 So a commutator is computed only for the pairs where the a* indices of one
 realization meet the a indices of the other (828 of the 3,003 pairs of
 C_6), and every other bracket is exactly zero.  The table stores only
-the nonzero brackets; bracket gives () for any other pair.  Likewise the
-degree-1 action [x, a_i] is computed only when x has an a*_i, and
-[x, a*_i] only when it has an a_i.  The invariant form is the trace form
-of the natural action on the 2l-dimensional generator span, halved for
-kind "A"; this is the normalisation the affine central terms are built on.
+the nonzero brackets, one row {y: [x, y]} per x; bracket gives () for any
+other pair.  Likewise the degree-1 action [x, a_i] is computed only when
+x has an a*_i, and [x, a*_i] only when it has an a_i.  The invariant form
+is the trace form of the natural action on the 2l-dimensional generator
+span, halved for kind "A"; this is the normalisation the affine central
+terms are built on.
 
 Every structure constant, form entry and weight coordinate is an integer in
 this basis, as in a Chevalley basis, and the table holds them as ints (a
@@ -138,13 +139,14 @@ class StructureTable:
     tie-break order used by the straightening routines.
     """
 
-    def __init__(self, kind, rank, basis, realizations, brackets, form, blocks):
+    def __init__(self, kind, rank, basis, realizations, rows, form, blocks):
         self.kind = kind
         self.rank = rank
         self.basis = tuple(basis)
         self.realizations = tuple(realizations)
         self._index = {elem: n for n, elem in enumerate(self.basis)}
-        self._bracket = brackets
+        # rows[x] = {y: [x, y]}, nonzero brackets only
+        self.rows = tuple({y: terms for y, terms in row.items() if terms} for row in rows)
         self._form = form
         self.blocks = tuple(blocks)
         self.weights = tuple(element_weight(e, rank) for e in self.basis)
@@ -184,7 +186,7 @@ class StructureTable:
 
     def bracket(self, x, y):
         """[x, y] as a tuple of (basis index, int coefficient) pairs; () when zero."""
-        return self._bracket.get((self.idx(x), self.idx(y)), ())
+        return self.rows[self.idx(x)].get(self.idx(y), ())
 
     def form(self, x, y) -> int:
         """The invariant form (x, y), an int; divide it with Fraction(c, d)."""
@@ -192,11 +194,9 @@ class StructureTable:
 
     def nonzero_brackets(self):
         """(x, y, [x, y]) for each x < y in basis order with [x, y] != 0."""
-        for x in range(self.dimension):
-            for y in range(x + 1, self.dimension):
-                terms = self._bracket.get((x, y))
-                if terms:
-                    yield x, y, terms
+        for x, row in enumerate(self.rows):
+            for y in sorted(y for y in row if y > x):
+                yield x, y, row[y]
 
     def nonzero_form(self):
         """(x, y, (x, y)) for each x <= y in basis order with (x, y) != 0."""
@@ -206,13 +206,10 @@ class StructureTable:
                     yield x, y, row[y]
 
     def commute(self, letters) -> bool:
-        """True when the given basis indices pairwise commute."""
-        span = sorted(letters)
-        for i, a in enumerate(span):
-            for b in span[i + 1:]:
-                if self.bracket(a, b):
-                    return False
-        return True
+        """True when the given basis indices pairwise commute: no letter's
+        row of nonzero brackets names another."""
+        letters = set(letters)
+        return all(self.rows[a].keys().isdisjoint(letters) for a in letters)
 
     def _chevalley(self):
         rank = self.rank
@@ -403,7 +400,7 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
             amask[n] |= _index_bits(alpha)
             bmask[n] |= _index_bits(beta)
 
-    brackets = {}  # nonzero brackets only
+    rows = [{} for _ in range(dim)]  # nonzero brackets only
     for x in range(dim):
         ax, bx = amask[x], bmask[x]
         for y in range(x + 1, dim):
@@ -411,41 +408,39 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
                 continue
             coeffs = sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items())
             if coeffs:
-                brackets[x, y] = tuple(coeffs)
-                brackets[y, x] = tuple((z, -q) for z, q in coeffs)
+                rows[x][y] = tuple(coeffs)
+                rows[y][x] = tuple((z, -q) for z, q in coeffs)
 
-    # sparse matrices {(row, column): den * entry} of the degree-1 action on
-    # span(a_1..a_l, a*_1..a*_l), and every matrix's entries by position
+    # the degree-1 action of each x on span(a_1..a_l, a*_1..a*_l), indexed
+    # by matrix position: at_entry[r, g] lists (x, den * M_x[r, g])
     zero = (0,) * rank
     units = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
     gens = [(u, zero) for u in units] + [(zero, u) for u in units]
     gen_index = {mono: g for g, mono in enumerate(gens)}
-    matrices = []
     at_entry = {}
     for n in range(dim):
-        mat = {}
         # [x, a_i] needs a*_i in x and [x, a*_i] needs a_i: bit g of reach
         reach = bmask[n] | amask[n] << rank
         for g, gen in enumerate(gens):
             if not reach >> g & 1:
                 continue
-            image = weyl.degree1_action(scaled[n], weyl.WeylElement._wrap({gen: 1}, rank))
-            for mono, c in image.terms.items():
-                mat[gen_index[mono], g] = c
+            for mono, c in weyl.commutator_terms(scaled[n].terms, {gen: 1}).items():
+                if mono not in gen_index:
+                    raise RealizationError("the action of %s leaves the generator span" % basis[n].text(kind))
                 at_entry.setdefault((gen_index[mono], g), []).append((n, c))
-        matrices.append(mat)
 
-    # (x, y) = tr(x y) over den^2, halved for kind "A"; row x sums only the
-    # nonzero products M_x[r, t] M_y[t, r]
+    # (x, y) = tr(x y) over den^2, halved for kind "A", summed over the
+    # nonzero products M_x[r, t] M_y[t, r] only
     form_den = den * den * (1 if kind == "C" else 2)
+    traces = [[0] * dim for _ in range(dim)]
+    for (r, t), xs in at_entry.items():
+        for y, d in at_entry.get((t, r), ()):
+            for x, c in xs:
+                traces[x][y] += c * d
     form = []
-    for x in range(dim):
-        row = [0] * dim
-        for (r, t), c in matrices[x].items():
-            for y, d in at_entry.get((t, r), ()):
-                row[y] += c * d
+    for x, row in enumerate(traces):
         if any(tr % form_den for tr in row):
             raise RealizationError("the form row of %s is not integral" % basis[x].text(kind))
         form.append(tuple(tr // form_den for tr in row))
 
-    return StructureTable(kind, rank, basis, realizations, brackets, tuple(form), blocks)
+    return StructureTable(kind, rank, basis, realizations, rows, tuple(form), blocks)

@@ -233,14 +233,6 @@ class UniPoly(TermMap):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(1, self.var)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __call__(self, point) -> Fraction:
         point = coerce_rational(point)
         total = ZERO
@@ -337,9 +329,6 @@ class HPoly(TermMap):
                     term = term * line
             total = total + term
         return total
-
-    def coefficient_vector(self) -> dict[tuple, Fraction]:
-        return dict(self.terms)
 
     def __repr__(self) -> str:
         parts = []

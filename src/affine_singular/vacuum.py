@@ -126,7 +126,7 @@ def _reduce_into(table, coeff: UniPoly, word, out: dict):
                 work.append((c * (p * g) * LEVEL, head + tail))
 
 
-def straighten(table, word, coeff=1) -> VacuumState:
+def straighten(table, word) -> VacuumState:
     """Canonical form of an ordered product of negative-mode generators.
 
     word is a sequence of (mode, element) pairs; elements may be given as
@@ -139,7 +139,7 @@ def straighten(table, word, coeff=1) -> VacuumState:
             raise ValueError("straighten expects modes <= -1, got %d" % mode)
         letters.append((mode, table.idx(x)))
     out: dict[Monomial, UniPoly] = {}
-    _reduce_into(table, _coerce_poly(coeff), tuple(letters), out)
+    _reduce_into(table, UniPoly.constant(ONE), tuple(letters), out)
     return VacuumState._wrap(out)
 
 

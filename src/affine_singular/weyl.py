@@ -52,9 +52,6 @@ class WeylElement(TermMap):
         zero = (0,) * nvars
         return cls(nvars, {(zero, zero): value})
 
-    def max_degree(self) -> int:
-        return max((sum(a) + sum(b) for a, b in self.terms), default=-1)
-
     def is_linear(self) -> bool:
         """True when every monomial has total degree exactly 1."""
         return bool(self.terms) and all(sum(a) + sum(b) == 1 for a, b in self.terms)
@@ -112,13 +109,9 @@ def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
         add_term(out, (alpha, beta), c)
 
 
-def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """[x, y] = xy - yx, from the contracted terms of both products alone."""
-    return WeylElement._wrap(commutator_terms(x.terms, y.terms), x._join(y))
-
-
 def commutator_terms(x: dict, y: dict) -> dict:
-    """commutator on bare term dicts of one arity."""
+    """[x, y] = xy - yx on bare term dicts of one arity, from the contracted
+    terms of both products alone."""
     out: dict[Monomial, Fraction] = {}
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
@@ -167,18 +160,3 @@ def normal_ordered(x: WeylElement, y: WeylElement) -> WeylElement:
         raise ValueError("normal_ordered expects linear arguments")
     return (x * y + y * x).scale(Fraction(1, 2))
 
-
-def degree1_action(q: WeylElement, z: WeylElement) -> WeylElement:
-    """The commutator [q, z] of a quadratic with a linear element.
-
-    The result stays in the span of the generators; anything else means the
-    inputs were malformed.
-    """
-    if q.max_degree() > 2:
-        raise ValueError("degree1_action expects degree at most 2")
-    if not z.is_linear():
-        raise ValueError("degree1_action expects a linear second argument")
-    result = commutator(q, z)
-    if not (result.is_zero or result.is_linear()):
-        raise ValueError("commutator left the generator span")
-    return result

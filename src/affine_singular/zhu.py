@@ -19,7 +19,8 @@ When all the letters of a product or a projected state pairwise commute,
 which holds for the determinant entries, their PBW normal form is just the
 sorted word, and uenv_mul and zhu_project sort instead of rewriting.  The
 check is made once per call on the set of letters; any non-commuting pair
-sends the whole call through the general straightening.
+sends the whole call through the general straightening, which reads the
+table's rows of nonzero brackets (_ad_ints reads one row per call).
 
 Elements carry Fraction coefficients, but uenv_mul, ad_action and
 zhu_project add Python ints: their inputs are scaled to one common
@@ -73,13 +74,13 @@ class UEnvElement(TermMap):
         return "UEnvElement(%d terms)" % len(self.terms)
 
 
-def _uenv_reduce(brackets, work: list, out: dict):
+def _uenv_reduce(rows, work: list, out: dict):
     """Straighten the (int coefficient, word) pairs of work into PBW order,
     adding into out; work is used up.
 
-    brackets is the table's {(x, y): [x, y]} map, which holds only the
-    nonzero brackets.  Its constants are ints, so a bracket step stays in
-    the integers and needs no division.
+    rows are the table's rows {y: [x, y]} of nonzero brackets.  Their
+    constants are ints, so a bracket step stays in the integers and needs
+    no division.
     """
     while work:
         c, w = work.pop()
@@ -92,7 +93,7 @@ def _uenv_reduce(brackets, work: list, out: dict):
         x, y = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         work.append((c, head + (y, x) + tail))
-        for z, cz in brackets.get((x, y), ()):
+        for z, cz in rows[x].get(y, ()):
             work.append((c * cz, head + (z,) + tail))
 
 
@@ -105,7 +106,7 @@ def _normal_form(table: StructureTable, commuting: bool, products) -> dict:
             key = tuple(sorted(word))
             acc[key] = acc.get(key, 0) + c
     else:
-        _uenv_reduce(table._bracket, list(products), acc)
+        _uenv_reduce(table.rows, list(products), acc)
     return acc
 
 
@@ -140,9 +141,9 @@ def ad_action(table: StructureTable, g, u: UEnvElement) -> UEnvElement:
 
 def _ad_ints(table: StructureTable, g: int, us: dict) -> dict:
     """ad(g) on an int map {word: c}, as an int map with no zero entries."""
-    brackets = table._bracket
+    row = table.rows[g]
     terms = ((c * cz, word[:t] + (z,) + word[t + 1:])
-             for word, c in us.items() for t, x in enumerate(word) for z, cz in brackets.get((g, x), ()))
+             for word, c in us.items() for t, x in enumerate(word) for z, cz in row.get(x, ()))
     return {word: c for word, c in _normal_form(table, False, terms).items() if c}
 
 

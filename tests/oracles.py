@@ -323,14 +323,14 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
         assert not rem, "element %r is outside the basis span" % z
         return coeffs
 
-    brackets = {}
+    # every bracket, zeros included: the table keeps only the nonzero ones
+    rows = [{x: ()} for x in range(dim)]
     for x in range(dim):
-        brackets[x, x] = ()
         for y in range(x + 1, dim):
             rx, ry = realizations[x], realizations[y]
             terms = tuple(sorted(to_basis(rx * ry - ry * rx).items()))
-            brackets[x, y] = terms
-            brackets[y, x] = tuple((z, -c) for z, c in terms)
+            rows[x][y] = terms
+            rows[y][x] = tuple((z, -c) for z, c in terms)
 
     gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
     gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
@@ -347,7 +347,31 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
         tuple(scale * sum((c * matrices[y].get((t, r), ZERO) for (r, t), c in matrices[x].items()), ZERO)
               for y in range(dim))
         for x in range(dim))
-    return liealg.StructureTable(kind, rank, basis, realizations, brackets, form, blocks)
+    return liealg.StructureTable(kind, rank, basis, realizations, rows, form, blocks)
+
+
+def casimir_level(kind: str, rank: int, m: int, n: int) -> Fraction:
+    """The level of the (kind, rank, m, n) determinant vector, from root data
+    alone.  det^n has weight mu and degree mn, and a singular vector there
+    needs the Sugawara L_0 to act on it by mn:
+
+        (mu, mu + 2 rho) = 2 m n (k + h^v),
+
+    with the form normalised so that long roots have (theta, theta) = 2
+    (Kac, Infinite Dimensional Lie Algebras, ch. 12).  Coordinates are
+    e_1..e_l for l = rank.
+    """
+    l = rank
+    if kind == "C":
+        mu = [2 * n] * m + [0] * (l - m)
+        rho = [l - i + 1 for i in range(1, l + 1)]
+        scale, dual_coxeter = Fraction(1, 2), l + 1
+    else:
+        mu = [n] * m + [0] * (l - 2 * m) + [-n] * m
+        rho = [Fraction(l + 1, 2) - i for i in range(1, l + 1)]
+        scale, dual_coxeter = Fraction(1), l
+    casimir = scale * sum(a * (a + 2 * r) for a, r in zip(mu, rho))
+    return casimir / (2 * m * n) - dual_coxeter
 
 
 # -- helpers ------------------------------------------------------------

@@ -51,10 +51,10 @@ def test_a4_determinant_module(table_a4):
     assert module.raising_closed
 
 
-def test_dim_cap(table_c2):
-    spec = DeterminantSpec("C", 2, 2, 1)
-    with pytest.raises(RuntimeError, match="cap"):
-        determinant_top_module(spec, dim_cap=5)
+def test_dim_cap(monkeypatch):
+    monkeypatch.setattr(category_o, "DIM_CAP", 5)
+    with pytest.raises(RuntimeError, match="cap of 5"):
+        determinant_top_module(DeterminantSpec("C", 2, 2, 1))
 
 
 def test_too_many_controls_are_refused_before_any_work(monkeypatch):
@@ -168,10 +168,10 @@ def test_sp6_zero_weight_projections_match_printed(table_c3):
     zero = zero_weight_subspace(module)
     span = SparseBasis()
     for u in zero:
-        span.insert(hc_projection(table_c3, u).coefficient_vector())
+        span.insert(hc_projection(table_c3, u).terms)
     assert len(span) == 4
     for p in sp6_printed_polynomials():
-        assert span.contains(p.coefficient_vector())
+        assert span.contains(p.terms)
 
 
 def test_classify_sp6_report():
@@ -227,9 +227,10 @@ def test_raising_certificate_matches_the_full_scan():
 
 def _mutated(table, changes):
     """A copy of table with the brackets in changes replaced."""
-    brackets = {(x, y): table.bracket(x, y) for x in range(table.dimension) for y in range(table.dimension)}
-    brackets.update(changes)
-    return StructureTable(table.kind, table.rank, table.basis, table.realizations, brackets,
+    rows = [dict(row) for row in table.rows]
+    for (x, y), terms in changes.items():
+        rows[x][y] = terms
+    return StructureTable(table.kind, table.rank, table.basis, table.realizations, rows,
                           tuple(tuple(table.form(x, y) for y in range(table.dimension))
                                 for x in range(table.dimension)),
                           table.blocks)

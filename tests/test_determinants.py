@@ -17,8 +17,8 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
 from affine_singular.liealg import build_algebra
 from affine_singular.scalars import UniPoly, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
-from oracles import (coexisting_singulars, entries_commute_check, ep_apply, leibniz_entry_poly,
-                     minor_vector)
+from oracles import (casimir_level, coexisting_singulars, entries_commute_check, ep_apply,
+                     leibniz_entry_poly, minor_vector)
 
 
 def test_spec_validation():
@@ -59,6 +59,15 @@ def test_distinguished_levels():
     assert DeterminantSpec("A", 4, 2, 1).level == -1
     assert DeterminantSpec("A", 4, 2, 2).level == 0
     assert DeterminantSpec("A", 2, 1, 3).level == 2
+
+
+def test_levels_match_the_casimir_oracle():
+    shapes = [("C", l, m) for l in range(2, 9) for m in range(1, min(l, 8) + 1)]
+    shapes += [("A", l, m) for l in range(2, 13) for m in range(1, l // 2 + 1)]
+    specs = [DeterminantSpec(kind, l, m, n) for kind, l, m in shapes for n in (1, 2, 3, 5)]
+    assert len(specs) == 284
+    for spec in specs:
+        assert spec.level == casimir_level(spec.kind, spec.rank, spec.m, spec.n), spec
 
 
 def test_entry_elements(table_c2, table_a4):

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import collections
 import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -279,11 +279,11 @@ def test_integer_build_matches_the_fraction_oracle(kind, rank):
     assert table.basis == oracle.basis
     assert table.blocks == oracle.blocks
     assert table.realizations == oracle.realizations
-    # the table stores only the nonzero brackets
-    assert table._bracket == {key: terms for key, terms in oracle._bracket.items() if terms}
+    # the oracle passes every bracket, and the table keeps the nonzero ones
+    assert table.rows == oracle.rows
     assert table._form == oracle._form
     # equal values could still differ in type: 1 == Fraction(1)
-    constants = [c for terms in table._bracket.values() for _, c in terms]
+    constants = [c for row in table.rows for terms in row.values() for _, c in terms]
     constants += [c for row in table._form for c in row]
     constants += [c for w in table.weights for c in w]
     assert {type(c) for c in constants} == {int}
@@ -344,24 +344,32 @@ def test_pairs_that_cannot_contract_commute(kind, rank, skipped):
     assert seen == skipped
 
 
+@pytest.mark.parametrize("kind, rank", [("C", 4), ("A", 6)])
+def test_commute_is_the_pairwise_bracket_scan(kind, rank):
+    table = build_algebra(kind, rank)
+    rng = random.Random(43)
+    answers = set()
+    for _ in range(400):
+        letters = [rng.randrange(table.dimension) for _ in range(rng.randint(1, 4))]
+        scan = not any(table.bracket(a, b) for a in letters for b in letters)
+        assert table.commute(letters) == scan, letters
+        answers.add(scan)
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize("kind, rank, brackets, actions", [("C", 6, 828, 144), ("A", 8, 552, 140)])
 def test_build_computes_only_commutators_that_can_contract(monkeypatch, kind, rank, brackets, actions):
-    calls = collections.Counter()
+    calls = []
+    commutator_terms = weyl.commutator_terms
 
-    def count(name):
-        fn = getattr(weyl, name)
+    def counted(x, y):
+        calls.append(None)
+        return commutator_terms(x, y)
 
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(weyl, name, counted)
-
-    count("commutator_terms")
-    count("degree1_action")
+    monkeypatch.setattr(weyl, "commutator_terms", counted)
     # the undecorated build, so the cached tables are left as they are
     table = build_algebra.__wrapped__(kind, rank)
-    # every degree-1 action takes one commutator; the other calls are brackets
-    # (all dim (dim - 1) / 2 pairs and dim * 2 rank actions before)
-    assert calls["degree1_action"] == actions
-    assert calls["commutator_terms"] - actions == brackets
-    assert table._bracket == build_algebra(kind, rank)._bracket
+    # one commutator per bracket and per degree-1 action (all dim (dim - 1) / 2
+    # pairs and dim * 2 rank actions before)
+    assert len(calls) == brackets + actions
+    assert table.rows == build_algebra(kind, rank).rows

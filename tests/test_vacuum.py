@@ -33,8 +33,7 @@ def test_canonical_words_pass_through(table_c2):
     state = straighten(table_c2, word)
     assert state.terms == {tuple(word): UniPoly.constant(1)}
     # straightening an already canonical state changes nothing
-    again = straighten(table_c2, word, coeff=Fraction(2, 3))
-    assert again == state * Fraction(2, 3)
+    assert straighten(table_c2, next(iter(state.terms))) == state
 
 
 def test_mode_guard(table_c2):
@@ -192,14 +191,6 @@ def test_confluence_of_strategies(table_c2, table_a3):
         for _ in range(60):
             word = random_word(rng, table, rng.randint(2, 5))
             assert straighten(table, word) == straighten_rightmost(table, word), word
-
-
-def test_straighten_linear_in_coefficient(table_c2):
-    rng = random.Random(29)
-    word = random_word(rng, table_c2, 4)
-    one = straighten(table_c2, word)
-    scaled = straighten(table_c2, word, coeff=Fraction(-7, 3))
-    assert scaled == one * Fraction(-7, 3)
 
 
 def test_state_weight(table_c2):
