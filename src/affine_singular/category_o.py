@@ -49,10 +49,9 @@ class TopLevelModule:
     elements are UEnvElements in discovery order, element_weights their weights.
     """
 
-    def __init__(self, table, generator: UEnvElement, highest_weight: tuple, elements: list,
-                 element_weights: list, raising_closed: bool):
+    def __init__(self, table, highest_weight: tuple, elements: list, element_weights: list,
+                 raising_closed: bool):
         self.table = table
-        self.generator = generator
         self.highest_weight = highest_weight
         self.elements = elements
         self.element_weights = element_weights
@@ -118,8 +117,8 @@ def adjoint_orbit_top(table, generator: UEnvElement) -> TopLevelModule:
         space = spaces.get(tuple(a + b for a, b in zip(top, table.weights[g])))
         if image and (space is None or not space.contains(image)):
             raising_closed = False
-    return TopLevelModule(table, generator, top, [_fractions(e, den) for e in elements],
-                          element_weights, raising_closed)
+    return TopLevelModule(table, top, [_fractions(e, den) for e in elements], element_weights,
+                          raising_closed)
 
 
 def _chevalley_relations_hold(table) -> bool:

@@ -142,8 +142,9 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     table = spec.table()
     if level == "auto":
         level = spec.level
-    state = determinant_vector(table, spec)
-    det = state if spec.n == 1 else ep_state(det_entry_poly(table, spec))
+    det_poly = det_entry_poly(table, spec)
+    det = ep_state(det_poly)
+    state = det if spec.n == 1 else ep_state(ep_pow(det_poly, spec.n))
     operators = [(x, mode) for x, mode in vacuum.annihilation_operators(table)
                  if mode != 0 or not vacuum.apply_generator(table, x, 0, det).is_zero]
     level_text = "symbolic" if level is None else format_rational(level)

@@ -17,11 +17,19 @@ So a commutator is computed only for the pairs where the a* indices of one
 realization meet the a indices of the other (828 of the 3,003 pairs of
 C_6), and every other bracket is exactly zero.  The table stores only
 the nonzero brackets, one row {y: [x, y]} per x; bracket gives () for any
-other pair.  Likewise the degree-1 action [x, a_i] is computed only when
-x has an a*_i, and [x, a*_i] only when it has an a_i.  The invariant form
-is the trace form of the natural action on the 2l-dimensional generator
-span, halved for kind "A"; this is the normalisation the affine central
-terms are built on.
+other pair.
+
+The invariant form is read off the stored brackets as the Killing form
+over 2h^v:
+
+    (x, y) = tr(ad x ad y) / 2h^v,    h^v = l + 1 for sp_2l, l for sl_l.
+
+The Killing form is 2(l + 1) tr(xy) on sp_2l and 2l tr(xy) on sl_l, traces
+on the natural module (Kac, Infinite Dimensional Lie Algebras, ch. 6), so
+(x, y) is the natural module's trace form, with (theta, theta) = 2 as the
+affine central terms need.  Only pairs of opposite weight have a nonzero
+trace, so only a root vector with its negative, and Cartan with Cartan,
+are summed.  The form is stored like the brackets, one row {y: (x, y)} per x.
 
 Every structure constant, form entry and weight coordinate is an integer in
 this basis, as in a Chevalley basis, and the table holds them as ints (a
@@ -41,8 +49,8 @@ from .scalars import ONE, ZERO, HPoly, add_term
 
 Weight = tuple
 
-# build_algebra refuses larger algebras: the table holds dim^2 form entries
-# (C18 has dimension 666 and A26 has 675)
+# build_algebra refuses larger algebras, since it scans all dim^2 / 2 pairs
+# for brackets (C18 has dimension 666 and A26 has 675)
 MAX_DIMENSION = 700
 
 
@@ -147,7 +155,8 @@ class StructureTable:
         self._index = {elem: n for n, elem in enumerate(self.basis)}
         # rows[x] = {y: [x, y]}, nonzero brackets only
         self.rows = tuple({y: terms for y, terms in row.items() if terms} for row in rows)
-        self._form = form
+        # _form[x] = {y: (x, y)}, nonzero entries only
+        self._form = tuple({y: value for y, value in row.items() if value} for row in form)
         self.blocks = tuple(blocks)
         self.weights = tuple(element_weight(e, rank) for e in self.basis)
         self.dimension = len(self.basis)
@@ -176,9 +185,6 @@ class StructureTable:
         except KeyError:
             raise ValueError("%s is not a basis element of %s_%d" % (spec, self.kind, self.rank)) from None
 
-    def element(self, n: int) -> BasisElement:
-        return self.basis[n]
-
     def text(self, n: int) -> str:
         return self.basis[n].text(self.kind)
 
@@ -190,7 +196,7 @@ class StructureTable:
 
     def form(self, x, y) -> int:
         """The invariant form (x, y), an int; divide it with Fraction(c, d)."""
-        return self._form[self.idx(x)][self.idx(y)]
+        return self._form[self.idx(x)].get(self.idx(y), 0)
 
     def nonzero_brackets(self):
         """(x, y, [x, y]) for each x < y in basis order with [x, y] != 0."""
@@ -201,9 +207,8 @@ class StructureTable:
     def nonzero_form(self):
         """(x, y, (x, y)) for each x <= y in basis order with (x, y) != 0."""
         for x, row in enumerate(self._form):
-            for y in range(x, self.dimension):
-                if row[y]:
-                    yield x, y, row[y]
+            for y in sorted(y for y in row if y >= x):
+                yield x, y, row[y]
 
     def commute(self, letters) -> bool:
         """True when the given basis indices pairwise commute: no letter's
@@ -290,20 +295,6 @@ def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
     return -weyl.normal_ordered(a(elem.i), s(elem.i)) + weyl.normal_ordered(a(elem.i + 1), s(elem.i + 1))
 
 
-def _pivot(elem: BasisElement, rank: int):
-    """A monomial held by this realization and by no later one in elimination
-    order, with its coefficient there."""
-    unit = lambda *idxs: tuple(sum(1 for t in idxs if t == p + 1) for p in range(rank))
-    zero = (0,) * rank
-    if elem.kind == "plus":
-        return (unit(elem.i, elem.j), zero), 1
-    if elem.kind == "minus":
-        return (zero, unit(elem.i, elem.j)), 1
-    if elem.kind == "mixed":
-        return (unit(elem.i), unit(elem.j)), 1
-    return (unit(elem.i), unit(elem.i)), -1
-
-
 def _index_bits(exponents) -> int:
     """The bit mask of the indices with a nonzero exponent."""
     return sum(1 << i for i, e in enumerate(exponents) if e)
@@ -356,10 +347,11 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     scaled = [weyl.WeylElement._wrap({mono: int(c * den) for mono, c in z.terms.items()}, rank)
               for z in realizations]  # den * realization
 
-    # root vectors are read off their disjoint pivot monomials; the Cartans
-    # are then eliminated in ascending order, so each a_i a*_i pivot is
-    # settled before the next appears
-    pivots = [_pivot(e, rank) for e in basis]
+    # each pivot is the realization's largest monomial, never the constant
+    # one, which sorts first: a root vector's pivot is its one quadratic,
+    # shared with no other, and the Cartans are eliminated in ascending
+    # order, so each a_i a*_i pivot is settled before the next appears
+    pivots = [max(z.terms.items()) for z in scaled]  # (monomial, its int coefficient)
     root_at = {pivots[n][0]: n for n in range(dim) if basis[n].kind != "cartan"}
     cartan_indices = [n for n in range(dim) if basis[n].kind == "cartan"]
 
@@ -367,10 +359,10 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         mono, lead = pivots[n]
         c = rem.get(mono)
         if c:
-            q, r = divmod(c, lead * den * den)
+            q, r = divmod(c, lead * den)
             if r:
                 raise RealizationError("structure constant %s at %s is not an integer"
-                                       % (Fraction(c, lead * den * den), basis[n].text(kind)))
+                                       % (Fraction(c, lead * den), basis[n].text(kind)))
             coeffs[n] = q
             for m, v in scaled[n].terms.items():
                 add_term(rem, m, -q * den * v)
@@ -411,36 +403,23 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
                 rows[x][y] = tuple(coeffs)
                 rows[y][x] = tuple((z, -q) for z, q in coeffs)
 
-    # the degree-1 action of each x on span(a_1..a_l, a*_1..a*_l), indexed
-    # by matrix position: at_entry[r, g] lists (x, den * M_x[r, g])
-    zero = (0,) * rank
-    units = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
-    gens = [(u, zero) for u in units] + [(zero, u) for u in units]
-    gen_index = {mono: g for g, mono in enumerate(gens)}
-    at_entry = {}
-    for n in range(dim):
-        # [x, a_i] needs a*_i in x and [x, a*_i] needs a_i: bit g of reach
-        reach = bmask[n] | amask[n] << rank
-        for g, gen in enumerate(gens):
-            if not reach >> g & 1:
+    # (x, y) = tr(ad x ad y) / 2h^v, where tr(ad x ad y) is the sum over z
+    # of c [x, w]_z for each c w in [y, z].  Only pairs of opposite weight
+    # are summed: both root blocks are sorted by weight, so the root vector
+    # of weight -w(x) is the one at dim - 1 - x; Cartans pair with Cartans
+    two_dual_coxeter = 2 * (rank + 1 if kind == "C" else rank)
+    form = [{} for _ in range(dim)]
+    for x in range(dim):
+        ad_x = {w: dict(terms) for w, terms in rows[x].items()}
+        for y in cartan_indices if basis[x].kind == "cartan" else (dim - 1 - x,):
+            if y < x:
                 continue
-            for mono, c in weyl.commutator_terms(scaled[n].terms, {gen: 1}).items():
-                if mono not in gen_index:
-                    raise RealizationError("the action of %s leaves the generator span" % basis[n].text(kind))
-                at_entry.setdefault((gen_index[mono], g), []).append((n, c))
+            trace = sum(c * ad_x[w].get(z, 0) for z, terms in rows[y].items()
+                        for w, c in terms if w in ad_x)
+            value, r = divmod(trace, two_dual_coxeter)
+            if r:
+                raise RealizationError("the form entry (%s, %s) is not an integer"
+                                       % (basis[x].text(kind), basis[y].text(kind)))
+            form[x][y] = form[y][x] = value
 
-    # (x, y) = tr(x y) over den^2, halved for kind "A", summed over the
-    # nonzero products M_x[r, t] M_y[t, r] only
-    form_den = den * den * (1 if kind == "C" else 2)
-    traces = [[0] * dim for _ in range(dim)]
-    for (r, t), xs in at_entry.items():
-        for y, d in at_entry.get((t, r), ()):
-            for x, c in xs:
-                traces[x][y] += c * d
-    form = []
-    for x, row in enumerate(traces):
-        if any(tr % form_den for tr in row):
-            raise RealizationError("the form row of %s is not integral" % basis[x].text(kind))
-        form.append(tuple(tr // form_den for tr in row))
-
-    return StructureTable(kind, rank, basis, realizations, rows, tuple(form), blocks)
+    return StructureTable(kind, rank, basis, realizations, rows, form, blocks)

@@ -63,10 +63,6 @@ class UEnvElement(TermMap):
     def one(cls) -> "UEnvElement":
         return cls({(): ONE})
 
-    @classmethod
-    def generator(cls, table: StructureTable, x) -> "UEnvElement":
-        return cls({(table.idx(x),): ONE})
-
     def text(self, table: StructureTable) -> str:
         return self.render(lambda word: " ".join(map(table.text, word)) or "1")
 

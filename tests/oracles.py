@@ -284,10 +284,27 @@ def weyl_image(table, u) -> weyl.WeylElement:
     return total
 
 
+def _pivot(elem, rank: int):
+    """A monomial held by this realization and by no later one in elimination
+    order, with its coefficient there."""
+    unit = lambda *idxs: tuple(sum(1 for t in idxs if t == p + 1) for p in range(rank))
+    zero = (0,) * rank
+    if elem.kind == "plus":
+        return (unit(elem.i, elem.j), zero), 1
+    if elem.kind == "minus":
+        return (zero, unit(elem.i, elem.j)), 1
+    if elem.kind == "mixed":
+        return (unit(elem.i), unit(elem.j)), 1
+    return (unit(elem.i), unit(elem.i)), -1
+
+
 def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     """The structure table in Fraction arithmetic, uncached.  Each bracket
     is xy - yx from full oscillator products, not the contraction-only
-    commutator, and each form entry is a trace over all of one matrix."""
+    commutator, and is expanded on pivots listed per label, not read off
+    the realizations.  Each form entry is the trace form of the action on
+    the 2l-dimensional generator span, halved for kind "A", not a Killing
+    form; zeros included, since the table keeps only the nonzero ones."""
     if kind == "C":
         lower = [liealg.BasisElement("minus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
         lower += [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, i)]
@@ -304,7 +321,7 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     blocks = ["lower"] * len(lower) + ["cartan"] * len(cartans) + ["raise"] * len(upper)
     realizations = [liealg._realize(kind, rank, e) for e in basis]
     dim = len(basis)
-    pivots = [liealg._pivot(e, rank) for e in basis]
+    pivots = [_pivot(e, rank) for e in basis]
     root_at = {pivots[n][0]: n for n in range(dim) if basis[n].kind != "cartan"}
 
     def to_basis(z: weyl.WeylElement) -> dict:
@@ -343,10 +360,9 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
                 mat[gen_index[mono], g] = c
         matrices.append(mat)
     scale = Fraction(1) if kind == "C" else Fraction(1, 2)
-    form = tuple(
-        tuple(scale * sum((c * matrices[y].get((t, r), ZERO) for (r, t), c in matrices[x].items()), ZERO)
-              for y in range(dim))
-        for x in range(dim))
+    form = [{y: scale * sum((c * matrices[y].get((t, r), ZERO) for (r, t), c in matrices[x].items()), ZERO)
+             for y in range(dim)}
+            for x in range(dim)]
     return liealg.StructureTable(kind, rank, basis, realizations, rows, form, blocks)
 
 

@@ -231,9 +231,7 @@ def _mutated(table, changes):
     for (x, y), terms in changes.items():
         rows[x][y] = terms
     return StructureTable(table.kind, table.rank, table.basis, table.realizations, rows,
-                          tuple(tuple(table.form(x, y) for y in range(table.dimension))
-                                for x in range(table.dimension)),
-                          table.blocks)
+                          table._form, table.blocks)
 
 
 def test_raising_certificate_needs_the_chevalley_relations(table_c2):

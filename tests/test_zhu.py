@@ -236,7 +236,7 @@ def test_weyl_image_matches_the_product_fold(kind, rank, m, n):
 def _random_element(rng, t, coefficients):
     """Words of 0 to 4 random letters; every third word also starts with a
     Cartan letter."""
-    cartan = [x for x in range(t.dimension) if t.element(x).kind == "cartan"]
+    cartan = [x for x in range(t.dimension) if t.basis[x].kind == "cartan"]
     terms = {}
     for count in range(6):
         word = [rng.randrange(t.dimension) for _ in range(rng.randint(0, 4))]
@@ -273,7 +273,7 @@ def test_weyl_image_of_contracting_sl3_words(table_a3):
 def test_kind_c_cartan_realizations_carry_a_half(table_c2, table_a3):
     for t, den in ((table_c2, 2), (table_a3, 1)):
         for x in range(t.dimension):
-            if t.element(x).kind == "cartan":
+            if t.basis[x].kind == "cartan":
                 assert over_common_denominator(t.realizations[x].terms)[1] == den
     # words of different lengths over a Cartan letter of C2: h1 -> 1/2 - a1 a*1
     t = table_c2
