@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from .scalars import over_common_denominator
-
 
 class SparseBasis:
     """A growing row-reduced basis supporting reduce/insert."""
@@ -35,7 +33,8 @@ class SparseBasis:
         keys (a pivot is the minimum of its row), so the loop terminates in
         at most one pass per stored row.
         """
-        rem = {k: v for k, v in over_common_denominator(vec)[0].items() if v}
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        rem = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}  # vec is left as it is
         while True:
             hits = [k for k in rem if k in self.rows]
             if not hits:

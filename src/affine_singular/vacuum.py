@@ -27,6 +27,13 @@ by the Jacobi identity, since [Y, Y'] = 0.  apply_generator uses these rules
 when the mode is 0 or 1, every letter is at mode -1, and the state's
 letters together with every letter the rule produces pairwise commute.
 Otherwise it straightens.
+
+Both rules touch only the letters that x moves: those Y with [x, Y] != 0
+and, at mode 1, also those with (x, Y) != 0.  The same Jacobi identity
+gives [[x, Y], Y'] = [[x, Y'], Y], so a pair term vanishes unless [x, Y]
+and [x, Y'] are both nonzero.  For the lowest root vector on det^n that
+is at most 2n of the mn letters of a monomial; every other letter is
+carried over unchanged.
 """
 
 from __future__ import annotations
@@ -174,23 +181,27 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
             if mode != -1:
                 return None
             letters.add(y)
-    first = {y: table.bracket(x, y) for y in letters}
+    # Only the letters x moves contribute (see the module docstring); the
+    # Jacobi argument needs [a, b] = 0, and letters that do not commute
+    # fail the guard below in any case.
+    first = {y: terms for y in letters if (terms := table.bracket(x, y))}  # y -> [x, y]
     central = {}
     if n == 0:
         replace = first  # y -> [x, y]
     else:
-        replace = {}  # (a, b) with a <= b -> [[x, a], b]
-        for a in letters:
-            pairing = table.form(x, a)
-            if pairing:
-                central[a] = pairing
-            for b in letters:
+        central = {a: pairing for a in letters if (pairing := table.form(x, a))}
+        replace = {}  # (a, b) with a <= b -> [[x, a], b], when nonzero
+        for a in first:
+            for b in first:
                 if a <= b:
                     nested: dict[int, int] = {}
                     for z, cz in first[a]:
                         for w, cw in table.bracket(z, b):
                             nested[w] = nested.get(w, 0) + cz * cw
-                    replace[a, b] = [(w, c) for w, c in nested.items() if c]
+                    terms = [(w, c) for w, c in nested.items() if c]
+                    if terms:
+                        replace[a, b] = terms
+    moved = first.keys() | central.keys()
     span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
     if not table.commute(span):
         return None
@@ -204,8 +215,10 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
     for pos, (mono, c) in enumerate(state.terms.items()):
         key = tuple(y for _, y in mono)
         coeffs = [(d, scaled[pos, d]) for d in c.terms]
-        groups = []  # [letter, first index, multiplicity]
+        groups = []  # [moved letter, first index, multiplicity]
         for t, y in enumerate(key):
+            if y not in moved:
+                continue
             if groups and groups[-1][0] == y:
                 groups[-1][2] += 1
             else:
@@ -220,13 +233,13 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
             if a in central:
                 images.append((1, rest, ea * central[a]))
             for b, ib, eb in groups[g:]:
-                if b == a:
-                    pairs, pair_rest = ea * (ea - 1) // 2, rest[:ia] + rest[ia + 1:]
-                else:
-                    pairs, pair_rest = ea * eb, rest[:ib - 1] + rest[ib:]
-                if pairs:
-                    for w, cw in replace[a, b]:
-                        images.append((0, _insert(pair_rest, w), pairs * cw))
+                terms = replace.get((a, b))
+                pairs = ea * (ea - 1) // 2 if b == a else ea * eb
+                if not (terms and pairs):
+                    continue
+                pair_rest = rest[:ia] + rest[ia + 1:] if b == a else rest[:ib - 1] + rest[ib:]
+                for w, cw in terms:
+                    images.append((0, _insert(pair_rest, w), pairs * cw))
         for shift, new, factor in images:
             for d, v in coeffs:
                 slot = (d + shift, new)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from affine_singular.linalg import SparseBasis
 from oracles import det_dense, vec_sub_scaled
 
@@ -54,6 +56,26 @@ def test_sparse_basis_random_rank(seed=13):
             assert inserted == dim
         else:
             assert inserted < dim
+
+
+@pytest.mark.parametrize("scalar", [int, lambda c: Fraction(c, 6)], ids=["int", "Fraction"])
+def test_reduce_and_insert_leave_the_callers_vector_alone(scalar):
+    """reduce builds its remainder as a new map: neither it nor insert
+    scales, clears or stores the vector it was handed."""
+    vectors = [{1: 2, 2: 4, 5: 0}, {2: 3, 3: -1}, {1: 1, 2: 5, 3: -1, 4: 7}, {1: 3, 2: 6}]
+    vectors = [{k: scalar(c) for k, c in vec.items()} for vec in vectors]
+    copies = [dict(vec) for vec in vectors]
+    basis = SparseBasis()
+    assert [basis.insert(vec) for vec in vectors] == [True, True, True, False]
+    for vec in vectors:
+        basis.reduce(vec)
+    assert vectors == copies
+    assert all(type(c) is type(scalar(1)) for vec in vectors for c in vec.values())
+    assert all(row is not vec for row in basis.rows.values() for vec in vectors)
+    rows = {k: dict(row) for k, row in basis.rows.items()}
+    for vec in vectors:
+        vec.clear()
+    assert basis.rows == rows
 
 
 def test_det_dense():

@@ -161,6 +161,52 @@ def test_differential_action_matches_straightening():
                 assert fast == oracle_apply(table, x, mode, v), (spec.label(), table.text(x))
 
 
+@pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 4)])
+def test_every_generator_on_det_matches_straightening(kind, rank):
+    """x(0) and x(1) for every basis element x, not only the annihilation
+    operators, on det|0> and det^2|0>: the kernel differentiates only the
+    letters x moves, and every other letter must come out unchanged.  Only
+    x(0) can produce a letter that does not commute with the entries, and
+    then the caller straightens."""
+    refused = set()
+    for n in (1, 2):
+        spec = DeterminantSpec(kind, rank, 2, n)
+        table = spec.table()
+        state = determinant_vector(table, spec)
+        for x in range(table.dimension):
+            for mode in (0, 1):
+                expected = oracle_apply(table, x, mode, state)
+                fast = _differential_action(table, x, mode, state)
+                if fast is None:
+                    refused.add((x, mode))
+                else:
+                    assert fast == expected, (spec.label(), table.text(x), mode)
+                assert apply_generator(table, x, mode, state) == expected
+    assert refused and all(mode == 0 for _, mode in refused)
+
+
+def test_central_only_letters_are_moved(table_c2):
+    """On Cartan letters x(1) acts through the central term alone: for x and
+    Y in the Cartan, [x, Y] = 0 but (x, Y) != 0, so Y is still moved."""
+    t = table_c2
+    h1, h2 = t.idx("h1"), t.idx("h2")
+    states = [
+        VacuumState({((-1, h1), (-1, h1)): 1}),
+        VacuumState({((-1, h1), (-1, h2), (-1, h2)): Fraction(2, 3)}),
+        VacuumState({((-1, h1), (-1, h1)): level_var(), ((-1, h2),): -3}),
+    ]
+    for state in states:
+        for x in range(t.dimension):
+            for mode in (0, 1):
+                assert apply_generator(t, x, mode, state) == oracle_apply(t, x, mode, state)
+        for x in t.cartan_indices:
+            fast = _differential_action(t, x, 1, state)
+            assert fast is not None
+            assert fast == oracle_apply(t, x, 1, state)
+    assert _differential_action(t, h1, 1, states[0]) == VacuumState(
+        {((-1, h1),): level_var() * (2 * t.form(h1, h1))})
+
+
 def test_differential_action_falls_back(table_c2):
     t = table_c2
 
