@@ -33,13 +33,24 @@ and, at mode 1, also those with (x, Y) != 0.  The same Jacobi identity
 gives [[x, Y], Y'] = [[x, Y'], Y], so a pair term vanishes unless [x, Y]
 and [x, Y'] are both nonzero.  For the lowest root vector on det^n that
 is at most 2n of the mn letters of a monomial; every other letter is
-carried over unchanged.
+carried over unchanged, and a monomial's moved letters are found by one
+set intersection with its key.
+
+The rules run on ints, in _differential_ints: a state is a map
+{(k-degree, sorted letter key): c} over one common denominator, and a
+Fraction is made once per term of a returned state.  At a numeric level p/q
+the central term is folded into the ints: the [x, Y] and [[x, Y], Y']
+constants are multiplied by q and (x, Y) by p in place of k, so the map is
+q times the image at that level.  singular_check therefore builds no
+polynomial residual in k to specialize, and lowering_factor_check compares
+its int map with the right-hand side directly.
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from operator import itemgetter
 
 from .report import VerificationReport, timed
 from .scalars import ONE, TermMap, UniPoly, add_term, coerce_rational, format_rational, over_common_denominator
@@ -48,6 +59,7 @@ Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
 
 LEVEL = UniPoly.variable("k")
+_index = itemgetter(1)  # a letter's basis index
 
 
 def _coerce_poly(value) -> UniPoly:
@@ -150,37 +162,63 @@ def straighten(table, word) -> VacuumState:
     return VacuumState._wrap(out)
 
 
-def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
+def apply_generator(table, x, n: int, state: VacuumState, level=None) -> VacuumState:
     """Act with x(n) on a state, for any integer mode n.
 
     Modes 0 and 1 on commuting mode -1 letters take the differential-operator
-    rule of the module docstring; everything else is straightened.
+    rule of the module docstring; everything else is straightened.  With a
+    numeric level the result is the symbolic one evaluated there, as
+    .specialize(level) would give it.
     """
     xi = table.idx(x)
     n = int(n)
+    if level is not None:
+        level = coerce_rational(level)
     if n in (0, 1):
-        fast = _differential_action(table, xi, n, state)
+        fast = _differential_action(table, xi, n, state, level)
         if fast is not None:
             return fast
     out: dict[Monomial, UniPoly] = {}
     for mono, c in state.terms.items():
         _reduce_into(table, c, ((n, xi),) + mono, out)
-    return VacuumState._wrap(out)
+    residual = VacuumState._wrap(out)
+    return residual if level is None else residual.specialize(level)
 
 
-def _differential_action(table, x: int, n: int, state: VacuumState):
-    """x(n) for n in (0, 1) as a differential operator on P(Y(-1))|0>.
+def _differential_action(table, x: int, n: int, state: VacuumState, level=None):
+    """x(n) for n in (0, 1) on P(Y(-1))|0>, through _differential_ints.
 
     Returns None, so the caller straightens instead, unless every letter is
-    at mode -1 and the letters, together with every letter the operator
-    produces, pairwise commute.
+    at mode -1 and _differential_ints accepts the letters.
     """
-    letters = set()
-    for mono in state.terms:
-        for mode, y in mono:
-            if mode != -1:
-                return None
-            letters.add(y)
+    if any(mode != -1 for mode, _ in set().union(*state.terms)):
+        return None
+    values = {(d, tuple(map(_index, mono))): v for mono, c in state.terms.items() for d, v in c.terms.items()}
+    if level is not None and any(d for d, _ in values):
+        evaluated: dict[tuple, Fraction] = {}  # each coefficient at the level
+        for (d, key), v in values.items():
+            add_term(evaluated, (0, key), v * level**d)
+        values = evaluated
+    ints, den = over_common_denominator(values)
+    out = _differential_ints(table, x, n, ints, level)
+    if out is None:
+        return None
+    return _from_ints(out, den if level is None else den * level.denominator)
+
+
+def _differential_ints(table, x: int, n: int, ints: dict, level=None):
+    """x(n), n in (0, 1), as a differential operator on an int map
+    {(k-degree, sorted letter key): c}, letters at mode -1.
+
+    Returns the image as a map of the same kind over the same denominator,
+    with no zero entries, or None unless the letters, together with every
+    letter the operator produces, pairwise commute.  With level=None, k
+    stays symbolic and the central term raises the k-degree by one.  A
+    numeric level p/q is folded into the operator's constants instead:
+    [x, Y] and [[x, Y], Y'] are multiplied by q and (x, Y) by p, so every
+    image keeps its k-degree and the map is q times the image at p/q.
+    """
+    letters = set().union(*(key for _, key in ints))
     # Only the letters x moves contribute (see the module docstring); the
     # Jacobi argument needs [a, b] = 0, and letters that do not commute
     # fail the guard below in any case.
@@ -201,28 +239,23 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
                     terms = [(w, c) for w, c in nested.items() if c]
                     if terms:
                         replace[a, b] = terms
-    moved = first.keys() | central.keys()
     span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
     if not table.commute(span):
         return None
+    shift = 1  # k-degree added by the central term
+    if level is not None:
+        p, q = level.numerator, level.denominator
+        replace = {at: [(w, c * q) for w, c in terms] for at, terms in replace.items()}
+        central = {a: c * p for a, c in central.items() if p}
+        shift = 0
+    moved = first.keys() | central.keys()
 
-    # The sums run over integers: the operator constants are the table's
-    # ints, and the state's coefficients are scaled by scale, divided out last.
-    scaled, scale = over_common_denominator(
-        {(pos, d): v for pos, c in enumerate(state.terms.values()) for d, v in c.terms.items()})
-
-    acc: dict[tuple, int] = {}  # (k-degree, sorted letter indices) -> scaled coefficient
-    for pos, (mono, c) in enumerate(state.terms.items()):
-        key = tuple(y for _, y in mono)
-        coeffs = [(d, scaled[pos, d]) for d in c.terms]
-        groups = []  # [moved letter, first index, multiplicity]
-        for t, y in enumerate(key):
-            if y not in moved:
-                continue
-            if groups and groups[-1][0] == y:
-                groups[-1][2] += 1
-            else:
-                groups.append([y, t, 1])
+    acc: dict[tuple, int] = {}
+    for (d, key), v in ints.items():
+        present = moved.intersection(key)
+        if not present:
+            continue
+        groups = [(a, key.index(a), key.count(a)) for a in sorted(present)]  # in key order
         images = []  # (k-degree shift, new key, factor)
         for g, (a, ia, ea) in enumerate(groups):
             rest = key[:ia] + key[ia + 1:]
@@ -231,7 +264,7 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
                     images.append((0, _insert(rest, z), ea * cz))
                 continue
             if a in central:
-                images.append((1, rest, ea * central[a]))
+                images.append((shift, rest, ea * central[a]))
             for b, ib, eb in groups[g:]:
                 terms = replace.get((a, b))
                 pairs = ea * (ea - 1) // 2 if b == a else ea * eb
@@ -240,16 +273,18 @@ def _differential_action(table, x: int, n: int, state: VacuumState):
                 pair_rest = rest[:ia] + rest[ia + 1:] if b == a else rest[:ib - 1] + rest[ib:]
                 for w, cw in terms:
                     images.append((0, _insert(pair_rest, w), pairs * cw))
-        for shift, new, factor in images:
-            for d, v in coeffs:
-                slot = (d + shift, new)
-                acc[slot] = acc.get(slot, 0) + v * factor
+        for s, new, factor in images:
+            slot = (d + s, new)
+            acc[slot] = acc.get(slot, 0) + v * factor
+    return {slot: v for slot, v in acc.items() if v}
 
-    letter = {y: (-1, y) for y in span}
+
+def _from_ints(ints: dict, den: int) -> VacuumState:
+    """The state of an int map {(k-degree, sorted letter key): c} over den."""
+    letter = {y: (-1, y) for y in set().union(*(key for _, key in ints))}.__getitem__
     out: dict[Monomial, dict[int, Fraction]] = {}
-    for (d, key), v in acc.items():
-        if v:
-            out.setdefault(tuple(letter[y] for y in key), {})[d] = Fraction(v, scale)
+    for (d, key), v in ints.items():
+        out.setdefault(tuple(map(letter, key)), {})[d] = Fraction(v, den)
     return VacuumState._wrap({mono: UniPoly._wrap(coeffs, "k") for mono, coeffs in out.items()})
 
 
@@ -308,7 +343,6 @@ def singular_check(table, state: VacuumState, level=None, claim: str = "",
     if state.is_zero:
         raise ValueError("singular_check expects a nonzero state")
     state_weight(table, state)  # reject inhomogeneous input
-    v = state if level is None else state.specialize(level)
     params = {
         "algebra": "%s_%d" % (table.kind, table.rank),
         "level": "symbolic" if level is None else format_rational(level),
@@ -317,10 +351,7 @@ def singular_check(table, state: VacuumState, level=None, claim: str = "",
     if operators is None:
         operators = annihilation_operators(table)
     for x, n in operators:
-        residual = apply_generator(table, x, n, v)
-        if level is not None:
-            # the central element contributes symbolically inside the action
-            residual = residual.specialize(level)
+        residual = apply_generator(table, x, n, state, level)
         if not residual.is_zero:
             witness = {
                 "operator": "%s(%d)" % (table.text(x), n),

@@ -321,6 +321,7 @@ def test_warm_cached_command_loads_no_algebra(tmp_path, command):
     assert {name for name in loaded if name.startswith("affine_singular.")} == {
         "affine_singular.cli", "affine_singular.cache", "affine_singular.serialize", "affine_singular.spec"}
     assert "dataclasses" not in loaded
+    assert "_hashlib" not in loaded  # the cache digest does not load OpenSSL
 
 
 def test_alg_info_loads_only_the_table_modules():
@@ -331,6 +332,7 @@ def test_alg_info_loads_only_the_table_modules():
     for name in ("vacuum", "determinants", "zhu", "category_o"):
         assert "affine_singular." + name not in loaded
     assert "dataclasses" not in loaded
+    assert "_hashlib" not in loaded
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +352,18 @@ def test_oversized_rank_exits_2_at_once(argv):
     dim = 3240 if kind == "C" else 1599
     assert done.stderr.startswith("error: %s_40 has dimension %d, above the limit of 700 basis elements"
                                   % (kind, dim))
+
+
+@pytest.mark.parametrize("rank, n", [(4, 40), (3, 1_000_000)])
+def test_oversized_power_exits_2(rank, n):
+    # det^n is refused at the first product above the letter limit, long
+    # before the expansion would finish; in a child process with a timeout
+    done = run_child(["singular", "verify", "--type", "C", "--rank", str(rank), "-m", str(rank),
+                      "-n", str(n), "--no-cache"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert re.match(r"error: a product of \d+ by \d+ terms sorts \d+ letters, above the limit of 4000000\n",
+                    done.stderr)
 
 
 @pytest.mark.parametrize("argv, code, name, level", [

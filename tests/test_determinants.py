@@ -160,6 +160,19 @@ def test_power_is_iterated_product(table_c2):
     assert ep_pow(det, 0) == {(): Fraction(1)}
 
 
+def test_ep_mul_refuses_a_product_above_the_letter_limit(monkeypatch):
+    spec = DeterminantSpec("C", 3, 3, 1)
+    det = det_entry_poly(spec.table(), spec)  # 5 terms of 3 letters
+    square = ep_mul(det, det)
+    assert len(square) == 15
+    monkeypatch.setattr(determinants, "MAX_MUL_LETTERS", 150)  # 5 x 5 pairs of 6 letters
+    assert ep_mul(det, det) == square
+    monkeypatch.setattr(determinants, "MAX_MUL_LETTERS", 149)
+    with pytest.raises(ValueError, match="^a product of 5 by 5 terms sorts 150 letters, above the limit of 149$"):
+        ep_mul(det, det)
+    assert ep_mul(det, {(): 1}) == det  # 5 x 1 pairs of 3 letters
+
+
 def test_ep_apply_matches_ep_state(table_c2):
     spec = DeterminantSpec("C", 2, 2, 2)
     det = det_entry_poly(table_c2, spec)
@@ -225,9 +238,9 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     calls = []
     apply = vacuum.apply_generator
 
-    def recorded(table, x, n, state):
+    def recorded(table, x, n, state, level=None):
         calls.append((n, state == det))
-        return apply(table, x, n, state)
+        return apply(table, x, n, state, level)
 
     monkeypatch.setattr(vacuum, "apply_generator", recorded)
     assert verify_singular(spec).verdict
@@ -274,6 +287,27 @@ def test_lowering_factor_grid():
     for kind, rank, m, n in cases:
         report = lowering_factor_check(DeterminantSpec(kind, rank, m, n))
         assert report.verdict, (kind, rank, m, n, report.witness)
+
+
+@pytest.mark.parametrize("kind, rank, m, n", [("C", 2, 2, 2), ("C", 3, 3, 2), ("A", 4, 2, 3)],
+                         ids=["level-1_2", "level-0", "level-1"])
+@pytest.mark.parametrize("wrong", ["beta", "level"])
+def test_a_failing_lowering_factor_reports_the_symbolic_difference(monkeypatch, kind, rank, m, n, wrong):
+    """The identity is compared in ints; a failure must still report the
+    difference and lhs that the Fraction/UniPoly computation gives."""
+    spec = DeterminantSpec(kind, rank, m, n)
+    table = spec.table()
+    level = spec.level + (Fraction(1, 3) if wrong == "level" else 0)
+    beta = beta_constant(table) + (1 if wrong == "beta" else 0)
+    lhs = vacuum.apply_generator(table, table.theta_lowering, 1, determinant_vector(table, spec))
+    lower = ep_pow(det_entry_poly(table, spec), n - 1)
+    minor = ep_state(ep_mul(minor_entry_poly(table, spec, 1, 1), lower))
+    difference = lhs - minor * UniPoly({1: beta * n, 0: -beta * n * level})
+    monkeypatch.setattr(determinants, "beta_constant", lambda table: beta)
+    monkeypatch.setattr(DeterminantSpec, "level", property(lambda self: level))
+    report = lowering_factor_check(spec)
+    assert not report.verdict
+    assert report.witness == {"difference": difference.text(table), "lhs": lhs.text(table)}
 
 
 def test_coexisting_singulars():

@@ -167,12 +167,18 @@ def test_every_generator_on_det_matches_straightening(kind, rank):
     operators, on det|0> and det^2|0>: the kernel differentiates only the
     letters x moves, and every other letter must come out unchanged.  Only
     x(0) can produce a letter that does not commute with the entries, and
-    then the caller straightens."""
+    then the caller straightens.
+
+    At a numeric level the kernel folds the level into its constants; the
+    result must be the symbolic one evaluated there, at the distinguished
+    level, half a unit either side of it, +-1/2 and 7/3."""
     refused = set()
     for n in (1, 2):
         spec = DeterminantSpec(kind, rank, 2, n)
         table = spec.table()
         state = determinant_vector(table, spec)
+        half = Fraction(1, 2)
+        levels = [spec.level, spec.level - half, spec.level + half, -half, half, Fraction(7, 3)]
         for x in range(table.dimension):
             for mode in (0, 1):
                 expected = oracle_apply(table, x, mode, state)
@@ -182,6 +188,12 @@ def test_every_generator_on_det_matches_straightening(kind, rank):
                 else:
                     assert fast == expected, (spec.label(), table.text(x), mode)
                 assert apply_generator(table, x, mode, state) == expected
+                for level in levels:
+                    at_level = expected.specialize(level)
+                    assert apply_generator(table, x, mode, state, level) == at_level, (
+                        spec.label(), table.text(x), mode, level)
+                    if fast is not None:
+                        assert _differential_action(table, x, mode, state, level) == at_level
     assert refused and all(mode == 0 for _, mode in refused)
 
 
@@ -194,11 +206,17 @@ def test_central_only_letters_are_moved(table_c2):
         VacuumState({((-1, h1), (-1, h1)): 1}),
         VacuumState({((-1, h1), (-1, h2), (-1, h2)): Fraction(2, 3)}),
         VacuumState({((-1, h1), (-1, h1)): level_var(), ((-1, h2),): -3}),
+        VacuumState({((-1, h1), (-1, h2)): level_var() * level_var() + 1}),
     ]
     for state in states:
         for x in range(t.dimension):
             for mode in (0, 1):
-                assert apply_generator(t, x, mode, state) == oracle_apply(t, x, mode, state)
+                expected = oracle_apply(t, x, mode, state)
+                assert apply_generator(t, x, mode, state) == expected
+                # the last two states have coefficients of degree 1 and 2
+                # in k, which are evaluated at the level before x acts
+                for level in (0, Fraction(-3, 2), Fraction(7, 3)):
+                    assert apply_generator(t, x, mode, state, level) == expected.specialize(level)
         for x in t.cartan_indices:
             fast = _differential_action(t, x, 1, state)
             assert fast is not None
