@@ -29,15 +29,16 @@ from fractions import Fraction
 from . import vacuum
 from .liealg import BasisElement, StructureTable
 from .report import VerificationReport, timed
-from .scalars import UniPoly, add_term, format_rational
+from .scalars import UniPoly, add_term, coerce_rational, format_rational
 from .spec import DeterminantSpec
 from .vacuum import VacuumState
 
 EntryPoly = dict  # sorted index tuple -> int, a polynomial in commuting entries
 
 # ep_mul sorts one letter key per pair of terms, so its work is the number of
-# letters it sorts.  C5 m=5 n=3 sorts 2.2 million (2,021 x 73 pairs of 15
-# letters), C6 m=6 n=2 1.8 million (388 x 388 pairs of 12).
+# letters it sorts; ep_pow charges all its products to one budget.  det^3 for
+# C5 m=5 sorts 2.27 million (2.21 million in its last product, 2,021 x 73
+# pairs of 15 letters), det^2 for C6 m=6 1.81 million (388 x 388 pairs of 12).
 MAX_MUL_LETTERS = 4_000_000
 
 
@@ -65,7 +66,7 @@ def build_matrix(table: StructureTable, spec: DeterminantSpec):
 def ep_mul(p: EntryPoly, q: EntryPoly) -> EntryPoly:
     """The product; raises ValueError, before any work, when it would sort
     more than MAX_MUL_LETTERS letters."""
-    letters = len(q) * sum(map(len, p)) + len(p) * sum(map(len, q))
+    letters = _mul_letters(p, q)
     if letters > MAX_MUL_LETTERS:
         raise ValueError("a product of %d by %d terms sorts %d letters, above the limit of %d"
                          % (len(p), len(q), letters, MAX_MUL_LETTERS))
@@ -77,10 +78,23 @@ def ep_mul(p: EntryPoly, q: EntryPoly) -> EntryPoly:
 
 
 def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
+    """The n-th power; its products share one budget of MAX_MUL_LETTERS, so
+    a power of a small polynomial cannot run n products of growing keys.
+    Raises ValueError before the product that would pass the budget."""
     out: EntryPoly = {(): 1}
-    for _ in range(n):
+    letters = 0
+    for t in range(1, n + 1):
+        letters += _mul_letters(out, p)
+        if letters > MAX_MUL_LETTERS:
+            raise ValueError("power %d of a %d-term polynomial sorts %d letters, above the limit of %d"
+                             % (t, len(p), letters, MAX_MUL_LETTERS))
         out = ep_mul(out, p)
     return out
+
+
+def _mul_letters(p: EntryPoly, q: EntryPoly) -> int:
+    """The letters that the product of p and q sorts: one key per pair."""
+    return len(q) * sum(map(len, p)) + len(p) * sum(map(len, q))
 
 
 def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols=None) -> EntryPoly:
@@ -145,25 +159,45 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     level "auto" uses spec.level, the distinguished level; None keeps the
     level symbolic; any rational overrides it (the negative-control path).
 
-    Each simple raising operator at mode 0 is first applied to det|0>, of at
-    most m! terms.  One that kills det|0> kills det^n|0> at every level (see
-    the module docstring) and is not run on det^n|0>; one that does not is
-    run on det^n|0> as before, so the report is the same either way.
+    det and det^n are expanded once, as entry polynomials, and run on the
+    vacuum kernel's int maps; a state is built only for a failing witness.
+    A simple raising operator at mode 0 that kills det|0>, of at most m!
+    terms, kills det^n|0> at every level (see the module docstring), so it
+    is not run on det^n|0>; the report is the same either way.
     """
     table = spec.table()
     if level == "auto":
         level = spec.level
-    det_poly = det_entry_poly(table, spec)
-    det = ep_state(det_poly)
-    state = det if spec.n == 1 else ep_state(ep_pow(det_poly, spec.n))
-    operators = [(x, mode) for x, mode in vacuum.annihilation_operators(table)
-                 if mode != 0 or not vacuum.apply_generator(table, x, 0, det).is_zero]
+    elif level is not None:
+        level = coerce_rational(level)
+    det = det_entry_poly(table, spec)
+    power = det if spec.n == 1 else ep_pow(det, spec.n)
+    witness = None
+    for x, mode in vacuum.annihilation_operators(table):
+        if mode == 0 and not _annihilator_image(table, x, 0, det):
+            continue
+        image = _annihilator_image(table, x, mode, power, level)
+        if image:
+            witness = {"operator": "%s(%d)" % (table.text(x), mode),
+                       "residual": vacuum._from_ints(image, 1 if level is None else level.denominator).text(table)}
+            break
     level_text = "symbolic" if level is None else format_rational(level)
-    report = vacuum.singular_check(
-        table, state, level=level, operators=operators,
-        claim="determinant vector singular: %s level=%s" % (spec.label(), level_text))
-    report.parameters.update({"m": spec.m, "n": spec.n, "distinguished_level": format_rational(spec.level)})
-    return report
+    return VerificationReport(
+        claim="determinant vector singular: %s level=%s" % (spec.label(), level_text),
+        verdict=witness is None,
+        parameters={"algebra": "%s_%d" % (spec.kind, spec.rank), "level": level_text,
+                    "m": spec.m, "n": spec.n, "distinguished_level": format_rational(spec.level)},
+        witness=witness,
+    )
+
+
+def _annihilator_image(table: StructureTable, x: int, mode: int, poly: EntryPoly, level=None) -> dict:
+    """x(mode), mode 0 or 1, on poly(Y(-1))|0> as the vacuum kernel's int map;
+    q times the image at a numeric level p/q (see vacuum._differential_ints)."""
+    image = vacuum._differential_ints(table, x, mode, {(0, key): c for key, c in poly.items()}, level)
+    if image is None:  # unreachable: the entries, and the letters x makes of them, commute
+        raise RuntimeError("the determinant's letters do not commute")
+    return image
 
 
 def beta_constant(table: StructureTable) -> Fraction:
@@ -186,10 +220,7 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     table = spec.table()
     det = det_entry_poly(table, spec)
     lower = ep_pow(det, spec.n - 1)
-    lhs = vacuum._differential_ints(
-        table, table.theta_lowering, 1, {(0, key): c for key, c in ep_mul(lower, det).items()})
-    if lhs is None:  # unreachable: the entries, and the letters x(1) makes of them, commute
-        raise RuntimeError("the determinant's letters do not commute")
+    lhs = _annihilator_image(table, table.theta_lowering, 1, ep_mul(lower, det))
     beta = beta_constant(table)
     # with level = p/q, q times the identity is
     # q x(1) det^n |0> = beta n (k q - p) minor(1,1) det^(n-1) |0>

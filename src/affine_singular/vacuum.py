@@ -41,9 +41,9 @@ The rules run on ints, in _differential_ints: a state is a map
 Fraction is made once per term of a returned state.  At a numeric level p/q
 the central term is folded into the ints: the [x, Y] and [[x, Y], Y']
 constants are multiplied by q and (x, Y) by p in place of k, so the map is
-q times the image at that level.  singular_check therefore builds no
-polynomial residual in k to specialize, and lowering_factor_check compares
-its int map with the right-hand side directly.
+q times the image at that level.  Only the determinant checks fold: their
+inputs, the entry polynomials of det and det^n, have constant coefficients;
+apply_generator and singular_check keep k symbolic and specialize after.
 """
 
 from __future__ import annotations
@@ -162,30 +162,25 @@ def straighten(table, word) -> VacuumState:
     return VacuumState._wrap(out)
 
 
-def apply_generator(table, x, n: int, state: VacuumState, level=None) -> VacuumState:
-    """Act with x(n) on a state, for any integer mode n.
+def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
+    """Act with x(n) on a state, for any integer mode n, at the symbolic level.
 
     Modes 0 and 1 on commuting mode -1 letters take the differential-operator
-    rule of the module docstring; everything else is straightened.  With a
-    numeric level the result is the symbolic one evaluated there, as
-    .specialize(level) would give it.
+    rule of the module docstring; everything else is straightened.
     """
     xi = table.idx(x)
     n = int(n)
-    if level is not None:
-        level = coerce_rational(level)
     if n in (0, 1):
-        fast = _differential_action(table, xi, n, state, level)
+        fast = _differential_action(table, xi, n, state)
         if fast is not None:
             return fast
     out: dict[Monomial, UniPoly] = {}
     for mono, c in state.terms.items():
         _reduce_into(table, c, ((n, xi),) + mono, out)
-    residual = VacuumState._wrap(out)
-    return residual if level is None else residual.specialize(level)
+    return VacuumState._wrap(out)
 
 
-def _differential_action(table, x: int, n: int, state: VacuumState, level=None):
+def _differential_action(table, x: int, n: int, state: VacuumState):
     """x(n) for n in (0, 1) on P(Y(-1))|0>, through _differential_ints.
 
     Returns None, so the caller straightens instead, unless every letter is
@@ -193,17 +188,10 @@ def _differential_action(table, x: int, n: int, state: VacuumState, level=None):
     """
     if any(mode != -1 for mode, _ in set().union(*state.terms)):
         return None
-    values = {(d, tuple(map(_index, mono))): v for mono, c in state.terms.items() for d, v in c.terms.items()}
-    if level is not None and any(d for d, _ in values):
-        evaluated: dict[tuple, Fraction] = {}  # each coefficient at the level
-        for (d, key), v in values.items():
-            add_term(evaluated, (0, key), v * level**d)
-        values = evaluated
-    ints, den = over_common_denominator(values)
-    out = _differential_ints(table, x, n, ints, level)
-    if out is None:
-        return None
-    return _from_ints(out, den if level is None else den * level.denominator)
+    ints, den = over_common_denominator(
+        {(d, tuple(map(_index, mono))): v for mono, c in state.terms.items() for d, v in c.terms.items()})
+    out = _differential_ints(table, x, n, ints)
+    return None if out is None else _from_ints(out, den)
 
 
 def _differential_ints(table, x: int, n: int, ints: dict, level=None):
@@ -216,7 +204,8 @@ def _differential_ints(table, x: int, n: int, ints: dict, level=None):
     stays symbolic and the central term raises the k-degree by one.  A
     numeric level p/q is folded into the operator's constants instead:
     [x, Y] and [[x, Y], Y'] are multiplied by q and (x, Y) by p, so every
-    image keeps its k-degree and the map is q times the image at p/q.
+    image keeps its k-degree and the map is q times the image at p/q; this
+    needs every input slot at k-degree 0.
     """
     letters = set().union(*(key for _, key in ints))
     # Only the letters x moves contribute (see the module docstring); the
@@ -302,14 +291,7 @@ def state_weight(table, state: VacuumState):
     """The common weight of all monomials; raises with a witness pair if mixed."""
     if state.is_zero:
         raise ValueError("the zero state has no weight")
-    # Each letter's weight (int coordinates) is packed into 64-bit fields of
-    # one integer, so a monomial's weight is one integer sum.  Distinct
-    # weights stay distinct while every coordinate is below 2**63 in size.
-    packed = [sum(c << (64 * t) for t, c in enumerate(w)) for w in table.weights]
-    if len({sum(packed[x] for _, x in mono) for mono in state.terms}) == 1:
-        monos = [next(iter(state.terms))]
-    else:
-        monos = sorted(state.terms)  # the witness pair is the first mismatch in order
+    monos = sorted(state.terms)  # the witness pair is the first mismatch in order
     seen_mono = monos[0]
     seen = _monomial_weight(table, seen_mono)
     for mono in monos[1:]:
@@ -330,15 +312,13 @@ def annihilation_operators(table):
 
 
 @timed
-def singular_check(table, state: VacuumState, level=None, claim: str = "",
-                   operators=None) -> VerificationReport:
+def singular_check(table, state: VacuumState, level=None, claim: str = "") -> VerificationReport:
     """Check that every defining annihilation operator kills the state.
 
-    With level=None the check runs at the symbolic level and passes only if
-    each residual vanishes identically in k.  The first nonvanishing residual
-    is returned as the witness.  operators, (element, mode) pairs in the
-    order they run, defaults to annihilation_operators(table); a caller
-    passes fewer when it has certified the others by other means.
+    Each operator of annihilation_operators(table) acts at the symbolic
+    level; a numeric level then specializes the residual.  With level=None
+    the check passes only if each residual vanishes identically in k.  The
+    first nonvanishing residual is returned as the witness.
     """
     if state.is_zero:
         raise ValueError("singular_check expects a nonzero state")
@@ -348,10 +328,10 @@ def singular_check(table, state: VacuumState, level=None, claim: str = "",
         "level": "symbolic" if level is None else format_rational(level),
     }
     witness = None
-    if operators is None:
-        operators = annihilation_operators(table)
-    for x, n in operators:
-        residual = apply_generator(table, x, n, state, level)
+    for x, n in annihilation_operators(table):
+        residual = apply_generator(table, x, n, state)
+        if level is not None:
+            residual = residual.specialize(level)
         if not residual.is_zero:
             witness = {
                 "operator": "%s(%d)" % (table.text(x), n),

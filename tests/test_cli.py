@@ -354,16 +354,39 @@ def test_oversized_rank_exits_2_at_once(argv):
                                   % (kind, dim))
 
 
-@pytest.mark.parametrize("rank, n", [(4, 40), (3, 1_000_000)])
-def test_oversized_power_exits_2(rank, n):
-    # det^n is refused at the first product above the letter limit, long
-    # before the expansion would finish; in a child process with a timeout
-    done = run_child(["singular", "verify", "--type", "C", "--rank", str(rank), "-m", str(rank),
-                      "-n", str(n), "--no-cache"])
+@pytest.mark.parametrize("command, rank, m, n", [
+    pytest.param(["singular", "verify", "--no-cache"], 4, 4, 40, id="4-40"),
+    pytest.param(["singular", "verify", "--no-cache"], 3, 3, 1_000_000, id="3-1000000"),
+    pytest.param(["singular", "verify", "--no-cache"], 2, 2, 2000, id="verify-2-2-2000"),
+    pytest.param(["singular", "verify", "--no-cache"], 2, 1, 1_000_000, id="verify-2-1-1000000"),
+    pytest.param(["singular", "factor", "--no-cache"], 2, 1, 1_000_000, id="factor-2-1-1000000"),
+    pytest.param(["zhu", "project"], 2, 1, 1_000_000, id="zhu-project-2-1-1000000"),
+])
+def test_oversized_power_exits_2(command, rank, m, n):
+    # det^n is refused once its products together pass the letter limit, long
+    # before the expansion would finish, even when det has one or two terms
+    # and each product alone is small; in a child process with a timeout
+    done = run_child(command + ["--type", "C", "--rank", str(rank), "-m", str(m), "-n", str(n)])
     assert done.returncode == 2
     assert done.stdout == ""
-    assert re.match(r"error: a product of \d+ by \d+ terms sorts \d+ letters, above the limit of 4000000\n",
+    assert re.match(r"error: power \d+ of a \d+-term polynomial sorts \d+ letters, above the limit of 4000000\n",
                     done.stderr)
+
+
+@pytest.mark.parametrize("kind, rank, m, image", [
+    ("C", 2, 1, "  image: (1) a1^2000000000\n"),
+    ("C", 2, 2, ""),
+    ("A", 4, 1, "  image: (1) a1^1000000000 a*4^1000000000\n"),
+])
+def test_zhu_phi_of_a_huge_power_finishes(kind, rank, m, image):
+    # phi(det)^n is taken by repeated squaring, at most 60 products for n = 10^9;
+    # in a child process with a timeout, so a product per power fails the test
+    done = run_child(["zhu", "phi", "--type", kind, "--rank", str(rank), "-m", str(m), "-n", "1000000000"])
+    assert done.returncode == 0
+    lines = done.stdout.splitlines(keepends=True)
+    assert lines[0] == "PASS  oscillator image of det power %s: %s%d m=%d n=1000000000\n" % (
+        "survives" if m == 1 else "vanishes", kind, rank, m)
+    assert "".join(lines[2:-1]) == image
 
 
 @pytest.mark.parametrize("argv, code, name, level", [

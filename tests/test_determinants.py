@@ -19,6 +19,7 @@ from affine_singular.scalars import UniPoly, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from oracles import (casimir_level, coexisting_singulars, entries_commute_check, ep_apply,
                      leibniz_entry_poly, minor_vector)
+from test_acceptance import A_GRID, C_GRID
 
 
 def test_spec_validation():
@@ -173,6 +174,24 @@ def test_ep_mul_refuses_a_product_above_the_letter_limit(monkeypatch):
     assert ep_mul(det, {(): 1}) == det  # 5 x 1 pairs of 3 letters
 
 
+def test_ep_pow_charges_all_its_products_to_one_letter_limit(monkeypatch):
+    spec = DeterminantSpec("C", 3, 3, 1)
+    det = det_entry_poly(spec.table(), spec)  # 5 terms of 3 letters
+    square = ep_mul(det, det)
+    # 1 x 5 pairs of 3 letters, then 5 x 5 pairs of 6: 165 letters in all
+    monkeypatch.setattr(determinants, "MAX_MUL_LETTERS", 165)
+    assert ep_pow(det, 2) == square
+    monkeypatch.setattr(determinants, "MAX_MUL_LETTERS", 164)
+    assert ep_mul(det, det) == square  # the last product alone is under the limit
+    with pytest.raises(ValueError, match="^power 2 of a 5-term polynomial sorts 165 letters, above the limit of 164$"):
+        ep_pow(det, 2)
+    # one letter: power t sorts 1 + 2 + ... + t letters in all
+    monkeypatch.setattr(determinants, "MAX_MUL_LETTERS", 10)
+    assert ep_pow({(7,): 1}, 4) == {(7, 7, 7, 7): 1}
+    with pytest.raises(ValueError, match="^power 5 of a 1-term polynomial sorts 15 letters, above the limit of 10$"):
+        ep_pow({(7,): 1}, 5)
+
+
 def test_ep_apply_matches_ep_state(table_c2):
     spec = DeterminantSpec("C", 2, 2, 2)
     det = det_entry_poly(table_c2, spec)
@@ -214,6 +233,23 @@ def test_verify_singular_fails_off_level():
     assert symbolic.witness["residual"] == "(-4*k - 2) X[2e2](-1) |0>"
 
 
+@pytest.mark.parametrize("case", C_GRID + A_GRID + [("C", 4, 4, 3)], ids=lambda case: "%s%d-%d-%d" % case)
+def test_verify_singular_matches_the_state_check(case):
+    """verify_singular runs on int maps, folds a numeric level into the
+    kernel and skips the mode 0 operators that kill det|0>; the state check
+    runs every operator on det^n|0> at the symbolic level and specializes.
+    The two reports must be equal."""
+    spec = DeterminantSpec(*case)
+    table = spec.table()
+    state = determinant_vector(table, spec)
+    for level in (spec.level, spec.level + 1, spec.level + Fraction(1, 3), None):
+        report = verify_singular(spec, level)
+        expected = vacuum.singular_check(table, state, level, report.claim)
+        expected.parameters.update(m=spec.m, n=spec.n, distinguished_level=format_rational(spec.level))
+        report.timing_ms = expected.timing_ms = 0
+        assert report.to_obj() == expected.to_obj(), (case, level)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_an_operator_that_det_fails_still_runs_on_the_power(monkeypatch, n):
     # X[e1-e2](0) does not kill X[2e2](-1)|0>: with that as "det", the mode 0
@@ -234,18 +270,29 @@ def test_an_operator_that_det_fails_still_runs_on_the_power(monkeypatch, n):
 
 def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     spec = DeterminantSpec("C", 3, 3, 2)
-    det = ep_state(det_entry_poly(spec.table(), spec))
+    det = det_entry_poly(spec.table(), spec)
+    square = ep_pow(det, 2)
     calls = []
-    apply = vacuum.apply_generator
+    kernel = vacuum._differential_ints
 
-    def recorded(table, x, n, state, level=None):
-        calls.append((n, state == det))
-        return apply(table, x, n, state, level)
+    def recorded(table, x, n, ints, level=None):
+        calls.append((n, ints, level))
+        return kernel(table, x, n, ints, level)
 
-    monkeypatch.setattr(vacuum, "apply_generator", recorded)
+    def unused(*args, **kwargs):
+        raise AssertionError("verify_singular built a vacuum state")
+
+    monkeypatch.setattr(vacuum, "_differential_ints", recorded)
+    for name in ("apply_generator", "_differential_action", "straighten"):
+        monkeypatch.setattr(vacuum, name, unused)
+    monkeypatch.setattr(determinants, "ep_state", unused)
+    monkeypatch.setattr(VacuumState, "__init__", unused)
+    monkeypatch.setattr(VacuumState, "_wrap", classmethod(unused))
     assert verify_singular(spec).verdict
-    # the three simple raising operators on det|0>, then x(1) on det^2|0>
-    assert calls == [(0, True)] * 3 + [(1, False)]
+    # the three simple raising operators on det's map at the symbolic
+    # level, then x(1) on det^2's map at the distinguished level
+    slots = [{(0, key): c for key, c in poly.items()} for poly in (det, square)]
+    assert calls == [(0, slots[0], None)] * 3 + [(1, slots[1], spec.level)]
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):

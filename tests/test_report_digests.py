@@ -31,6 +31,7 @@ OPERATIONS = {
     "verify_symbolic": lambda spec: verify_singular(spec, None),
     "verify_level_plus_1": lambda spec: verify_singular(spec, spec.level + 1),
     "verify_level_plus_half": lambda spec: verify_singular(spec, spec.level + Fraction(1, 2)),
+    "verify_level_plus_third": lambda spec: verify_singular(spec, spec.level + Fraction(1, 3)),
     "lowering_factor": lowering_factor_check,
     "zhu_generator": verify_zhu_generator,
     "weyl_vanishing": verify_weyl_vanishing,
@@ -41,6 +42,7 @@ DIGESTS = {
     "verify_auto": "f07b4e7049569ff45e9815af3bf28917c0b89e381b29146379621cced1bc3597",
     "verify_level_plus_1": "19ffbe43e97b2218d78ebbfdc904f94efe9773fde7007c26284bafbab9f35feb",
     "verify_level_plus_half": "6148f9eb3a9a908402a7927c09f15d6ca5aab007582ed05ab9c690d01876ac6d",
+    "verify_level_plus_third": "9f05cc6d7a526d82ef94269795f822cc68b4e7ce291061a40753b3e3194b73b6",
     "verify_symbolic": "ff8483c1a9944dde5e0fb847770c1da329b86e5f2a79589e76f30dd7554b75ff",
     "weyl_vanishing": "fec99c4eee15574e8b62eefb09ea09376fda9f70d1dc1168010de20120db952c",
     "zhu_generator": "2ae9a5d1aadae7b080857489f7470f937f05b8e8f27bdeffeef5ec5e38f42641",
@@ -51,6 +53,7 @@ DIGESTS = {
     "benchmark_verify_auto": "b275ea57783d82bf794452e00940febb7ddce8998fb7725d0b0f2e56fc044957",
     "benchmark_verify_level_plus_1": "468187af434e3aea08a4df2b004e34a84910a5a2d0db4a8194af71022fc85efb",
     "benchmark_verify_symbolic": "8a9c7ea1070d2c3032f92c8b451ec269112451a6cc4857f3150301b804c5c474",
+    "benchmark_verify_level_plus_third": "c2672dedadf88e3d69331269e73144cfdd251f288debda6fde46a6e2c5c35b2c",
     "benchmark_lowering_factor": "e3683c6bb2a7557a1974a49fa3bf3e429d03c47833d6a76170db4279b99e757b",
 }
 
@@ -70,7 +73,7 @@ def test_grid_reports_are_pinned(name):
 
 
 @pytest.mark.parametrize("name", ["zhu_generator", "weyl_vanishing", "verify_auto", "verify_level_plus_1",
-                                  "verify_symbolic", "lowering_factor"])
+                                  "verify_level_plus_third", "verify_symbolic", "lowering_factor"])
 def test_benchmark_spec_reports_are_pinned(name):
     reports = (OPERATIONS[name](spec) for spec in BENCHMARK_SPECS)
     assert _digest(reports) == DIGESTS["benchmark_" + name]
