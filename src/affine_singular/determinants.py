@@ -220,7 +220,7 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     table = spec.table()
     det = det_entry_poly(table, spec)
     lower = ep_pow(det, spec.n - 1)
-    lhs = _annihilator_image(table, table.theta_lowering, 1, ep_mul(lower, det))
+    lhs = _annihilator_image(table, table.theta_lowering, 1, ep_pow(det, spec.n))
     beta = beta_constant(table)
     # with level = p/q, q times the identity is
     # q x(1) det^n |0> = beta n (k q - p) minor(1,1) det^(n-1) |0>

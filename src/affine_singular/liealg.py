@@ -46,6 +46,7 @@ from functools import lru_cache
 
 from . import weyl
 from .scalars import ONE, ZERO, HPoly, add_term
+from .spec import FrozenValue
 
 Weight = tuple
 
@@ -54,39 +55,18 @@ Weight = tuple
 MAX_DIMENSION = 700
 
 
-class BasisElement:
+class BasisElement(FrozenValue):
     """A label for one basis vector: a root vector or a Cartan element.
 
     kind "plus" is X[ei+ej] (i <= j, with i == j giving X[2ei]), "minus" is
     its opposite, "mixed" is X[ei-ej] (i != j), and "cartan" is the i-th
-    Cartan basis element.  Immutable, compared and hashed by (kind, i, j).
+    Cartan basis element.  A FrozenValue on (kind, i, j).
     """
 
     __slots__ = ("kind", "i", "j")
 
     def __init__(self, kind: str, i: int, j: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return BasisElement, (self.kind, self.i, self.j)
-
-    def __eq__(self, other):
-        if other.__class__ is not BasisElement:
-            return NotImplemented
-        return self.kind == other.kind and self.i == other.i and self.j == other.j
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.i, self.j))
-
-    def __repr__(self) -> str:
-        return "BasisElement(kind=%r, i=%r, j=%r)" % (self.kind, self.i, self.j)
+        self._set(kind, i, j)
 
     def text(self, algebra_kind: str = "C") -> str:
         if self.kind == "cartan":
@@ -247,12 +227,8 @@ class StructureTable:
         return tuple((ONE if t < m else ZERO) - shift for t in range(self.rank))
 
     def rho(self) -> Weight:
-        top = self.rank if self.kind == "C" else self.rank - 1
-        total = [ZERO] * self.rank
-        for m in range(1, top + 1):
-            for t, c in enumerate(self.fundamental_weight(m)):
-                total[t] += c
-        return tuple(total)
+        """Half the sum of the positive roots."""
+        return tuple(Fraction(sum(column), 2) for column in zip(*self.positive_root_weights))
 
     def cartan_hpoly(self, spec) -> HPoly:
         """A Cartan basis element as a polynomial in the coordinates h_1..h_l."""

@@ -164,11 +164,7 @@ class TermMap:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        try:
-            self._join(other)
-        except ValueError:
-            return False
-        return self.terms == other.terms
+        return self._own_context() == other._own_context() and self.terms == other.terms
 
     __hash__ = None
 
@@ -176,9 +172,9 @@ class TermMap:
 class UniPoly(TermMap):
     """Sparse univariate polynomial over Q: terms maps degrees to coefficients.
 
-    The default variable is the formal level k; affine-substitution results
-    reuse the class with variable "x".  Mixing distinct variables in one
-    arithmetic expression is an error unless one side is constant.
+    The default variable is the formal level k; another name only changes
+    the text (classify_sp6 prints its lines in x).  Both operands of an
+    arithmetic expression must have the same variable, constants included.
     """
 
     __slots__ = ("var",)
@@ -211,14 +207,6 @@ class UniPoly(TermMap):
         if isinstance(other, (int, Fraction)):
             return UniPoly.constant(other, self.var)
         return super()._lift(other)
-
-    def _join(self, other) -> str:
-        """Constants take the variable of the other side."""
-        if self.degree <= 0:
-            return other.var
-        if other.degree <= 0 or other.var == self.var:
-            return self.var
-        raise ValueError("mixed variables %r and %r" % (self.var, other.var))
 
     def __mul__(self, other) -> "UniPoly":
         other = self._lift(other)
@@ -300,35 +288,17 @@ class HPoly(TermMap):
     __rmul__ = __mul__
 
     def evaluate(self, point) -> Fraction:
-        point = [coerce_rational(p) for p in point]
-        if len(point) != self.nvars:
+        """The value at a rational point y / q, summed in ints as q^D times
+        the value (D the total degree) with the coefficients over their
+        common denominator, and divided once."""
+        ys, q = over_common_denominator(dict(enumerate(map(coerce_rational, point))))
+        if len(ys) != self.nvars:
             raise ValueError("point has wrong length")
-        total = ZERO
-        for expo, c in self.terms.items():
-            value = c
-            for coord, e in zip(point, expo):
-                if e:
-                    value *= coord**e
-            total += value
-        return total
-
-    def substitute_affine(self, assignment) -> UniPoly:
-        """Substitute h_i -> a_i + b_i x and expand to a polynomial in x.
-
-        assignment is a sequence of (constant, slope) pairs, one per variable.
-        """
-        pairs = [(coerce_rational(a), coerce_rational(b)) for a, b in assignment]
-        if len(pairs) != self.nvars:
-            raise ValueError("assignment has wrong length")
-        lines = [UniPoly({0: a, 1: b}, "x") for a, b in pairs]
-        total = UniPoly({}, "x")
-        for expo, c in self.terms.items():
-            term = UniPoly.constant(c, "x")
-            for line, e in zip(lines, expo):
-                for _ in range(e):
-                    term = term * line
-            total = total + term
-        return total
+        ints, den = over_common_denominator(self.terms)
+        top = max(map(sum, ints), default=0)
+        total = sum(c * math.prod(map(pow, ys.values(), expo)) * q ** (top - sum(expo))
+                    for expo, c in ints.items())
+        return Fraction(total, den * q**top)
 
     def __repr__(self) -> str:
         parts = []

@@ -1,8 +1,8 @@
-"""The parameters of one determinant vector, and rationals as text.
+"""The frozen value type, one determinant vector's parameters, rationals as text.
 
-This module imports only fractions and re, so a command that only reads a
-cached report can name its input and parse its level without loading the
-algebra.  determinants re-exports DeterminantSpec, and scalars re-exports
+This module imports only fractions, operator and re, so a command that only
+reads a cached report can name its input and parse its level without loading
+the algebra.  determinants re-exports DeterminantSpec, and scalars re-exports
 parse_rational and format_rational.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 MAX_SIZE = 8  # the Leibniz expansion walks m! permutations: 40,320 at m = 8
 
@@ -27,11 +28,47 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
-class DeterminantSpec:
-    """Size and power of one determinant vector, with its distinguished level.
+class FrozenValue:
+    """An immutable value whose fields are its __slots__, set once by _set.
 
-    Immutable, compared and hashed by its four fields.
+    It equals only an instance of its own class with equal fields, hashes as
+    the tuple of its fields, and pickles and copies through its constructor.
     """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field tuple, read in C; attrgetter of one name would give a bare value
+        assert len(cls.__slots__) > 1, "a FrozenValue has two fields or more"
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        pairs = ("%s=%r" % item for item in zip(self.__slots__, self._fields))
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(pairs))
+
+
+class DeterminantSpec(FrozenValue):
+    """Size and power of one determinant vector, with its distinguished level."""
 
     __slots__ = ("kind", "rank", "m", "n")
 
@@ -50,30 +87,7 @@ class DeterminantSpec:
             raise ValueError("size %d exceeds rank %d" % (m, rank))
         if kind == "A" and 2 * m > rank:
             raise ValueError("size %d needs 2m <= rank %d" % (m, rank))
-        for name, value in zip(self.__slots__, (kind, rank, m, n)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return self.kind, self.rank, self.m, self.n
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "DeterminantSpec(kind=%r, rank=%r, m=%r, n=%r)" % self._fields()
+        self._set(kind, rank, m, n)
 
     @property
     def level(self) -> Fraction:

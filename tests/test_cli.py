@@ -360,6 +360,7 @@ def test_oversized_rank_exits_2_at_once(argv):
     pytest.param(["singular", "verify", "--no-cache"], 2, 2, 2000, id="verify-2-2-2000"),
     pytest.param(["singular", "verify", "--no-cache"], 2, 1, 1_000_000, id="verify-2-1-1000000"),
     pytest.param(["singular", "factor", "--no-cache"], 2, 1, 1_000_000, id="factor-2-1-1000000"),
+    pytest.param(["singular", "factor", "--no-cache"], 2, 1, 2828, id="factor-2-1-2828"),
     pytest.param(["zhu", "project"], 2, 1, 1_000_000, id="zhu-project-2-1-1000000"),
 ])
 def test_oversized_power_exits_2(command, rank, m, n):

@@ -17,6 +17,7 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
 from affine_singular.liealg import build_algebra
 from affine_singular.scalars import UniPoly, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
+from affine_singular.zhu import verify_zhu_generator
 from oracles import (casimir_level, coexisting_singulars, entries_commute_check, ep_apply,
                      leibniz_entry_poly, minor_vector)
 from test_acceptance import A_GRID, C_GRID
@@ -190,6 +191,17 @@ def test_ep_pow_charges_all_its_products_to_one_letter_limit(monkeypatch):
     assert ep_pow({(7,): 1}, 4) == {(7, 7, 7, 7): 1}
     with pytest.raises(ValueError, match="^power 5 of a 1-term polynomial sorts 15 letters, above the limit of 10$"):
         ep_pow({(7,): 1}, 5)
+
+
+def test_the_three_power_checks_share_one_letter_limit():
+    # det = X[2e1] has one term, so det^n sorts 1 + 2 + ... + n letters:
+    # 3,997,378 at n = 2827 and 4,000,206 at n = 2828
+    checks = (verify_singular, lowering_factor_check, verify_zhu_generator)
+    for check in checks:
+        assert check(DeterminantSpec("C", 2, 1, 2827)).verdict
+    for check in checks:
+        with pytest.raises(ValueError, match="^power 2828 of a 1-term polynomial sorts 4000206 letters"):
+            check(DeterminantSpec("C", 2, 1, 2828))
 
 
 def test_ep_apply_matches_ep_state(table_c2):

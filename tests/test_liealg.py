@@ -224,6 +224,13 @@ def test_rho(table_c2, table_c3, table_a3):
     assert table_c2.rho() == (2, 1)
     assert table_c3.rho() == (3, 2, 1)
     assert table_a3.rho() == (1, 0, -1)
+    # half the sum of the positive roots is the sum of the fundamental weights
+    for kind, ranks in (("C", range(2, 9)), ("A", range(2, 13))):
+        for rank in ranks:
+            t = build_algebra(kind, rank)
+            count = rank if kind == "C" else rank - 1
+            total = [sum(column) for column in zip(*(t.fundamental_weight(m) for m in range(1, count + 1)))]
+            assert t.rho() == tuple(total), (kind, rank)
 
 
 def test_cartan_hpoly(table_c2, table_a3):

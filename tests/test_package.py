@@ -91,3 +91,23 @@ def test_every_module_level_import_is_used():
         if left:
             unused[path.stem] = sorted(left)
     assert unused == {}
+
+
+def test_only_the_value_cores_define_equality():
+    # FrozenValue is the one immutable value type and TermMap the one linear
+    # combination; every other class compares by identity or inherits
+    package = Path(affine_singular.__file__).parent
+    defining = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = {item.name}
+                    elif isinstance(item, ast.Assign):
+                        names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+                    else:
+                        continue
+                    if names & {"__eq__", "__hash__"}:
+                        defining.add(node.name)
+    assert defining == {"FrozenValue", "TermMap"}
