@@ -19,12 +19,35 @@ free over U(t^-1 g[t^-1]) (PBW; Frenkel-Zhu, Duke Math. J. 66 (1992)), and
 [x(0), D] lies in that algebra with no central term, since its modes sum
 to -1.  So x(0)D|0> = [x(0), D]|0> = 0 means [x(0), D] = 0 as an operator,
 and then x(0)D^n|0> = sum_j D^j [x(0), D] D^(n-1-j)|0> = 0.
+
+That x(0) kills det|0> is read off the m x m matrix Y of entries, not the
+m! terms of det (Jacobi's formula; Howe-Umeda, Math. Ann. 290 (1991),
+Caracciolo-Sokal-Sportiello, Adv. Appl. Math. 50 (2013)).  x(0) acts on
+P(Y(-1))|0> as the derivation d = sum_Y [x, Y] dP/dY (see vacuum).  Suppose
+[x, Y] = AY + YB entrywise, with A and B scalar m x m matrices.  A
+derivation of the commutative ring of the entries satisfies
+d det Y = tr(adj(Y) dY), by the product rule on each Leibniz term, so with
+adj(Y) Y = Y adj(Y) = det(Y) I it gives
+
+    x(0) det|0> = tr(adj(Y) (AY + YB))|0> = tr(A + B) det|0>.
+
+The argument never asks for the entries to be distinct letters, so it
+holds for the symmetric kind-C matrix too; there, within a row and within a
+column the letters are distinct, so A and B can be read off single
+coefficients.  _derivation_trace reads A and B from the brackets, checks
+AY + YB = [x, Y] exactly on every entry, and returns tr(A + B); it returns
+None when no such A and B exist, as when x sends an entry outside the
+matrix.  Only then, or for a nonzero trace, does verify_singular run x(0) on
+det|0> with the kernel.  A root vector x shifts weights, so A and B have a
+zero diagonal and the trace is 0 whenever the form holds; a nonzero trace
+comes only from a weight-zero letter, such as a Cartan element.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from . import vacuum
 from .liealg import BasisElement, StructureTable
@@ -52,12 +75,51 @@ def entry_element(kind: str, rank: int, i: int, j: int) -> BasisElement:
     return BasisElement("mixed", i, col)
 
 
-def build_matrix(table: StructureTable, spec: DeterminantSpec):
-    """The m x m matrix of basis indices."""
-    return [
-        [table.idx(entry_element(spec.kind, spec.rank, i, j)) for j in range(1, spec.m + 1)]
-        for i in range(1, spec.m + 1)
-    ]
+def build_matrix(table: StructureTable, spec: DeterminantSpec) -> tuple:
+    """The m x m matrix of basis indices, as a tuple of rows."""
+    return _index_matrix(table, spec.m)
+
+
+@lru_cache(maxsize=None)
+def _index_matrix(table: StructureTable, m: int) -> tuple:
+    """build_matrix, built once per table and size: once per (kind, rank, m),
+    since build_algebra makes one table per (kind, rank)."""
+    return tuple(tuple(table.idx(entry_element(table.kind, table.rank, i, j)) for j in range(1, m + 1))
+                 for i in range(1, m + 1))
+
+
+def _derivation_trace(table: StructureTable, spec: DeterminantSpec, x: int):
+    """tr(A + B) when [x, Y] = AY + YB on every entry of the matrix Y, for
+    scalar m x m matrices A and B; None when there are none.  Then
+    x(0) det|0> = tr(A + B) det|0> (see the module docstring).
+
+    With i != j the letters of row i and column j are distinct, and Y_kj
+    (k != i) and Y_il (l != j) are different letters, so the coefficient of
+    Y_kj in [x, Y_ij] is A_ik and that of Y_il is B_lj; that of Y_ij itself
+    is A_ii + B_jj (for i = j too), which fixes A and B up to A + c I,
+    B - c I and leaves the trace alone (B_11 = 0 here).  The identity is
+    then checked exactly on every entry, so a wrong reading can only give
+    None.
+    """
+    m = spec.m
+    matrix = build_matrix(table, spec)
+    row = table.rows[x]
+    image = [[dict(row.get(y, ())) for y in entries] for entries in matrix]
+    off = [1 if i == 0 else 0 for i in range(m)]  # a column (or row) index other than i
+    coeff = lambda i, j, k, l: image[i][j].get(matrix[k][l], 0)  # of Y_kl in [x, Y_ij]
+    a = [[coeff(i, 0, i, 0) if k == i else coeff(i, off[i], k, off[i]) for k in range(m)]
+         for i in range(m)]
+    b = [[coeff(0, j, 0, j) - a[0][0] if l == j else coeff(off[j], j, off[j], l) for j in range(m)]
+         for l in range(m)]
+    for i in range(m):
+        for j in range(m):
+            expected: dict = {}
+            for k in range(m):
+                add_term(expected, matrix[k][j], a[i][k])
+                add_term(expected, matrix[i][k], b[k][j])
+            if expected != image[i][j]:
+                return None
+    return sum(a[i][i] + b[i][i] for i in range(m))
 
 
 # -- polynomials in the commuting entries -------------------------------
@@ -81,15 +143,20 @@ def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
     """The n-th power; its products share one budget of MAX_MUL_LETTERS, so
     a power of a small polynomial cannot run n products of growing keys.
     Raises ValueError before the product that would pass the budget."""
-    out: EntryPoly = {(): 1}
+    return _top_powers(p, n)[1]
+
+
+def _top_powers(p: EntryPoly, n: int) -> tuple:
+    """(p^(n-1), p^n), or (None, {(): 1}) for n = 0, by ep_pow's one loop and budget."""
+    below, out = None, {(): 1}
     letters = 0
     for t in range(1, n + 1):
         letters += _mul_letters(out, p)
         if letters > MAX_MUL_LETTERS:
             raise ValueError("power %d of a %d-term polynomial sorts %d letters, above the limit of %d"
                              % (t, len(p), letters, MAX_MUL_LETTERS))
-        out = ep_mul(out, p)
-    return out
+        below, out = out, ep_mul(out, p)
+    return below, out
 
 
 def _mul_letters(p: EntryPoly, q: EntryPoly) -> int:
@@ -161,9 +228,10 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
 
     det and det^n are expanded once, as entry polynomials, and run on the
     vacuum kernel's int maps; a state is built only for a failing witness.
-    A simple raising operator at mode 0 that kills det|0>, of at most m!
-    terms, kills det^n|0> at every level (see the module docstring), so it
-    is not run on det^n|0>; the report is the same either way.
+    A simple raising operator at mode 0 that kills det|0> kills det^n|0> at
+    every level (see the module docstring), so it is not run on det^n|0>;
+    the report is the same either way.  It is known to kill det|0> when
+    _derivation_trace gives 0; otherwise the kernel runs it on det|0>.
     """
     table = spec.table()
     if level == "auto":
@@ -174,7 +242,8 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     power = det if spec.n == 1 else ep_pow(det, spec.n)
     witness = None
     for x, mode in vacuum.annihilation_operators(table):
-        if mode == 0 and not _annihilator_image(table, x, 0, det):
+        if mode == 0 and (_derivation_trace(table, spec, x) == 0
+                          or not _annihilator_image(table, x, 0, det)):
             continue
         image = _annihilator_image(table, x, mode, power, level)
         if image:
@@ -218,9 +287,8 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     are built only for a failing witness.
     """
     table = spec.table()
-    det = det_entry_poly(table, spec)
-    lower = ep_pow(det, spec.n - 1)
-    lhs = _annihilator_image(table, table.theta_lowering, 1, ep_pow(det, spec.n))
+    lower, power = _top_powers(det_entry_poly(table, spec), spec.n)
+    lhs = _annihilator_image(table, table.theta_lowering, 1, power)
     beta = beta_constant(table)
     # with level = p/q, q times the identity is
     # q x(1) det^n |0> = beta n (k q - p) minor(1,1) det^(n-1) |0>

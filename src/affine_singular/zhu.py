@@ -33,14 +33,29 @@ The realization extends to an algebra homomorphism U(g) -> Weyl, because
 it respects every bracket of the table (build_algebra computes each bracket
 in the oscillator algebra).  So the image of det^n is the n-th power of the
 image of det, and the oscillator check never builds the PBW power.
+
+For m >= 2 the oscillator check first tries a certificate on the m x m
+matrix of images R_ij = phi(Y_ij), which needs no det expansion.  Suppose
+each R_ij is a single monomial and no two of them contract: no index
+carries an a* in one entry's monomial and an a in another's (or the same).
+Then the images, and all their products, commute and multiply by adding
+exponents, so phi(det) = det(R) in that commutative ring.  If moreover
+every 2 x 2 minor R_ij R_kl - R_il R_kj vanishes, Laplace expansion along
+the first two rows writes det(R) as a sum of such minors times
+complementary minors, so phi(det) = 0 and phi(det^n) = 0 for every n.  The
+entries of both kinds pass (R_ij = a_i a_j on kind C, a_i a*_(l-j+1) on
+kind A: an outer product).  When the certificate does not apply, or for
+m = 1, where the image survives, the image is folded as above.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 
 from . import weyl
-from .determinants import DeterminantSpec, det_entry_poly, ep_pow, ep_state
+from .determinants import DeterminantSpec, build_matrix, det_entry_poly, ep_pow, ep_state
 from .liealg import StructureTable
 from .report import VerificationReport, timed
 from .scalars import ONE, TermMap, add_term, coerce_rational, format_rational, over_common_denominator
@@ -240,24 +255,53 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
     )
 
 
+def _images_have_rank_one(table: StructureTable, spec: DeterminantSpec) -> bool:
+    """True when the entries' images are single monomials, no two contract,
+    and every 2 x 2 minor of their matrix vanishes; then phi(det) = 0 for
+    m >= 2 (see the module docstring)."""
+    image = []  # rows of ((alpha, beta), c): c a^alpha (a*)^beta
+    for row in build_matrix(table, spec):
+        terms = [table.realizations[y].terms for y in row]
+        if any(len(t) != 1 for t in terms):
+            return False
+        image.append([next(iter(t.items())) for t in terms])
+    a_indices = {i for row in image for (alpha, _), _ in row for i, e in enumerate(alpha) if e}
+    a_star_indices = {i for row in image for (_, beta), _ in row for i, e in enumerate(beta) if e}
+    if not a_indices.isdisjoint(a_star_indices):
+        return False
+
+    def product(i, j, k, l):
+        (a1, b1), c1 = image[i][j]
+        (a2, b2), c2 = image[k][l]
+        return c1 * c2, tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))
+
+    pairs = list(itertools.combinations(range(spec.m), 2))
+    return all(product(i, j, k, l) == product(i, l, k, j) for i, k in pairs for j, l in pairs)
+
+
 @timed
 def verify_weyl_vanishing(spec: DeterminantSpec) -> VerificationReport:
     """The oscillator image of the finite determinant power; zero once m >= 2.
 
-    The image is taken as phi(det)^n in the oscillator algebra, which equals
-    phi(det^n) because phi is an algebra homomorphism, by repeated squaring.
+    For m >= 2 the zero is certified on the matrix of the entries' images
+    when _images_have_rank_one holds.  Otherwise the image is taken as
+    phi(det)^n in the oscillator algebra, which equals phi(det^n) because
+    phi is an algebra homomorphism, by repeated squaring.
     """
     table = spec.table()
-    base = weyl_image(table, finite_determinant(table, spec))
-    image = weyl.WeylElement.constant(table.rank, ONE)
-    n = spec.n
-    while n:
-        if n & 1:
-            image = image * base
-        n >>= 1
-        if n:
-            base = base * base
     expect_zero = spec.m >= 2
+    if expect_zero and _images_have_rank_one(table, spec):
+        image = weyl.WeylElement(table.rank)
+    else:
+        base = weyl_image(table, finite_determinant(table, spec))
+        image = weyl.WeylElement.constant(table.rank, ONE)
+        n = spec.n
+        while n:
+            if n & 1:
+                image = image * base
+            n >>= 1
+            if n:
+                base = base * base
     ok = image.is_zero == expect_zero
     witness = None
     if not ok:

@@ -264,26 +264,36 @@ def test_verify_singular_matches_the_state_check(case):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_an_operator_that_det_fails_still_runs_on_the_power(monkeypatch, n):
-    # X[e1-e2](0) does not kill X[2e2](-1)|0>: with that as "det", the mode 0
-    # certificate must not drop the operator, so the report is the plain check's
-    spec = DeterminantSpec("C", 2, 2, n)
+    # On the 1 x 1 matrix (X[2e2]), X[e1-e2] sends the entry to X[e1+e2],
+    # outside the matrix: the certificate has no form, and X[e1-e2](0) does
+    # not kill det|0>.  The operator must run on det^n and the report be the
+    # plain check's, both with no form and with a nonzero trace in its place.
+    spec = DeterminantSpec("C", 2, 1, n)
     table = spec.table()
-    fake = {(table.idx("X[2e2]"),): 1}
-    monkeypatch.setattr(determinants, "det_entry_poly", lambda table, spec: dict(fake))
-    state = ep_state(ep_pow(fake, n))
-    for level in (spec.level, spec.level + 1, None):
-        report = verify_singular(spec, level)
-        expected = vacuum.singular_check(table, state, level=level, claim=report.claim)
-        expected.parameters.update(m=2, n=n, distinguished_level=format_rational(spec.level))
-        assert expected.witness["operator"] == "X[e1-e2](0)"
-        report.timing_ms = expected.timing_ms = 0
-        assert report.to_obj() == expected.to_obj()
+    entry = table.idx("X[2e2]")
+    monkeypatch.setattr(determinants, "build_matrix", lambda table, spec: ((entry,),))
+    raising = table.idx("X[e1-e2]")
+    assert determinants._derivation_trace(table, spec, raising) is None
+    det = det_entry_poly(table, spec)
+    assert det == {(entry,): 1}
+    state = ep_state(ep_pow(det, n))
+    trace = determinants._derivation_trace
+    for nonzero in (False, True):
+        if nonzero:
+            monkeypatch.setattr(determinants, "_derivation_trace",
+                                lambda table, spec, x: 1 if x == raising else trace(table, spec, x))
+        for level in (spec.level, spec.level + 1, None):
+            report = verify_singular(spec, level)
+            expected = vacuum.singular_check(table, state, level=level, claim=report.claim)
+            expected.parameters.update(m=1, n=n, distinguished_level=format_rational(spec.level))
+            assert expected.witness["operator"] == "X[e1-e2](0)"
+            report.timing_ms = expected.timing_ms = 0
+            assert report.to_obj() == expected.to_obj()
 
 
 def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     spec = DeterminantSpec("C", 3, 3, 2)
-    det = det_entry_poly(spec.table(), spec)
-    square = ep_pow(det, 2)
+    square = ep_pow(det_entry_poly(spec.table(), spec), 2)
     calls = []
     kernel = vacuum._differential_ints
 
@@ -301,10 +311,57 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     monkeypatch.setattr(VacuumState, "__init__", unused)
     monkeypatch.setattr(VacuumState, "_wrap", classmethod(unused))
     assert verify_singular(spec).verdict
-    # the three simple raising operators on det's map at the symbolic
-    # level, then x(1) on det^2's map at the distinguished level
-    slots = [{(0, key): c for key, c in poly.items()} for poly in (det, square)]
-    assert calls == [(0, slots[0], None)] * 3 + [(1, slots[1], spec.level)]
+    # the three simple raising operators are certified on the matrix, so
+    # the kernel runs once: x(1) on det^2's map at the distinguished level
+    assert calls == [(1, {(0, key): c for key, c in square.items()}, spec.level)]
+
+
+# C2-C8 and A4-A16, every allowed m up to 7: the kernel's side at m = 8
+# (C8 and A16) takes about 11 s on a 2-vCPU Xeon, so those two specs are
+# run only by the frontier tests
+ORACLE_TABLES = [("C", rank) for rank in range(2, 9)] + [("A", rank) for rank in range(4, 17)]
+
+
+def oracle_sizes(kind, rank):
+    return range(1, min(rank if kind == "C" else rank // 2, 7) + 1)
+
+
+@pytest.mark.parametrize("kind, rank", ORACLE_TABLES, ids=["%s%d" % table for table in ORACLE_TABLES])
+def test_the_derivation_trace_is_the_kernels_eigenvalue(kind, rank):
+    """Whenever _derivation_trace gives t, the kernel's x(0) on det|0> is t
+    times det, for the simple raising, simple lowering and Cartan letters."""
+    table = build_algebra(kind, rank)
+    for m in oracle_sizes(kind, rank):
+        spec = DeterminantSpec(kind, rank, m, 1)
+        det = det_entry_poly(table, spec)
+        traces = {}
+        for x in table.simple_raising + table.simple_lowering + table.cartan_indices:
+            t = traces[x] = determinants._derivation_trace(table, spec, x)
+            if t is not None:
+                image = determinants._annihilator_image(table, x, 0, det)
+                assert image == {(0, key): t * c for key, c in det.items() if t}, (m, table.text(x))
+        assert {traces[x] for x in table.simple_raising} == {0}, m
+        # a lowering operator sends some entry outside the matrix
+        assert any(traces[x] is None for x in table.simple_lowering), m
+        # a Cartan letter acts diagonally, so it has the form, and its trace
+        # is its pairing with det's weight: nonzero for at least one
+        cartan = [traces[h] for h in table.cartan_indices]
+        assert None not in cartan and any(cartan), m
+
+
+@pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
+def test_the_frontier_runs_the_kernel_once(monkeypatch, case):
+    calls = []
+    kernel = vacuum._differential_ints
+
+    def recorded(table, x, n, ints, level=None):
+        calls.append((x, n))
+        return kernel(table, x, n, ints, level)
+
+    monkeypatch.setattr(vacuum, "_differential_ints", recorded)
+    spec = DeterminantSpec(*case)
+    assert verify_singular(spec).verdict
+    assert calls == [(spec.table().theta_lowering, 1)]
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):

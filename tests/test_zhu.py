@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from affine_singular import zhu
-from affine_singular.determinants import DeterminantSpec, det_entry_poly, determinant_vector, ep_pow
+from affine_singular import determinants, zhu
+from affine_singular.determinants import (DeterminantSpec, build_matrix, det_entry_poly,
+                                          determinant_vector, ep_pow)
 from affine_singular.liealg import build_algebra
 from affine_singular.scalars import over_common_denominator
 from affine_singular.vacuum import VacuumState, straighten
@@ -18,6 +20,7 @@ from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
 import oracles
 from oracles import constant_value, uenv_normal_form, uenv_product, uenv_sum
 from test_acceptance import A_GRID, C_GRID
+from test_determinants import ORACLE_TABLES, oracle_sizes
 
 GRID = C_GRID + A_GRID + [("C", 4, 4, 3)]
 
@@ -154,6 +157,75 @@ def test_weyl_survival_for_size_one(table_c2, table_a4):
     a1 = creation(2, 1)
     assert image == a1 * a1 * a1 * a1
 
+
+
+# -- the rank-one certificate against the fold ----------------------------
+
+
+@pytest.mark.parametrize("kind, rank", ORACLE_TABLES, ids=["%s%d" % table for table in ORACLE_TABLES])
+def test_rank_one_gives_the_folds_verdict(kind, rank):
+    table = build_algebra(kind, rank)
+    for m in oracle_sizes(kind, rank):
+        spec = DeterminantSpec(kind, rank, m, 1)
+        folded = weyl_image(table, finite_determinant(table, spec))
+        if m == 1:
+            assert not folded.is_zero
+        else:
+            assert zhu._images_have_rank_one(table, spec) and folded.is_zero, m
+
+
+def _unit(rank, i):
+    return tuple(int(t == i) for t in range(1, rank + 1))
+
+
+def _halve(table, matrix):
+    return {matrix[0][0]: table.realizations[matrix[0][0]] * Fraction(1, 2)}
+
+
+def _second_monomial(table, matrix):
+    return {matrix[0][0]: table.realizations[matrix[0][0]] + table.realizations[matrix[1][1]]}
+
+
+def _contract(table, matrix):
+    # column 2 becomes a1 a*1 and a2 a*1: still an outer product of
+    # monomials, but a*1 meets the a1 of column 1
+    rank = table.rank
+    return {matrix[i][1]: WeylElement(rank, {(_unit(rank, i + 1), _unit(rank, 1)): 1}) for i in (0, 1)}
+
+
+@pytest.mark.parametrize("kind, rank, change", [
+    ("C", 2, _halve), ("C", 2, _second_monomial),
+    ("A", 4, _halve), ("A", 4, _second_monomial), ("A", 4, _contract),
+], ids=["C2-halve", "C2-second-monomial", "A4-halve", "A4-second-monomial", "A4-contract"])
+def test_rank_one_refuses_a_changed_image_and_the_fold_decides(monkeypatch, kind, rank, change):
+    """On a copied table with one entry's realization changed, the
+    certificate must refuse, and the report must be the fold's."""
+    table = copy.copy(build_algebra(kind, rank))
+    realizations = list(table.realizations)
+    for y, image in change(table, build_matrix(table, DeterminantSpec(kind, rank, 2, 1))).items():
+        realizations[y] = image
+    table.realizations = tuple(realizations)
+    monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
+    for n in (1, 2):
+        spec = DeterminantSpec(kind, rank, 2, n)
+        assert not zhu._images_have_rank_one(table, spec)
+        image = oracles.weyl_image(table, finite_determinant(table, spec))
+        power = image * image if n == 2 else image
+        assert not power.is_zero
+        report = verify_weyl_vanishing(spec)
+        assert not report.verdict and report.witness == {"image": repr(power)}
+
+
+@pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
+def test_the_frontier_image_needs_no_expansion(monkeypatch, case):
+    def fail(*args, **kwargs):
+        raise AssertionError("the determinant was expanded or folded")
+
+    for module in (zhu, determinants):
+        monkeypatch.setattr(module, "det_entry_poly", fail)
+    monkeypatch.setattr(zhu, "weyl_image", fail)
+    report = verify_weyl_vanishing(DeterminantSpec(*case))
+    assert report.verdict and report.witness is None and report.details is None
 
 # -- the sorted-word rule against the general rewriter --------------------
 
