@@ -37,10 +37,11 @@ column the letters are distinct, so A and B can be read off single
 coefficients.  _derivation_trace reads A and B from the brackets, checks
 AY + YB = [x, Y] exactly on every entry, and returns tr(A + B); it returns
 None when no such A and B exist, as when x sends an entry outside the
-matrix.  Only then, or for a nonzero trace, does verify_singular run x(0) on
-det|0> with the kernel.  A root vector x shifts weights, so A and B have a
-zero diagonal and the trace is 0 whenever the form holds; a nonzero trace
-comes only from a weight-zero letter, such as a Cartan element.
+matrix.  Only then, or for a nonzero trace, does verify_singular run x(0)
+with the kernel, on det^n|0> like the mode 1 operator.  A root vector x
+shifts weights, so A and B have a zero diagonal and the trace is 0
+whenever the form holds; a nonzero trace comes only from a weight-zero
+letter, such as a Cartan element.
 """
 
 from __future__ import annotations
@@ -229,9 +230,10 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     det and det^n are expanded once, as entry polynomials, and run on the
     vacuum kernel's int maps; a state is built only for a failing witness.
     A simple raising operator at mode 0 that kills det|0> kills det^n|0> at
-    every level (see the module docstring), so it is not run on det^n|0>;
-    the report is the same either way.  It is known to kill det|0> when
-    _derivation_trace gives 0; otherwise the kernel runs it on det|0>.
+    every level (see the module docstring), so it is skipped when
+    _derivation_trace gives 0, which certifies that it kills det|0>.  Any
+    other is run on det^n|0> by the kernel; the report is the same either
+    way.
     """
     table = spec.table()
     if level == "auto":
@@ -242,8 +244,7 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     power = det if spec.n == 1 else ep_pow(det, spec.n)
     witness = None
     for x, mode in vacuum.annihilation_operators(table):
-        if mode == 0 and (_derivation_trace(table, spec, x) == 0
-                          or not _annihilator_image(table, x, 0, det)):
+        if mode == 0 and _derivation_trace(table, spec, x) == 0:
             continue
         image = _annihilator_image(table, x, mode, power, level)
         if image:
