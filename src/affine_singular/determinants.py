@@ -47,6 +47,7 @@ letter, such as a Cartan element.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,10 +169,10 @@ def _mul_letters(p: EntryPoly, q: EntryPoly) -> int:
 def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols=None) -> EntryPoly:
     """Leibniz expansion of the determinant over the given rows and columns.
 
-    Each permutation is walked as its Lehmer code: row t takes the column at
-    position p_t among those still free, which inverts p_t pairs, so the
-    sign is (-1)**sum(p_t).  Codes in lexicographic order give the
-    permutations in lexicographic order.
+    itertools.permutations yields the permutations in lexicographic order,
+    and itertools.product their Lehmer codes in the same order: row t takes
+    the column at position p_t among those still free, which inverts p_t
+    pairs, so the sign is (-1)**sum(p_t).
     """
     rows = list(rows) if rows is not None else list(range(1, spec.m + 1))
     cols = list(cols) if cols is not None else list(range(1, spec.m + 1))
@@ -183,10 +184,9 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
     entries = [[matrix[r - 1][c - 1] for c in cols] for r in rows]
     size = len(rows)
     out: EntryPoly = {}
-    for code in itertools.product(*(range(size - t) for t in range(size))):
-        free = list(range(size))
-        key = tuple(sorted(entries[t][free.pop(p)] for t, p in enumerate(code)))
-        add_term(out, key, -1 if sum(code) & 1 else 1)
+    codes = itertools.product(*(range(size - t) for t in range(size)))
+    for code, perm in zip(codes, itertools.permutations(range(size))):
+        add_term(out, tuple(sorted(map(operator.getitem, entries, perm))), -1 if sum(code) & 1 else 1)
     return out
 
 

@@ -23,10 +23,11 @@ as differential operators on P:
     x(1) P = 1/2 sum_(Y, Y') [[x, Y], Y'] d^2P/dYdY' + k sum_Y (x, Y) dP/dY,
 
 with the new letters put back in sorted order; the double sum is symmetric
-by the Jacobi identity, since [Y, Y'] = 0.  apply_generator uses these rules
-when the mode is 0 or 1, every letter is at mode -1, and the state's
-letters together with every letter the rule produces pairwise commute.
-Otherwise it straightens.
+by the Jacobi identity, since [Y, Y'] = 0.  The rules hold when the state's
+letters, together with every letter the rule produces, pairwise commute.
+Only the determinant checks apply them, through
+determinants._annihilator_image; apply_generator always straightens, so
+singular_check shares no code with them and can serve as their oracle.
 
 Both rules touch only the letters that x moves: those Y with [x, Y] != 0
 and, at mode 1, also those with (x, Y) != 0.  The same Jacobi identity
@@ -41,25 +42,22 @@ The rules run on ints, in _differential_ints: a state is a map
 Fraction is made once per term of a returned state.  At a numeric level p/q
 the central term is folded into the ints: the [x, Y] and [[x, Y], Y']
 constants are multiplied by q and (x, Y) by p in place of k, so the map is
-q times the image at that level.  Only the determinant checks fold: their
-inputs, the entry polynomials of det and det^n, have constant coefficients;
-apply_generator and singular_check keep k symbolic and specialize after.
+q times the image at that level.  The fold needs constant coefficients,
+which the entry polynomials of det and det^n have.
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from operator import itemgetter
 
 from .report import VerificationReport, timed
-from .scalars import ONE, TermMap, UniPoly, add_term, coerce_rational, format_rational, over_common_denominator
+from .scalars import ONE, TermMap, UniPoly, add_term, coerce_rational, format_rational
 
 Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
 
 LEVEL = UniPoly.variable("k")
-_index = itemgetter(1)  # a letter's basis index
 
 
 def _coerce_poly(value) -> UniPoly:
@@ -163,35 +161,14 @@ def straighten(table, word) -> VacuumState:
 
 
 def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
-    """Act with x(n) on a state, for any integer mode n, at the symbolic level.
-
-    Modes 0 and 1 on commuting mode -1 letters take the differential-operator
-    rule of the module docstring; everything else is straightened.
-    """
+    """Act with x(n) on a state, for any integer mode n, at the symbolic
+    level, by straightening x(n) in front of each monomial."""
     xi = table.idx(x)
     n = int(n)
-    if n in (0, 1):
-        fast = _differential_action(table, xi, n, state)
-        if fast is not None:
-            return fast
     out: dict[Monomial, UniPoly] = {}
     for mono, c in state.terms.items():
         _reduce_into(table, c, ((n, xi),) + mono, out)
     return VacuumState._wrap(out)
-
-
-def _differential_action(table, x: int, n: int, state: VacuumState):
-    """x(n) for n in (0, 1) on P(Y(-1))|0>, through _differential_ints.
-
-    Returns None, so the caller straightens instead, unless every letter is
-    at mode -1 and _differential_ints accepts the letters.
-    """
-    if any(mode != -1 for mode, _ in set().union(*state.terms)):
-        return None
-    ints, den = over_common_denominator(
-        {(d, tuple(map(_index, mono))): v for mono, c in state.terms.items() for d, v in c.terms.items()})
-    out = _differential_ints(table, x, n, ints)
-    return None if out is None else _from_ints(out, den)
 
 
 def _differential_ints(table, x: int, n: int, ints: dict, level=None):

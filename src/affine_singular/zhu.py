@@ -45,7 +45,7 @@ the first two rows writes det(R) as a sum of such minors times
 complementary minors, so phi(det) = 0 and phi(det^n) = 0 for every n.  The
 entries of both kinds pass (R_ij = a_i a_j on kind C, a_i a*_(l-j+1) on
 kind A: an outer product).  When the certificate does not apply, or for
-m = 1, where the image survives, the image is folded as above.
+m = 1, where the image survives, the image is computed as phi(det)^n.
 """
 
 from __future__ import annotations
@@ -189,38 +189,16 @@ def _entry_uenv(poly) -> UEnvElement:
 
 
 def weyl_image(table: StructureTable, u: UEnvElement) -> weyl.WeylElement:
-    """Multiplicative extension of the quadratic realization to U(g).
-
-    The fold runs on ints: u is scaled over its common denominator den and
-    the realizations of its letters over theirs, r (2 when a kind-C Cartan
-    letter, which carries a 1/2, occurs; 1 otherwise).  A word of length L
-    then has its image over r**L; it is lifted by r**(longest - L), folded
-    one letter at a time with weyl._accumulate_product, and each output
-    monomial is divided once by den * r**longest.
-    """
-    scaled, den = over_common_denominator(u.terms)
-    letters = {x for word in scaled for x in word}
-    realized, r = over_common_denominator(
-        {(x, mono): c for x in letters for mono, c in table.realizations[x].terms.items()})
-    factors = {x: [] for x in letters}
-    for (x, (alpha, beta)), c in realized.items():
-        factors[x].append((alpha, beta, c))
-    longest = max(map(len, scaled), default=0)
-    one = (0,) * table.rank
-    total: dict[weyl.Monomial, int] = {}
-    for word, c in scaled.items():
-        piece = {(one, one): c * r ** (longest - len(word))}
+    """Multiplicative extension of the quadratic realization to U(g): the sum
+    over the words of u of their coefficients times the products of their
+    letters' realizations."""
+    total = weyl.WeylElement(table.rank)
+    for word, c in u.terms.items():
+        piece = weyl.WeylElement.constant(table.rank, c)
         for x in word:
-            folded: dict[weyl.Monomial, int] = {}
-            for (a1, b1), c1 in piece.items():
-                for a2, b2, c2 in factors[x]:
-                    weyl._accumulate_product(a1, b1, a2, b2, c1 * c2, folded)
-            piece = folded
-        for mono, c in piece.items():
-            total[mono] = total.get(mono, 0) + c
-    scale = den * r ** longest
-    return weyl.WeylElement._wrap({mono: Fraction(c, scale) for mono, c in total.items() if c},
-                                  table.rank)
+            piece = piece * table.realizations[x]
+        total = total + piece
+    return total
 
 
 @timed

@@ -272,18 +272,6 @@ def freudenthal(table, lam) -> dict:
     return mult
 
 
-def weyl_image(table, u) -> weyl.WeylElement:
-    """The oscillator image of u as a sum over its words of products of
-    WeylElements, in Fraction arithmetic."""
-    total = weyl.WeylElement(table.rank)
-    for word, c in u.terms.items():
-        piece = weyl.WeylElement.constant(table.rank, c)
-        for x in word:
-            piece = piece * table.realizations[x]
-        total = total + piece
-    return total
-
-
 def _pivot(elem, rank: int):
     """A monomial held by this realization and by no later one in elimination
     order, with its coefficient there."""

@@ -246,17 +246,25 @@ def test_verify_singular_fails_off_level():
 
 
 @pytest.mark.parametrize("case", C_GRID + A_GRID + [("C", 4, 4, 3)], ids=lambda case: "%s%d-%d-%d" % case)
-def test_verify_singular_matches_the_state_check(case):
+def test_verify_singular_matches_the_state_check(monkeypatch, case):
     """verify_singular runs on int maps, folds a numeric level into the
     kernel and skips the mode 0 operators that kill det|0>; the state check
-    runs every operator on det^n|0> at the symbolic level and specializes.
-    The two reports must be equal."""
+    straightens every operator on det^n|0> at the symbolic level and
+    specializes, sharing no code with the kernel, which is made to raise
+    while it runs.  The two reports must be equal."""
     spec = DeterminantSpec(*case)
     table = spec.table()
     state = determinant_vector(table, spec)
+    kernel = vacuum._differential_ints
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the state check ran the kernel")
+
     for level in (spec.level, spec.level + 1, spec.level + Fraction(1, 3), None):
         report = verify_singular(spec, level)
+        monkeypatch.setattr(vacuum, "_differential_ints", unused)
         expected = vacuum.singular_check(table, state, level, report.claim)
+        monkeypatch.setattr(vacuum, "_differential_ints", kernel)
         expected.parameters.update(m=spec.m, n=spec.n, distinguished_level=format_rational(spec.level))
         report.timing_ms = expected.timing_ms = 0
         assert report.to_obj() == expected.to_obj(), (case, level)
@@ -305,7 +313,7 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
         raise AssertionError("verify_singular built a vacuum state")
 
     monkeypatch.setattr(vacuum, "_differential_ints", recorded)
-    for name in ("apply_generator", "_differential_action", "straighten"):
+    for name in ("apply_generator", "straighten"):
         monkeypatch.setattr(vacuum, name, unused)
     monkeypatch.setattr(determinants, "ep_state", unused)
     monkeypatch.setattr(VacuumState, "__init__", unused)

@@ -111,3 +111,20 @@ def test_only_the_value_cores_define_equality():
                     if names & {"__eq__", "__hash__"}:
                         defining.add(node.name)
     assert defining == {"FrozenValue", "TermMap"}
+
+
+def test_only_the_annihilator_image_reaches_the_kernel():
+    # singular_check is the oracle for the kernel that verify_singular runs,
+    # so the straightener must not reach that kernel
+    package = Path(affine_singular.__file__).parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_differential_ints" for a in node.names):
+                users.add((path.stem, "import"))
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    if "_differential_ints" in (getattr(inner, "id", None), getattr(inner, "attr", None)):
+                        users.add((path.stem, node.name))
+    assert users == {("determinants", "_annihilator_image")}

@@ -7,9 +7,8 @@ import pytest
 
 from affine_singular.determinants import DeterminantSpec, determinant_vector
 from affine_singular.scalars import UniPoly, over_common_denominator
-from affine_singular.vacuum import (VacuumState, _differential_action,
-                                    _differential_ints, _from_ints,
-                                    _reduce_into, annihilation_operators,
+from affine_singular.vacuum import (VacuumState, _differential_ints,
+                                    _from_ints, annihilation_operators,
                                     apply_generator, monomial_text,
                                     singular_check, state_weight, straighten)
 from oracles import level_var, mode_degree, straighten_rightmost
@@ -131,26 +130,23 @@ def test_commutation_contract_random(table_c2, table_a3):
             assert left - right == bracket, (table.kind, x, y, p, q)
 
 
-def oracle_apply(table, x, n, state):
-    """x(n) on a state through the generic rewriter alone."""
-    out = {}
-    for mono, c in state.terms.items():
-        _reduce_into(table, c, ((n, table.idx(x)),) + mono, out)
-    return VacuumState(out)
-
-
-def folded(table, x, n, state, level):
-    """x(n) on a state of constant coefficients, at a numeric level folded
-    into the kernel; None when the kernel refuses the letters."""
-    level = Fraction(level)
+def folded(table, x, n, state, level=None):
+    """x(n) on a state of mode -1 letters through the kernel, at the symbolic
+    level or at a numeric level folded into it; None when a letter is not at
+    mode -1 or the kernel refuses the letters."""
+    if any(mode != -1 for mono in state.terms for mode, _ in mono):
+        return None
     ints, den = over_common_denominator(
-        {(0, tuple(y for _, y in mono)): c(0) for mono, c in state.terms.items()})
+        {(d, tuple(y for _, y in mono)): v for mono, c in state.terms.items() for d, v in c.terms.items()})
+    if level is not None:
+        level = Fraction(level)
+        den *= level.denominator
     out = _differential_ints(table, table.idx(x), n, ints, level)
-    return None if out is None else _from_ints(out, den * level.denominator)
+    return None if out is None else _from_ints(out, den)
 
 
 def test_differential_action_matches_straightening():
-    """The annihilation operators on det^n |0> agree with the generic rewriter.
+    """The annihilation operators on det^n |0> agree with the straightener.
 
     det^n |0> has constant coefficients, so it is the same input at every
     level.  The residual of the mode 1 operator mixes k-degrees; it is also
@@ -162,14 +158,14 @@ def test_differential_action_matches_straightening():
         spec = DeterminantSpec(kind, rank, m, n)
         table = spec.table()
         state = determinant_vector(table, spec)
-        residual = oracle_apply(table, table.theta_lowering, 1, state)
+        residual = apply_generator(table, table.theta_lowering, 1, state)
         inputs = [state, residual]
         inputs += [residual.specialize(level) for level in (spec.level, spec.level + Fraction(1, 3))]
         for v in inputs:
             for x, mode in annihilation_operators(table):
-                fast = _differential_action(table, x, mode, v)
-                assert fast is not None, (spec.label(), table.text(x))
-                assert fast == oracle_apply(table, x, mode, v), (spec.label(), table.text(x))
+                image = folded(table, x, mode, v)
+                assert image is not None, (spec.label(), table.text(x))
+                assert image == apply_generator(table, x, mode, v), (spec.label(), table.text(x))
 
 
 @pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 4)])
@@ -178,7 +174,7 @@ def test_every_generator_on_det_matches_straightening(kind, rank):
     operators, on det|0> and det^2|0>: the kernel differentiates only the
     letters x moves, and every other letter must come out unchanged.  Only
     x(0) can produce a letter that does not commute with the entries, and
-    then the caller straightens.
+    then the kernel refuses.
 
     At a numeric level the kernel folds the level into its constants; the
     result must be the symbolic one evaluated there, at the distinguished
@@ -192,16 +188,15 @@ def test_every_generator_on_det_matches_straightening(kind, rank):
         levels = [spec.level, spec.level - half, spec.level + half, -half, half, Fraction(7, 3)]
         for x in range(table.dimension):
             for mode in (0, 1):
-                expected = oracle_apply(table, x, mode, state)
-                fast = _differential_action(table, x, mode, state)
-                if fast is None:
+                expected = apply_generator(table, x, mode, state)
+                image = folded(table, x, mode, state)
+                if image is None:
                     refused.add((x, mode))
                 else:
-                    assert fast == expected, (spec.label(), table.text(x), mode)
+                    assert image == expected, (spec.label(), table.text(x), mode)
                     for level in levels:
                         assert folded(table, x, mode, state, level) == expected.specialize(level), (
                             spec.label(), table.text(x), mode, level)
-                assert apply_generator(table, x, mode, state) == expected
     assert refused and all(mode == 0 for _, mode in refused)
 
 
@@ -222,20 +217,23 @@ def test_central_only_letters_are_moved(table_c2):
         constant = all(c.degree == 0 for c in state.terms.values())
         for x in range(t.dimension):
             for mode in (0, 1):
-                expected = oracle_apply(t, x, mode, state)
-                assert apply_generator(t, x, mode, state) == expected
-                if constant and _differential_action(t, x, mode, state) is not None:
+                expected = apply_generator(t, x, mode, state)
+                image = folded(t, x, mode, state)
+                assert image is None or image == expected, (t.text(x), mode)
+                if constant and image is not None:
                     for level in (0, Fraction(-3, 2), Fraction(7, 3)):
                         assert folded(t, x, mode, state, level) == expected.specialize(level)
         for x in t.cartan_indices:
-            fast = _differential_action(t, x, 1, state)
-            assert fast is not None
-            assert fast == oracle_apply(t, x, 1, state)
-    assert _differential_action(t, h1, 1, states[0]) == VacuumState(
+            image = folded(t, x, 1, state)
+            assert image is not None
+            assert image == apply_generator(t, x, 1, state)
+    assert folded(t, h1, 1, states[0]) == VacuumState(
         {((-1, h1),): level_var() * (2 * t.form(h1, h1))})
 
 
 def test_differential_action_falls_back(table_c2):
+    """The kernel refuses letters that do not commute, or that x(0) turns
+    into letters that do not; the adapter refuses a letter off mode -1."""
     t = table_c2
 
     def mono(*labels):
@@ -249,14 +247,10 @@ def test_differential_action_falls_back(table_c2):
     for state in refused:
         for x in range(t.dimension):
             for n in (0, 1):
-                assert _differential_action(t, x, n, state) is None
+                assert folded(t, x, n, state) is None
     # the letters commute, but X[-2e1](0) turns one X[2e1] into h1, which does not
     squared = mono("X[2e1]", "X[2e1]")
-    assert _differential_action(t, t.idx("X[-2e1]"), 0, squared) is None
-    for state in refused + [squared]:
-        for x in range(t.dimension):
-            for n in (0, 1, 2):
-                assert apply_generator(t, x, n, state) == oracle_apply(t, x, n, state)
+    assert folded(t, t.idx("X[-2e1]"), 0, squared) is None
 
 
 def test_confluence_of_strategies(table_c2, table_a3):

@@ -17,7 +17,6 @@ from affine_singular.weyl import WeylElement, annihilation, creation
 from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
                                  uenv_mul, uenv_pow, verify_weyl_vanishing,
                                  verify_zhu_generator, weyl_image, zhu_project)
-import oracles
 from oracles import constant_value, uenv_normal_form, uenv_product, uenv_sum
 from test_acceptance import A_GRID, C_GRID
 from test_determinants import ORACLE_TABLES, oracle_sizes
@@ -209,7 +208,7 @@ def test_rank_one_refuses_a_changed_image_and_the_fold_decides(monkeypatch, kind
     for n in (1, 2):
         spec = DeterminantSpec(kind, rank, 2, n)
         assert not zhu._images_have_rank_one(table, spec)
-        image = oracles.weyl_image(table, finite_determinant(table, spec))
+        image = weyl_image(table, finite_determinant(table, spec))
         power = image * image if n == 2 else image
         assert not power.is_zero
         report = verify_weyl_vanishing(spec)
@@ -291,17 +290,25 @@ def test_weyl_image_of_a_power_is_the_power_of_the_image(kind, rank, m, n):
     assert power.is_zero == (m >= 2)
 
 
-# -- the oscillator image on ints against the fold of WeylElement products --
+# -- the oscillator image against values that need no fold ----------------
 
 
 @pytest.mark.parametrize("kind, rank, m, n", GRID)
 def test_weyl_image_matches_the_product_fold(kind, rank, m, n):
+    """The image of det and of det^n: for m = 1 the power of the single
+    entry's realization, multiplied out directly, and zero for m >= 2."""
     spec = DeterminantSpec(kind, rank, m, n)
     t = spec.table()
     det = finite_determinant(t, spec)
-    for u in (det, uenv_pow(t, det, n)):
+    entry = t.realizations[build_matrix(t, spec)[0][0]]
+    for u, power in ((det, 1), (uenv_pow(t, det, n), n)):
         image = weyl_image(t, u)
-        assert image == oracles.weyl_image(t, u)
+        expected = WeylElement(t.rank)
+        if m == 1:
+            expected = WeylElement.constant(t.rank, 1)
+            for _ in range(power):
+                expected = expected * entry
+        assert image == expected
         assert all(type(c) is Fraction for c in image.terms.values())
 
 
@@ -320,22 +327,19 @@ def _random_element(rng, t, coefficients):
 
 @pytest.mark.parametrize("kind, rank", [("C", 2), ("C", 3), ("A", 3), ("A", 4)])
 def test_weyl_image_of_random_words(kind, rank):
+    """The image is an algebra homomorphism: the image of the PBW product,
+    straightened by uenv_mul through brackets, is the product of the images."""
     t = build_algebra(kind, rank)
     coefficients = [Fraction(1, 3), Fraction(-5, 2), 1, -2]
     rng = random.Random(rank * 10 + len(kind))
-    for _ in range(12):
-        u = _random_element(rng, t, coefficients)
-        assert weyl_image(t, u) == oracles.weyl_image(t, u)
+    for _ in range(6):
+        u, v = _random_element(rng, t, coefficients), _random_element(rng, t, coefficients)
+        assert weyl_image(t, uenv_mul(t, u, v)) == weyl_image(t, u) * weyl_image(t, v)
 
 
 def test_weyl_image_of_contracting_sl3_words(table_a3):
     t = table_a3
     e12, e21 = t.idx("X[e1-e2]"), t.idx("X[e2-e1]")
-    e13, e31, e23 = t.idx("X[e1-e3]"), t.idx("X[e3-e1]"), t.idx("X[e2-e3]")
-    h12 = t.idx("h1-h2")
-    u = UEnvElement({(e12, e21): Fraction(1, 3), (e21, e12, e12): Fraction(-5, 2),
-                     (e13, e31, e23, h12): 1, (h12, e31, e13): Fraction(2, 7)})
-    assert weyl_image(t, u) == oracles.weyl_image(t, u)
     # X[e1-e2] X[e2-e1] -> a1 a*2 . a2 a*1 = a1 a2 a*1 a*2 - a1 a*1: the
     # contraction at index 2 leaves a degree-2 term
     image = weyl_image(t, UEnvElement({(e12, e21): 1}))
@@ -347,11 +351,6 @@ def test_kind_c_cartan_realizations_carry_a_half(table_c2, table_a3):
         for x in range(t.dimension):
             if t.basis[x].kind == "cartan":
                 assert over_common_denominator(t.realizations[x].terms)[1] == den
-    # words of different lengths over a Cartan letter of C2: h1 -> 1/2 - a1 a*1
-    t = table_c2
-    h1 = t.idx("h1")
-    u = UEnvElement({(): Fraction(1, 3), (h1,): 1, (h1, h1, h1): Fraction(-5, 2)})
-    assert weyl_image(t, u) == oracles.weyl_image(t, u)
 
 
 # -- the shortcuts of verify_zhu_generator and zhu_project -----------------
