@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import pytest
 
 from affine_singular import determinants, zhu
 from affine_singular.determinants import (DeterminantSpec, build_matrix, det_entry_poly,
-                                          determinant_vector, ep_pow)
-from affine_singular.liealg import build_algebra
+                                          determinant_vector, entry_element, ep_pow, ep_state)
+from affine_singular.liealg import MAX_DIMENSION, build_algebra, element_weight
 from affine_singular.scalars import over_common_denominator
+from affine_singular.spec import MAX_SIZE
 from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
 from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
@@ -363,7 +365,7 @@ def test_entry_ring_power_is_the_pbw_power(kind, rank, m, n):
     t = spec.table()
     det = det_entry_poly(t, spec)
     assert t.commute({x for word in det for x in word})
-    assert zhu._entry_uenv(ep_pow(det, n)) == uenv_pow(t, zhu._entry_uenv(det), n)
+    assert UEnvElement(ep_pow(det, n)) == uenv_pow(t, UEnvElement(det), n)
 
 
 def test_projection_sign_by_parity(table_c2):
@@ -379,7 +381,31 @@ def test_projection_sign_by_parity(table_c2):
     assert zhu_project(t, state) == _oracle_project(t, state)
 
 
-# witness texts pinned from the check that compared UEnvElements
+# -- verify_zhu_generator's certificate and its oracle ----------------------
+
+# the acceptance grid, the benchmark's four specs and one m = 8 spec
+ORACLE_SPECS = C_GRID + A_GRID + [("C", 4, 4, 3), ("C", 5, 5, 2), ("A", 8, 4, 2), ("C", 6, 6, 1),
+                                  ("C", 8, 8, 1)]
+
+
+def _projected_power(spec):
+    """zhu_project of det^n|0> at the level, and det^n as an entry
+    polynomial: the identity that verify_zhu_generator certifies, computed."""
+    t = spec.table()
+    power = ep_pow(det_entry_poly(t, spec), spec.n)
+    return zhu.zhu_project(t, ep_state(power).specialize(spec.level)), power
+
+
+@pytest.mark.parametrize("kind, rank, m, n", ORACLE_SPECS)
+def test_the_projection_of_the_det_power_is_the_det_power(kind, rank, m, n):
+    spec = DeterminantSpec(kind, rank, m, n)
+    projected, power = _projected_power(spec)
+    assert projected.terms == power
+    assert verify_zhu_generator(spec).verdict
+
+
+# witness texts pinned from the check that compared UEnvElements, when it
+# still expanded det^n and projected it
 DROPPED_TERM_WITNESSES = {
     ("C", 2, 2, 1): "(1) X[e1+e2] X[e1+e2]",
     ("C", 3, 3, 2): "(-1) X[2e2] X[2e2] X[e1+e3] X[e1+e3] X[e1+e3] X[e1+e3]",
@@ -388,7 +414,7 @@ DROPPED_TERM_WITNESSES = {
 
 
 @pytest.mark.parametrize("case", sorted(DROPPED_TERM_WITNESSES))
-def test_a_dropped_term_fails_the_zhu_check_with_the_same_witness(case, monkeypatch):
+def test_a_dropped_term_fails_the_oracle_with_the_same_witness(case, monkeypatch):
     project = zhu.zhu_project
 
     def dropped(table, state):
@@ -397,6 +423,107 @@ def test_a_dropped_term_fails_the_zhu_check_with_the_same_witness(case, monkeypa
         return UEnvElement._wrap(terms)
 
     monkeypatch.setattr(zhu, "zhu_project", dropped)
-    report = verify_zhu_generator(DeterminantSpec(*case))
-    assert not report.verdict
-    assert report.witness == {"difference": DROPPED_TERM_WITNESSES[case]}
+    with pytest.raises(AssertionError):
+        test_the_projection_of_the_det_power_is_the_det_power(*case)
+    spec = DeterminantSpec(*case)
+    projected, power = _projected_power(spec)
+    assert (projected - UEnvElement(power)).text(spec.table()) == DROPPED_TERM_WITNESSES[case]
+    assert verify_zhu_generator(spec).verdict  # the certificate never projects
+
+
+def _is_root(kind, weight):
+    nonzero = sorted(c for c in weight if c)
+    if kind == "A":
+        return nonzero == [-1, 1]
+    return nonzero in ([-1, -1], [-1, 1], [1, 1], [-2], [2])
+
+
+def _dimension(kind, rank):
+    return rank * (2 * rank + 1) if kind == "C" else rank * rank - 1
+
+
+def _accepted_ranks(kind):
+    ranks = list(itertools.takewhile(lambda r: _dimension(kind, r) <= MAX_DIMENSION, itertools.count(2)))
+    with pytest.raises(ValueError, match="above the limit"):
+        build_algebra(kind, ranks[-1] + 1)
+    return ranks
+
+
+def _accepted_sizes(kind, rank):
+    sizes = []
+    for m in range(1, MAX_SIZE + 1):
+        try:
+            DeterminantSpec(kind, rank, m, 1)
+        except ValueError:
+            continue
+        sizes.append(m)
+    return sizes
+
+
+def test_no_two_entries_have_roots_summing_to_a_root():
+    """On every spec the CLI accepts (C2-C18, A2-A26, every allowed m),
+    each entry is a positive root vector and no two entries' roots sum to a
+    root, so [Y_ij, Y_kl] lies in the zero root space and the entries
+    commute: verify_zhu_generator cannot fail on accepted input.  Root
+    arithmetic only; no table is built."""
+    assert _accepted_ranks("C") == list(range(2, 19)) and _accepted_ranks("A") == list(range(2, 27))
+    # _is_root sees a root sum: (e1 - e2) + (e2 - e3), and (e1 - e2) + 2e2 on kind C
+    assert _is_root("A", (1, 0, -1)) and _is_root("C", (1, 1, 0))
+    scanned = 0
+    for kind in ("C", "A"):
+        for rank in _accepted_ranks(kind):
+            roots = set()  # of the m x m matrix, grown by its last row and column
+            for m in _accepted_sizes(kind, rank):
+                border = [(m, j) for j in range(1, m + 1)] + [(i, m) for i in range(1, m)]
+                new = {element_weight(entry_element(kind, rank, i, j), rank) for i, j in border}
+                roots |= new
+                assert all(_is_root(kind, r) and next(c for c in r if c) > 0 for r in new)
+                for a, b in itertools.product(new, roots):
+                    total = tuple(map(operator.add, a, b))
+                    assert any(total) and not _is_root(kind, total), (kind, rank, m, a, b)
+                scanned += 1
+    # C: m <= min(rank, 8), 27 specs up to C7 and 8 each for C8-C18; A: 2m <= rank, m <= 8
+    assert scanned == (27 + 11 * 8) + (2 * (1 + 2 + 3 + 4 + 5 + 6 + 7) + 11 * 8)
+
+
+@pytest.mark.parametrize("kind, rank", [(kind, rank) for kind in ("C", "A") for rank in range(2, 9)])
+def test_the_matrix_letters_commute_in_the_table(kind, rank):
+    table = build_algebra(kind, rank)
+    assert table.dimension == _dimension(kind, rank)
+    for m in _accepted_sizes(kind, rank):
+        assert table.commute(y for row in build_matrix(table, DeterminantSpec(kind, rank, m, 1)) for y in row)
+
+
+def test_a_non_commuting_pair_of_entries_fails_the_check(monkeypatch):
+    """On a copied table where [Y11, Y22] = h1, the check fails and names
+    that pair, the first in row-major order that does not commute."""
+    spec = DeterminantSpec("C", 2, 2, 1)
+    table = copy.copy(spec.table())
+    (y11, y12), (_, y22) = build_matrix(table, spec)
+    h = table.idx("h1")
+    rows = [dict(row) for row in table.rows]
+    rows[y11][y22], rows[y22][y11] = ((h, 1),), ((h, -1),)
+    table.rows = tuple(rows)
+    monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
+    for n in (1, 2):
+        report = verify_zhu_generator(DeterminantSpec("C", 2, 2, n))
+        assert not report.verdict
+        assert report.witness == {"entries": "X[2e1], X[2e2]", "bracket": "(1) h1"}
+    # a second pair, [Y11, Y12] = 2 h1, comes first in row-major order
+    rows[y11][y12], rows[y12][y11] = ((h, 2),), ((h, -2),)
+    assert verify_zhu_generator(spec).witness == {"entries": "X[2e1], X[e1+e2]", "bracket": "(2) h1"}
+
+
+def test_the_check_expands_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Zhu check expanded or projected det^n")
+
+    for module in (zhu, determinants):
+        monkeypatch.setattr(module, "det_entry_poly", fail)
+    for name in ("ep_pow", "ep_state"):
+        monkeypatch.setattr(determinants, name, fail)
+    monkeypatch.setattr(zhu, "zhu_project", fail)
+    monkeypatch.setattr(VacuumState, "specialize", fail)
+    for case in ORACLE_SPECS + [("C", 2, 1, 10 ** 9), ("A", 16, 8, 2)]:
+        report = verify_zhu_generator(DeterminantSpec(*case))
+        assert report.verdict and report.witness is None, case
