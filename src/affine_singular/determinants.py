@@ -17,8 +17,9 @@ The mode 0 half is certified on det|0> alone, for every n and level.  Let
 D be det at mode -1 and x a simple raising operator.  The vacuum module is
 free over U(t^-1 g[t^-1]) (PBW; Frenkel-Zhu, Duke Math. J. 66 (1992)), and
 [x(0), D] lies in that algebra with no central term, since its modes sum
-to -1.  So x(0)D|0> = [x(0), D]|0> = 0 means [x(0), D] = 0 as an operator,
-and then x(0)D^n|0> = sum_j D^j [x(0), D] D^(n-1-j)|0> = 0.
+to -1.  So x(0)D|0> = tD|0> means [x(0), D] = tD as an operator, and then
+x(0)D^n|0> = sum_j D^j [x(0), D] D^(n-1-j)|0> = n t D^n|0>: zero for
+t = 0, and otherwise an exact residual that needs no expansion of x(0).
 
 That x(0) kills det|0> is read off the m x m matrix Y of entries, not the
 m! terms of det (Jacobi's formula; Howe-Umeda, Math. Ann. 290 (1991),
@@ -37,11 +38,13 @@ column the letters are distinct, so A and B can be read off single
 coefficients.  _derivation_trace reads A and B from the brackets, checks
 AY + YB = [x, Y] exactly on every entry, and returns tr(A + B); it returns
 None when no such A and B exist, as when x sends an entry outside the
-matrix.  Only then, or for a nonzero trace, does verify_singular run x(0)
-with the kernel, on det^n|0> like the mode 1 operator.  A root vector x
-shifts weights, so A and B have a zero diagonal and the trace is 0
-whenever the form holds; a nonzero trace comes only from a weight-zero
-letter, such as a Cartan element.
+matrix.  verify_singular decides each simple raising operator by that
+trace alone: 0 certifies it, a nonzero t fails it with the residual
+n t det^n|0>, and no form raises RuntimeError ("no certificate applies"),
+an exit 2 on the command line.  A root vector x shifts weights, so A and B
+have a zero diagonal and the trace is 0 whenever the form holds; a nonzero
+trace comes only from a weight-zero letter, such as a Cartan element.  No
+simple raising operator of an accepted spec lacks the form.
 """
 
 from __future__ import annotations
@@ -227,13 +230,13 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     level "auto" uses spec.level, the distinguished level; None keeps the
     level symbolic; any rational overrides it (the negative-control path).
 
-    det and det^n are expanded once, as entry polynomials, and run on the
-    vacuum kernel's int maps; a state is built only for a failing witness.
-    A simple raising operator at mode 0 that kills det|0> kills det^n|0> at
-    every level (see the module docstring), so it is skipped when
-    _derivation_trace gives 0, which certifies that it kills det|0>.  Any
-    other is run on det^n|0> by the kernel; the report is the same either
-    way.
+    Each simple raising operator at mode 0 is decided on the m x m matrix
+    by _derivation_trace (see the module docstring): trace 0 passes, a
+    nonzero trace t fails with the residual n t det^n|0>, and no AY + YB
+    form raises RuntimeError.  The lowest root vector at mode 1 runs the
+    vacuum kernel once, on det^n's entry polynomial at symbolic k; the image
+    is linear in k, and at a numeric level p/q it is q c_0 + p c_1 per key,
+    over q.  A state is built only for a failing witness.
     """
     table = spec.table()
     if level == "auto":
@@ -243,14 +246,26 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     det = det_entry_poly(table, spec)
     power = det if spec.n == 1 else ep_pow(det, spec.n)
     witness = None
-    for x, mode in vacuum.annihilation_operators(table):
-        if mode == 0 and _derivation_trace(table, spec, x) == 0:
-            continue
-        image = _annihilator_image(table, x, mode, power, level)
-        if image:
-            witness = {"operator": "%s(%d)" % (table.text(x), mode),
-                       "residual": vacuum._from_ints(image, 1 if level is None else level.denominator).text(table)}
+    for x in table.simple_raising:
+        trace = _derivation_trace(table, spec, x)
+        if trace is None:
+            raise RuntimeError("no certificate applies: %s(0) on %s has no AY + YB form on the matrix"
+                               % (table.text(x), spec.label()))
+        if trace:
+            residual = vacuum._from_ints({(0, key): spec.n * trace * c for key, c in power.items()}, 1)
+            witness = {"operator": "%s(0)" % table.text(x), "residual": residual.text(table)}
             break
+    else:
+        image = vacuum._differential_ints(table, table.theta_lowering, power)
+        den = 1
+        if level is not None:
+            den, at = level.denominator, {}
+            for (d, key), c in image.items():
+                add_term(at, (0, key), c * (level.numerator if d else den))
+            image = at
+        if image:
+            witness = {"operator": "%s(1)" % table.text(table.theta_lowering),
+                       "residual": vacuum._from_ints(image, den).text(table)}
     level_text = "symbolic" if level is None else format_rational(level)
     return VerificationReport(
         claim="determinant vector singular: %s level=%s" % (spec.label(), level_text),
@@ -259,15 +274,6 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
                     "m": spec.m, "n": spec.n, "distinguished_level": format_rational(spec.level)},
         witness=witness,
     )
-
-
-def _annihilator_image(table: StructureTable, x: int, mode: int, poly: EntryPoly, level=None) -> dict:
-    """x(mode), mode 0 or 1, on poly(Y(-1))|0> as the vacuum kernel's int map;
-    q times the image at a numeric level p/q (see vacuum._differential_ints)."""
-    image = vacuum._differential_ints(table, x, mode, {(0, key): c for key, c in poly.items()}, level)
-    if image is None:  # unreachable: the entries, and the letters x makes of them, commute
-        raise RuntimeError("the determinant's letters do not commute")
-    return image
 
 
 def beta_constant(table: StructureTable) -> Fraction:
@@ -289,7 +295,7 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
     """
     table = spec.table()
     lower, power = _top_powers(det_entry_poly(table, spec), spec.n)
-    lhs = _annihilator_image(table, table.theta_lowering, 1, power)
+    lhs = vacuum._differential_ints(table, table.theta_lowering, power)
     beta = beta_constant(table)
     # with level = p/q, q times the identity is
     # q x(1) det^n |0> = beta n (k q - p) minor(1,1) det^(n-1) |0>

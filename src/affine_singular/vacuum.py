@@ -16,34 +16,30 @@ because a swap lowers the inversion count and every bracket or central
 correction shortens the word.
 
 Most states the package builds are P(Y(-1))|0>, a polynomial P in
-commuting letters Y at mode -1.  On those, the annihilation operators act
-as differential operators on P:
+commuting letters Y at mode -1.  On those, x(1) acts as a second-order
+differential operator on P:
 
-    x(0) P = sum_Y [x, Y] dP/dY,
     x(1) P = 1/2 sum_(Y, Y') [[x, Y], Y'] d^2P/dYdY' + k sum_Y (x, Y) dP/dY,
 
 with the new letters put back in sorted order; the double sum is symmetric
-by the Jacobi identity, since [Y, Y'] = 0.  The rules hold when the state's
-letters, together with every letter the rule produces, pairwise commute.
-Only the determinant checks apply them, through
-determinants._annihilator_image; apply_generator always straightens, so
-singular_check shares no code with them and can serve as their oracle.
+by the Jacobi identity, since [Y, Y'] = 0.  The rule holds when the state's
+letters, together with every letter it produces, pairwise commute.  Only
+the determinant checks apply it, to the lowest root vector;
+apply_generator always straightens, so singular_check shares no code with
+it and can serve as its oracle.  The mode 0 operators need no such rule
+there: they are certified on the entry matrix (see determinants).
 
-Both rules touch only the letters that x moves: those Y with [x, Y] != 0
-and, at mode 1, also those with (x, Y) != 0.  The same Jacobi identity
-gives [[x, Y], Y'] = [[x, Y'], Y], so a pair term vanishes unless [x, Y]
-and [x, Y'] are both nonzero.  For the lowest root vector on det^n that
-is at most 2n of the mn letters of a monomial; every other letter is
-carried over unchanged, and a monomial's moved letters are found by one
-set intersection with its key.
+The rule touches only the letters that x moves: those Y with [x, Y] != 0
+or (x, Y) != 0.  The same Jacobi identity gives [[x, Y], Y'] =
+[[x, Y'], Y], so a pair term vanishes unless [x, Y] and [x, Y'] are both
+nonzero.  For the lowest root vector on det^n that is at most 2n of the mn
+letters of a monomial; every other letter is carried over unchanged, and a
+monomial's moved letters are found by one set intersection with its key.
 
-The rules run on ints, in _differential_ints: a state is a map
-{(k-degree, sorted letter key): c} over one common denominator, and a
-Fraction is made once per term of a returned state.  At a numeric level p/q
-the central term is folded into the ints: the [x, Y] and [[x, Y], Y']
-constants are multiplied by q and (x, Y) by p in place of k, so the map is
-q times the image at that level.  The fold needs constant coefficients,
-which the entry polynomials of det and det^n have.
+The rule runs on ints, in _differential_ints: it takes the entry
+polynomial {sorted letter key: c} and returns its image as
+{(k-degree, key): c}, k-degree 1 for the central term and 0 for the pair
+term, and a Fraction is made once per term of a state, in _from_ints.
 """
 
 from __future__ import annotations
@@ -171,66 +167,45 @@ def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
     return VacuumState._wrap(out)
 
 
-def _differential_ints(table, x: int, n: int, ints: dict, level=None):
-    """x(n), n in (0, 1), as a differential operator on an int map
-    {(k-degree, sorted letter key): c}, letters at mode -1.
-
-    Returns the image as a map of the same kind over the same denominator,
-    with no zero entries, or None unless the letters, together with every
-    letter the operator produces, pairwise commute.  With level=None, k
-    stays symbolic and the central term raises the k-degree by one.  A
-    numeric level p/q is folded into the operator's constants instead:
-    [x, Y] and [[x, Y], Y'] are multiplied by q and (x, Y) by p, so every
-    image keeps its k-degree and the map is q times the image at p/q; this
-    needs every input slot at k-degree 0.
+def _differential_ints(table, x: int, poly: dict) -> dict:
+    """x(1) at the symbolic level on poly(Y(-1))|0>, for an int map poly
+    {sorted letter key: c}: the image {(k-degree, key): c}, with no zero
+    entries.  Raises RuntimeError unless the letters, together with every
+    letter the operator produces, pairwise commute.
     """
-    letters = set().union(*(key for _, key in ints))
+    letters = set().union(*poly)
     # Only the letters x moves contribute (see the module docstring); the
     # Jacobi argument needs [a, b] = 0, and letters that do not commute
     # fail the guard below in any case.
     first = {y: terms for y in letters if (terms := table.bracket(x, y))}  # y -> [x, y]
-    central = {}
-    if n == 0:
-        replace = first  # y -> [x, y]
-    else:
-        central = {a: pairing for a in letters if (pairing := table.form(x, a))}
-        replace = {}  # (a, b) with a <= b -> [[x, a], b], when nonzero
-        for a in first:
-            for b in first:
-                if a <= b:
-                    nested: dict[int, int] = {}
-                    for z, cz in first[a]:
-                        for w, cw in table.bracket(z, b):
-                            nested[w] = nested.get(w, 0) + cz * cw
-                    terms = [(w, c) for w, c in nested.items() if c]
-                    if terms:
-                        replace[a, b] = terms
+    central = {a: pairing for a in letters if (pairing := table.form(x, a))}
+    replace = {}  # (a, b) with a <= b -> [[x, a], b], when nonzero
+    for a in first:
+        for b in first:
+            if a <= b:
+                nested: dict[int, int] = {}
+                for z, cz in first[a]:
+                    for w, cw in table.bracket(z, b):
+                        nested[w] = nested.get(w, 0) + cz * cw
+                terms = [(w, c) for w, c in nested.items() if c]
+                if terms:
+                    replace[a, b] = terms
     span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
     if not table.commute(span):
-        return None
-    shift = 1  # k-degree added by the central term
-    if level is not None:
-        p, q = level.numerator, level.denominator
-        replace = {at: [(w, c * q) for w, c in terms] for at, terms in replace.items()}
-        central = {a: c * p for a, c in central.items() if p}
-        shift = 0
+        raise RuntimeError("%s(1) acts on letters that do not commute" % table.text(x))
     moved = first.keys() | central.keys()
 
     acc: dict[tuple, int] = {}
-    for (d, key), v in ints.items():
+    for key, v in poly.items():
         present = moved.intersection(key)
         if not present:
             continue
         groups = [(a, key.index(a), key.count(a)) for a in sorted(present)]  # in key order
-        images = []  # (k-degree shift, new key, factor)
         for g, (a, ia, ea) in enumerate(groups):
             rest = key[:ia] + key[ia + 1:]
-            if n == 0:
-                for z, cz in replace[a]:
-                    images.append((0, _insert(rest, z), ea * cz))
-                continue
             if a in central:
-                images.append((shift, rest, ea * central[a]))
+                slot = (1, rest)
+                acc[slot] = acc.get(slot, 0) + v * ea * central[a]
             for b, ib, eb in groups[g:]:
                 terms = replace.get((a, b))
                 pairs = ea * (ea - 1) // 2 if b == a else ea * eb
@@ -238,10 +213,8 @@ def _differential_ints(table, x: int, n: int, ints: dict, level=None):
                     continue
                 pair_rest = rest[:ia] + rest[ia + 1:] if b == a else rest[:ib - 1] + rest[ib:]
                 for w, cw in terms:
-                    images.append((0, _insert(pair_rest, w), pairs * cw))
-        for s, new, factor in images:
-            slot = (d + s, new)
-            acc[slot] = acc.get(slot, 0) + v * factor
+                    slot = (0, _insert(pair_rest, w))
+                    acc[slot] = acc.get(slot, 0) + v * pairs * cw
     return {slot: v for slot, v in acc.items() if v}
 
 

@@ -60,6 +60,19 @@ def ep_apply(table, poly, state: VacuumState) -> VacuumState:
     return out
 
 
+def derivation_image(table, x, poly) -> dict:
+    """x(0) on poly(Y(-1))|0> as the derivation sum_Y [x, Y] dP/dY of the
+    entry ring: each letter in turn is replaced by each term of [x, Y] and
+    the key sorted again.  Sorting is right only while the new letters
+    commute with the rest, as they do when [x, Y] stays in the matrix."""
+    out = {}
+    for key, c in poly.items():
+        for i, y in enumerate(key):
+            for z, cz in table.bracket(x, y):
+                add_term(out, tuple(sorted(key[:i] + (z,) + key[i + 1:])), c * cz)
+    return out
+
+
 def det_dense(matrix) -> Fraction:
     """Determinant of a dense square matrix of Fractions by elimination."""
     n = len(matrix)

@@ -8,6 +8,7 @@ import pytest
 from affine_singular import determinants
 from affine_singular import spec as spec_module
 from affine_singular import vacuum
+from affine_singular.cli import main
 from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           build_matrix, det_entry_poly,
                                           determinant_vector, entry_element,
@@ -18,8 +19,8 @@ from affine_singular.liealg import build_algebra
 from affine_singular.scalars import UniPoly, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from affine_singular.zhu import verify_zhu_generator
-from oracles import (casimir_level, coexisting_singulars, entries_commute_check, ep_apply,
-                     leibniz_entry_poly, minor_vector)
+from oracles import (casimir_level, coexisting_singulars, derivation_image, entries_commute_check,
+                     ep_apply, leibniz_entry_poly, minor_vector)
 from test_acceptance import A_GRID, C_GRID
 
 
@@ -249,11 +250,11 @@ def test_verify_singular_fails_off_level():
 
 @pytest.mark.parametrize("case", C_GRID + A_GRID + [("C", 4, 4, 3)], ids=lambda case: "%s%d-%d-%d" % case)
 def test_verify_singular_matches_the_state_check(monkeypatch, case):
-    """verify_singular runs on int maps, folds a numeric level into the
-    kernel and skips the mode 0 operators that kill det|0>; the state check
-    straightens every operator on det^n|0> at the symbolic level and
-    specializes, sharing no code with the kernel, which is made to raise
-    while it runs.  The two reports must be equal."""
+    """verify_singular certifies the mode 0 operators on the matrix and runs
+    the kernel at symbolic k on int maps, evaluating its image at a numeric
+    level; the state check straightens every operator on det^n|0> at the
+    symbolic level and specializes, sharing no code with the kernel, which
+    is made to raise while it runs.  The two reports must be equal."""
     spec = DeterminantSpec(*case)
     table = spec.table()
     state = determinant_vector(table, spec)
@@ -273,32 +274,47 @@ def test_verify_singular_matches_the_state_check(monkeypatch, case):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_an_operator_that_det_fails_still_runs_on_the_power(monkeypatch, n):
+def test_an_operator_with_no_form_has_no_certificate(monkeypatch, capsys, n):
     # On the 1 x 1 matrix (X[2e2]), X[e1-e2] sends the entry to X[e1+e2],
-    # outside the matrix: the certificate has no form, and X[e1-e2](0) does
-    # not kill det|0>.  The operator must run on det^n and the report be the
-    # plain check's, both with no form and with a nonzero trace in its place.
+    # outside the matrix: no AY + YB form exists, so no certificate applies,
+    # and the check refuses at every level, and the command line exits 2.
     spec = DeterminantSpec("C", 2, 1, n)
     table = spec.table()
     entry = table.idx("X[2e2]")
     monkeypatch.setattr(determinants, "build_matrix", lambda table, spec: ((entry,),))
-    raising = table.idx("X[e1-e2]")
-    assert determinants._derivation_trace(table, spec, raising) is None
-    det = det_entry_poly(table, spec)
-    assert det == {(entry,): 1}
-    state = ep_state(ep_pow(det, n))
-    trace = determinants._derivation_trace
-    for nonzero in (False, True):
-        if nonzero:
-            monkeypatch.setattr(determinants, "_derivation_trace",
-                                lambda table, spec, x: 1 if x == raising else trace(table, spec, x))
+    assert determinants._derivation_trace(table, spec, table.idx("X[e1-e2]")) is None
+    message = r"^no certificate applies: X\[e1-e2\]\(0\) on C2 m=1 n=%d has no AY \+ YB form on the matrix$" % n
+    for level in (spec.level, spec.level + 1, None):
+        with pytest.raises(RuntimeError, match=message):
+            verify_singular(spec, level)
+    for rest in ([], ["--symbolic"]):
+        argv = ["singular", "verify", "--type", "C", "--rank", "2", "-m", "1", "-n", str(n), "--no-cache"]
+        assert main(argv + rest) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no certificate applies: X[e1-e2](0)")
+
+
+@pytest.mark.parametrize("kind, rank, m, cartan", [("C", 2, 2, "h1"), ("A", 4, 2, "h2-h3")])
+def test_a_nonzero_trace_fails_with_the_state_checks_report(monkeypatch, kind, rank, m, cartan):
+    """On a copied table whose simple raising operators include a Cartan
+    letter h, the trace t of h is nonzero and verify_singular fails with the
+    residual n t det^n|0>, built with no kernel; the state check, which only
+    straightens, must give the same report."""
+    table = copy.copy(build_algebra(kind, rank))
+    h = table.idx(cartan)
+    table.simple_raising = table.simple_raising[:1] + (h,) + table.simple_raising[1:]
+    monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
+    for n in (1, 2):
+        spec = DeterminantSpec(kind, rank, m, n)
+        assert determinants._derivation_trace(table, spec, h)
+        state = determinant_vector(table, spec)
         for level in (spec.level, spec.level + 1, None):
             report = verify_singular(spec, level)
-            expected = vacuum.singular_check(table, state, level=level, claim=report.claim)
-            expected.parameters.update(m=1, n=n, distinguished_level=format_rational(spec.level))
-            assert expected.witness["operator"] == "X[e1-e2](0)"
+            expected = vacuum.singular_check(table, state, level, report.claim)
+            expected.parameters.update(m=m, n=n, distinguished_level=format_rational(spec.level))
+            assert not report.verdict and report.witness["operator"] == "%s(0)" % table.text(h)
             report.timing_ms = expected.timing_ms = 0
-            assert report.to_obj() == expected.to_obj()
+            assert report.to_obj() == expected.to_obj(), (spec.label(), level)
 
 
 def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
@@ -307,9 +323,9 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     calls = []
     kernel = vacuum._differential_ints
 
-    def recorded(table, x, n, ints, level=None):
-        calls.append((n, ints, level))
-        return kernel(table, x, n, ints, level)
+    def recorded(table, x, poly):
+        calls.append((x, poly))
+        return kernel(table, x, poly)
 
     def unused(*args, **kwargs):
         raise AssertionError("verify_singular built a vacuum state")
@@ -322,24 +338,24 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     monkeypatch.setattr(VacuumState, "_wrap", classmethod(unused))
     assert verify_singular(spec).verdict
     # the three simple raising operators are certified on the matrix, so
-    # the kernel runs once: x(1) on det^2's map at the distinguished level
-    assert calls == [(1, {(0, key): c for key, c in square.items()}, spec.level)]
+    # the kernel runs once: x(1) on det^2's map, at symbolic k
+    assert calls == [(spec.table().theta_lowering, square)]
 
 
-# C2-C8 and A4-A16, every allowed m up to 7: the kernel's side at m = 8
-# (C8 and A16) takes about 11 s on a 2-vCPU Xeon, so those two specs are
-# run only by the frontier tests
+# C2-C8 and A4-A16, every allowed m up to 7: at m = 8 det has 40,320
+# terms, and the oracle's derivation walks all of them for each letter
 ORACLE_TABLES = [("C", rank) for rank in range(2, 9)] + [("A", rank) for rank in range(4, 17)]
 
 
-def oracle_sizes(kind, rank):
-    return range(1, min(rank if kind == "C" else rank // 2, 7) + 1)
+def oracle_sizes(kind, rank, top=7):
+    return range(1, min(rank if kind == "C" else rank // 2, top) + 1)
 
 
 @pytest.mark.parametrize("kind, rank", ORACLE_TABLES, ids=["%s%d" % table for table in ORACLE_TABLES])
 def test_the_derivation_trace_is_the_kernels_eigenvalue(kind, rank):
-    """Whenever _derivation_trace gives t, the kernel's x(0) on det|0> is t
-    times det, for the simple raising, simple lowering and Cartan letters."""
+    """Whenever _derivation_trace gives t, x(0) on det|0>, taken as the
+    derivation of the entry ring in oracles, is t times det, for the simple
+    raising, simple lowering and Cartan letters."""
     table = build_algebra(kind, rank)
     for m in oracle_sizes(kind, rank):
         spec = DeterminantSpec(kind, rank, m, 1)
@@ -348,8 +364,8 @@ def test_the_derivation_trace_is_the_kernels_eigenvalue(kind, rank):
         for x in table.simple_raising + table.simple_lowering + table.cartan_indices:
             t = traces[x] = determinants._derivation_trace(table, spec, x)
             if t is not None:
-                image = determinants._annihilator_image(table, x, 0, det)
-                assert image == {(0, key): t * c for key, c in det.items() if t}, (m, table.text(x))
+                image = derivation_image(table, x, det)
+                assert image == {key: t * c for key, c in det.items() if t}, (m, table.text(x))
         assert {traces[x] for x in table.simple_raising} == {0}, m
         # a lowering operator sends some entry outside the matrix
         assert any(traces[x] is None for x in table.simple_lowering), m
@@ -359,19 +375,36 @@ def test_the_derivation_trace_is_the_kernels_eigenvalue(kind, rank):
         assert None not in cartan and any(cartan), m
 
 
+def test_every_accepted_spec_has_the_mode_0_certificate():
+    """Every simple raising operator of every spec the command line accepts
+    (C2-C18 and A2-A26, every allowed m) has trace 0, so verify_singular
+    never raises "no certificate applies" on accepted input.  That these
+    are all the accepted ranks is checked in test_zhu."""
+    scanned = 0
+    for kind, ranks in (("C", range(2, 19)), ("A", range(2, 27))):
+        for rank in ranks:
+            table = build_algebra(kind, rank)
+            for m in oracle_sizes(kind, rank, spec_module.MAX_SIZE):
+                spec = DeterminantSpec(kind, rank, m, 1)
+                for x in table.simple_raising:
+                    assert determinants._derivation_trace(table, spec, x) == 0, (spec.label(), table.text(x))
+                    scanned += 1
+    assert scanned == 3575
+
+
 @pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
 def test_the_frontier_runs_the_kernel_once(monkeypatch, case):
     calls = []
     kernel = vacuum._differential_ints
 
-    def recorded(table, x, n, ints, level=None):
-        calls.append((x, n))
-        return kernel(table, x, n, ints, level)
+    def recorded(table, x, poly):
+        calls.append((x, poly))
+        return kernel(table, x, poly)
 
     monkeypatch.setattr(vacuum, "_differential_ints", recorded)
     spec = DeterminantSpec(*case)
     assert verify_singular(spec).verdict
-    assert calls == [(spec.table().theta_lowering, 1)]
+    assert calls == [(spec.table().theta_lowering, det_entry_poly(spec.table(), spec))]
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):

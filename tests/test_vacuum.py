@@ -130,74 +130,53 @@ def test_commutation_contract_random(table_c2, table_a3):
             assert left - right == bracket, (table.kind, x, y, p, q)
 
 
-def folded(table, x, n, state, level=None):
-    """x(n) on a state of mode -1 letters through the kernel, at the symbolic
-    level or at a numeric level folded into it; None when a letter is not at
-    mode -1 or the kernel refuses the letters."""
-    if any(mode != -1 for mono in state.terms for mode, _ in mono):
-        return None
+def folded(table, x, state):
+    """x(1) on a state of mode -1 letters with constant coefficients,
+    through the kernel; None when the kernel refuses the letters."""
+    assert all(mode == -1 for mono in state.terms for mode, _ in mono)
+    assert all(c.degree == 0 for c in state.terms.values())
     ints, den = over_common_denominator(
-        {(d, tuple(y for _, y in mono)): v for mono, c in state.terms.items() for d, v in c.terms.items()})
-    if level is not None:
-        level = Fraction(level)
-        den *= level.denominator
-    out = _differential_ints(table, table.idx(x), n, ints, level)
-    return None if out is None else _from_ints(out, den)
+        {tuple(y for _, y in mono): c.terms[0] for mono, c in state.terms.items()})
+    try:
+        out = _differential_ints(table, table.idx(x), ints)
+    except RuntimeError:
+        return None
+    return _from_ints(out, den)
 
 
 def test_differential_action_matches_straightening():
-    """The annihilation operators on det^n |0> agree with the straightener.
-
-    det^n |0> has constant coefficients, so it is the same input at every
-    level.  The residual of the mode 1 operator mixes k-degrees; it is also
-    run symbolically and specialised at the distinguished level and at an off
-    level a third away, which gives it fractional coefficients.  C4 m=4 n=3
-    has every entry repeated in most monomials.
+    """The lowest root vector at mode 1 on det^n |0> agrees with the
+    straightener, and so does it on the residual specialised at the
+    distinguished level and at an off level a third away, which gives it
+    fractional coefficients.  C4 m=4 n=3 has every entry repeated in most
+    monomials.
     """
     for kind, rank, m, n in C_GRID + A_GRID + [("C", 4, 4, 3)]:
         spec = DeterminantSpec(kind, rank, m, n)
         table = spec.table()
+        x = table.theta_lowering
         state = determinant_vector(table, spec)
-        residual = apply_generator(table, table.theta_lowering, 1, state)
-        inputs = [state, residual]
-        inputs += [residual.specialize(level) for level in (spec.level, spec.level + Fraction(1, 3))]
+        residual = apply_generator(table, x, 1, state)
+        inputs = [state] + [residual.specialize(level) for level in (spec.level, spec.level + Fraction(1, 3))]
         for v in inputs:
-            for x, mode in annihilation_operators(table):
-                image = folded(table, x, mode, v)
-                assert image is not None, (spec.label(), table.text(x))
-                assert image == apply_generator(table, x, mode, v), (spec.label(), table.text(x))
+            image = folded(table, x, v)
+            assert image is not None, spec.label()
+            assert image == apply_generator(table, x, 1, v), spec.label()
 
 
 @pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 4)])
 def test_every_generator_on_det_matches_straightening(kind, rank):
-    """x(0) and x(1) for every basis element x, not only the annihilation
-    operators, on det|0> and det^2|0>: the kernel differentiates only the
-    letters x moves, and every other letter must come out unchanged.  Only
-    x(0) can produce a letter that does not commute with the entries, and
-    then the kernel refuses.
-
-    At a numeric level the kernel folds the level into its constants; the
-    result must be the symbolic one evaluated there, at the distinguished
-    level, half a unit either side of it, +-1/2 and 7/3."""
-    refused = set()
+    """x(1) for every basis element x, not only the lowest root vector, on
+    det|0> and det^2|0>: the kernel differentiates only the letters x
+    moves, and every other letter must come out unchanged."""
     for n in (1, 2):
         spec = DeterminantSpec(kind, rank, 2, n)
         table = spec.table()
         state = determinant_vector(table, spec)
-        half = Fraction(1, 2)
-        levels = [spec.level, spec.level - half, spec.level + half, -half, half, Fraction(7, 3)]
         for x in range(table.dimension):
-            for mode in (0, 1):
-                expected = apply_generator(table, x, mode, state)
-                image = folded(table, x, mode, state)
-                if image is None:
-                    refused.add((x, mode))
-                else:
-                    assert image == expected, (spec.label(), table.text(x), mode)
-                    for level in levels:
-                        assert folded(table, x, mode, state, level) == expected.specialize(level), (
-                            spec.label(), table.text(x), mode, level)
-    assert refused and all(mode == 0 for _, mode in refused)
+            image = folded(table, x, state)
+            assert image is not None, (spec.label(), table.text(x))
+            assert image == apply_generator(table, x, 1, state), (spec.label(), table.text(x))
 
 
 def test_central_only_letters_are_moved(table_c2):
@@ -208,49 +187,35 @@ def test_central_only_letters_are_moved(table_c2):
     states = [
         VacuumState({((-1, h1), (-1, h1)): 1}),
         VacuumState({((-1, h1), (-1, h2), (-1, h2)): Fraction(2, 3)}),
-        VacuumState({((-1, h1), (-1, h1)): level_var(), ((-1, h2),): -3}),
-        VacuumState({((-1, h1), (-1, h2)): level_var() * level_var() + 1}),
     ]
     for state in states:
-        # the fold takes constant coefficients only; the last two states
-        # have coefficients of degree 1 and 2 in k
-        constant = all(c.degree == 0 for c in state.terms.values())
         for x in range(t.dimension):
-            for mode in (0, 1):
-                expected = apply_generator(t, x, mode, state)
-                image = folded(t, x, mode, state)
-                assert image is None or image == expected, (t.text(x), mode)
-                if constant and image is not None:
-                    for level in (0, Fraction(-3, 2), Fraction(7, 3)):
-                        assert folded(t, x, mode, state, level) == expected.specialize(level)
+            image = folded(t, x, state)
+            assert image is None or image == apply_generator(t, x, 1, state), t.text(x)
         for x in t.cartan_indices:
-            image = folded(t, x, 1, state)
+            image = folded(t, x, state)
             assert image is not None
             assert image == apply_generator(t, x, 1, state)
-    assert folded(t, h1, 1, states[0]) == VacuumState(
+    assert folded(t, h1, states[0]) == VacuumState(
         {((-1, h1),): level_var() * (2 * t.form(h1, h1))})
 
 
 def test_differential_action_falls_back(table_c2):
-    """The kernel refuses letters that do not commute, or that x(0) turns
-    into letters that do not; the adapter refuses a letter off mode -1."""
+    """The kernel raises on letters that do not commute, or that x(1) turns
+    into letters that do not."""
     t = table_c2
 
     def mono(*labels):
-        return VacuumState({tuple((-1, t.idx(y)) for y in labels): 1})
+        return {tuple(sorted(t.idx(y) for y in labels)): 1}
 
-    refused = [
-        mono("X[-2e1]", "X[2e1]"),  # the letters do not commute
-        mono("h1", "X[2e1]"),
-        straighten(t, [(-2, "X[2e1]"), (-1, "X[2e2]")]),  # a mode -2 letter
-    ]
-    for state in refused:
+    for refused in (mono("X[-2e1]", "X[2e1]"), mono("h1", "X[2e1]")):  # the letters do not commute
         for x in range(t.dimension):
-            for n in (0, 1):
-                assert folded(t, x, n, state) is None
-    # the letters commute, but X[-2e1](0) turns one X[2e1] into h1, which does not
-    squared = mono("X[2e1]", "X[2e1]")
-    assert folded(t, t.idx("X[-2e1]"), 0, squared) is None
+            with pytest.raises(RuntimeError, match=r"\(1\) acts on letters that do not commute"):
+                _differential_ints(t, x, refused)
+    # h1 commutes with itself, but the pair term [[X[-2e1], h1], h1] is a
+    # multiple of X[-2e1], which does not
+    with pytest.raises(RuntimeError, match=r"^X\[-2e1\]\(1\) acts on letters that do not commute$"):
+        _differential_ints(t, t.idx("X[-2e1]"), mono("h1", "h1"))
 
 
 def test_confluence_of_strategies(table_c2, table_a3):
