@@ -17,7 +17,9 @@ So a commutator is computed only for the pairs where the a* indices of one
 realization meet the a indices of the other (828 of the 3,003 pairs of
 C_6), and every other bracket is exactly zero.  The table stores only
 the nonzero brackets, one row {y: [x, y]} per x; bracket gives () for any
-other pair.
+other pair.  A row is filled on its first read, and a row y filled before
+row x gives [x, y] = -[y, x], so each commutator is computed at most once
+and a check pays only for the rows it reads.
 
 The invariant form is read off the stored brackets as the Killing form
 over 2h^v:
@@ -29,7 +31,8 @@ on the natural module (Kac, Infinite Dimensional Lie Algebras, ch. 6), so
 (x, y) is the natural module's trace form, with (theta, theta) = 2 as the
 affine central terms need.  Only pairs of opposite weight have a nonzero
 trace, so only a root vector with its negative, and Cartan with Cartan,
-are summed.  The form is stored like the brackets, one row {y: (x, y)} per x.
+are summed.  The form is stored like the brackets, one row {y: (x, y)} per x,
+filled on its first read from the bracket rows of x and of each such y.
 
 Every structure constant, form entry and weight coordinate is an integer in
 this basis, as in a Chevalley basis, and the table holds them as ints (a
@@ -50,8 +53,9 @@ from .spec import FrozenValue
 
 Weight = tuple
 
-# build_algebra refuses larger algebras, since it scans all dim^2 / 2 pairs
-# for brackets (C18 has dimension 666 and A26 has 675)
+# build_algebra refuses larger algebras, since a full read of a table (alg
+# info, or a walk over every pair) fills all dim rows and computes every
+# contracting bracket (C18 has dimension 666 and A26 has 675)
 MAX_DIMENSION = 700
 
 
@@ -120,7 +124,7 @@ def element_weight(elem: BasisElement, rank: int) -> Weight:
 
 
 class StructureTable:
-    """Immutable bracket/form/weight data for one algebra.
+    """Bracket/form/weight data for one algebra; a filled row never changes.
 
     Basis order is negative root vectors, then Cartan elements, then positive
     root vectors (each block in a fixed deterministic order); this is also the
@@ -133,10 +137,10 @@ class StructureTable:
         self.basis = tuple(basis)
         self.realizations = tuple(realizations)
         self._index = {elem: n for n, elem in enumerate(self.basis)}
-        # rows[x] = {y: [x, y]}, nonzero brackets only
-        self.rows = tuple({y: terms for y, terms in row.items() if terms} for row in rows)
-        # _form[x] = {y: (x, y)}, nonzero entries only
-        self._form = tuple({y: value for y, value in row.items() if value} for row in form)
+        # rows[x] = {y: [x, y]} and _form[x] = {y: (x, y)}, nonzero entries
+        # only, indexed by basis index (build_algebra fills each on first read)
+        self.rows = rows
+        self._form = form
         self.blocks = tuple(blocks)
         self.weights = tuple(element_weight(e, rank) for e in self.basis)
         self.dimension = len(self.basis)
@@ -180,13 +184,15 @@ class StructureTable:
 
     def nonzero_brackets(self):
         """(x, y, [x, y]) for each x < y in basis order with [x, y] != 0."""
-        for x, row in enumerate(self.rows):
+        for x in range(self.dimension):
+            row = self.rows[x]
             for y in sorted(y for y in row if y > x):
                 yield x, y, row[y]
 
     def nonzero_form(self):
         """(x, y, (x, y)) for each x <= y in basis order with (x, y) != 0."""
-        for x, row in enumerate(self._form):
+        for x in range(self.dimension):
+            row = self._form[x]
             for y in sorted(y for y in row if y >= x):
                 yield x, y, row[y]
 
@@ -271,19 +277,35 @@ def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
     return -weyl.normal_ordered(a(elem.i), s(elem.i)) + weyl.normal_ordered(a(elem.i + 1), s(elem.i + 1))
 
 
-def _index_bits(exponents) -> int:
-    """The bit mask of the indices with a nonzero exponent."""
-    return sum(1 << i for i, e in enumerate(exponents) if e)
-
-
 class RealizationError(ArithmeticError):
     """A commutator fell outside the basis span; the table is inconsistent."""
 
 
+class _FilledOnRead(dict):
+    """{x: fill(x)} for the basis indices 0 <= x < size, each row made on its
+    first read; a read of a filled row is a plain dict lookup."""
+
+    __slots__ = ("_size", "_fill")
+
+    def __init__(self, size, fill):
+        super().__init__()
+        self._size = size
+        self._fill = fill
+
+    def __missing__(self, x):
+        if not 0 <= x < self._size:
+            raise KeyError(x)
+        row = self[x] = self._fill(x)
+        return row
+
+
 @lru_cache(maxsize=None)
 def build_algebra(kind: str, rank: int) -> StructureTable:
-    """Construct the full structure table for sp_2l (kind "C") or sl_l (kind "A").
+    """The structure table for sp_2l (kind "C") or sl_l (kind "A").
 
+    Only the basis, the realizations, their pivots and their index sets are
+    built here; each bracket row and form row is filled on its first read,
+    so a RealizationError surfaces at the first read of a faulty row.
     The realizations are scaled once to integers over their common
     denominator den.  Commutators, eliminations and traces then add ints, and
     each constant is divided exactly, a remainder raising RealizationError.
@@ -358,44 +380,58 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
                                    % weyl.WeylElement(rank, z).scale(Fraction(1, den * den)))
         return coeffs
 
-    # the indices that each realization's a factors (amask) and a* factors
-    # (bmask) use, one bit each; a pair can contract only where one's a*
-    # bits meet the other's a bits (see the module docstring)
-    amask = [0] * dim
-    bmask = [0] * dim
-    for n, z in enumerate(scaled):
-        for alpha, beta in z.terms:
-            amask[n] |= _index_bits(alpha)
-            bmask[n] |= _index_bits(beta)
+    # the indices of each realization's a factors (a_of) and a* factors
+    # (b_of), and the basis elements with an a factor (a_at) or an a* factor
+    # (b_at) at each index; a pair can contract only where one's a* indices
+    # meet the other's a indices (see the module docstring)
+    a_of = [{i for alpha, _ in z.terms for i, e in enumerate(alpha) if e} for z in scaled]
+    b_of = [{i for _, beta in z.terms for i, e in enumerate(beta) if e} for z in scaled]
+    a_at = [{n for n in range(dim) if i in a_of[n]} for i in range(rank)]
+    b_at = [{n for n in range(dim) if i in b_of[n]} for i in range(rank)]
 
-    rows = [{} for _ in range(dim)]  # nonzero brackets only
-    for x in range(dim):
-        ax, bx = amask[x], bmask[x]
-        for y in range(x + 1, dim):
-            if not (bx & amask[y] or bmask[y] & ax):
-                continue
-            coeffs = sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items())
-            if coeffs:
-                rows[x][y] = tuple(coeffs)
-                rows[y][x] = tuple((z, -q) for z, q in coeffs)
+    def bracket_row(x):
+        """{y: [x, y]} over the y with [x, y] != 0, ascending; a filled row y
+        gives [x, y] = -[y, x], so a commutator is computed once per pair."""
+        partners = set().union(*(a_at[i] for i in b_of[x]), *(b_at[i] for i in a_of[x]))
+        partners.discard(x)
+        row = {}
+        for y in sorted(partners):
+            filled = rows.get(y)
+            if filled is None:
+                terms = tuple(sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items()))
+            else:
+                terms = tuple((z, -q) for z, q in filled.get(x, ()))
+            if terms:
+                row[y] = terms
+        return row
 
     # (x, y) = tr(ad x ad y) / 2h^v, where tr(ad x ad y) is the sum over z
     # of c [x, w]_z for each c w in [y, z].  Only pairs of opposite weight
     # are summed: both root blocks are sorted by weight, so the root vector
     # of weight -w(x) is the one at dim - 1 - x; Cartans pair with Cartans
     two_dual_coxeter = 2 * (rank + 1 if kind == "C" else rank)
-    form = [{} for _ in range(dim)]
-    for x in range(dim):
-        ad_x = {w: dict(terms) for w, terms in rows[x].items()}
-        for y in cartan_indices if basis[x].kind == "cartan" else (dim - 1 - x,):
-            if y < x:
-                continue
-            trace = sum(c * ad_x[w].get(z, 0) for z, terms in rows[y].items()
-                        for w, c in terms if w in ad_x)
-            value, r = divmod(trace, two_dual_coxeter)
-            if r:
-                raise RealizationError("the form entry (%s, %s) is not an integer"
-                                       % (basis[x].text(kind), basis[y].text(kind)))
-            form[x][y] = form[y][x] = value
 
+    def form_row(x):
+        """{y: (x, y)} over the y of opposite weight with (x, y) != 0; a
+        filled form row y gives (x, y) = (y, x)."""
+        ad_x = None
+        row = {}
+        for y in cartan_indices if basis[x].kind == "cartan" else (dim - 1 - x,):
+            filled = form.get(y)
+            if filled is not None:
+                value = filled.get(x, 0)
+            else:
+                ad_x = ad_x or {w: dict(terms) for w, terms in rows[x].items()}
+                trace = sum(c * ad_x[w].get(z, 0) for z, terms in rows[y].items()
+                            for w, c in terms if w in ad_x)
+                value, r = divmod(trace, two_dual_coxeter)
+                if r:
+                    raise RealizationError("the form entry (%s, %s) is not an integer"
+                                           % (basis[x].text(kind), basis[y].text(kind)))
+            if value:
+                row[y] = value
+        return row
+
+    rows = _FilledOnRead(dim, bracket_row)
+    form = _FilledOnRead(dim, form_row)
     return StructureTable(kind, rank, basis, realizations, rows, form, blocks)

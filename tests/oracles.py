@@ -305,7 +305,8 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     commutator, and is expanded on pivots listed per label, not read off
     the realizations.  Each form entry is the trace form of the action on
     the 2l-dimensional generator span, halved for kind "A", not a Killing
-    form; zeros included, since the table keeps only the nonzero ones."""
+    form.  Every bracket and form entry is computed, and the rows keep the
+    nonzero ones, as a StructureTable's rows do."""
     if kind == "C":
         lower = [liealg.BasisElement("minus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
         lower += [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, i)]
@@ -341,14 +342,15 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
         assert not rem, "element %r is outside the basis span" % z
         return coeffs
 
-    # every bracket, zeros included: the table keeps only the nonzero ones
-    rows = [{x: ()} for x in range(dim)]
+    # every bracket is computed; the rows keep the nonzero ones
+    rows = [{} for _ in range(dim)]
     for x in range(dim):
         for y in range(x + 1, dim):
             rx, ry = realizations[x], realizations[y]
             terms = tuple(sorted(to_basis(rx * ry - ry * rx).items()))
-            rows[x][y] = terms
-            rows[y][x] = tuple((z, -c) for z, c in terms)
+            if terms:
+                rows[x][y] = terms
+                rows[y][x] = tuple((z, -c) for z, c in terms)
 
     gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
     gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
@@ -364,6 +366,7 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     form = [{y: scale * sum((c * matrices[y].get((t, r), ZERO) for (r, t), c in matrices[x].items()), ZERO)
              for y in range(dim)}
             for x in range(dim)]
+    form = [{y: value for y, value in row.items() if value} for row in form]
     return liealg.StructureTable(kind, rank, basis, realizations, rows, form, blocks)
 
 

@@ -271,7 +271,7 @@ def test_raising_certificate_matches_the_full_scan():
 
 def _mutated(table, changes):
     """A copy of table with the brackets in changes replaced."""
-    rows = [dict(row) for row in table.rows]
+    rows = [dict(table.rows[x]) for x in range(table.dimension)]
     for (x, y), terms in changes.items():
         rows[x][y] = terms
     return StructureTable(table.kind, table.rank, table.basis, table.realizations, rows,

@@ -36,6 +36,9 @@ def test_alg_info_text(capsys):
     ("A", 5, "21f7aec8bd781fcaf03d7b8392be567707d15365f730cb94dabc4ba502dc235c"),
     ("C", 6, "f6ba13a33232b44803d6025c4e8db43ca150a906e58023f61039df47dcb70202"),
     ("A", 8, "e88092abe38ac64d17e7fff7d3c7b644a465b14aa76272c53ba5d6abc082779c"),
+    # the largest algebras MAX_DIMENSION admits: 3,986,063 and 3,446,414 bytes
+    ("C", 18, "f6611449b32792fd8cb02215f8f16a6e8967b3ad801ad35c7c45825b2a0b2b27"),
+    ("A", 26, "bbba81540669e2466fc22b5dbabd7e39db7cbfbf7cc180db79035fe55248b1c8"),
 ])
 def test_alg_info_json_is_pinned(capsys, kind, rank, digest):
     assert main(["alg", "info", "--type", kind, "--rank", str(rank), "--json"]) == 0

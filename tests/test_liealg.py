@@ -240,7 +240,7 @@ def test_cartan_hpoly(table_c2, table_a3):
         table_c2.cartan_hpoly("X[2e1]")
 
 
-def test_bracket_outside_the_span_is_refused(monkeypatch):
+def test_bracket_outside_the_span_is_refused(monkeypatch, capsys):
     realize = liealg._realize
 
     def degree1_root(kind, rank, elem):
@@ -249,11 +249,17 @@ def test_bracket_outside_the_span_is_refused(monkeypatch):
         return realize(kind, rank, elem)
 
     monkeypatch.setattr(liealg, "_realize", degree1_root)
-    with pytest.raises(RealizationError):
-        build_algebra.__wrapped__("C", 2)
+    # the set-up reads no row, so the fault surfaces at the first read of
+    # a row that meets it, and alg info, which reads every row, exits 2
+    table = build_algebra.__wrapped__("C", 2)
+    with pytest.raises(RealizationError, match=r"^element .* is outside the basis span$"):
+        table.rows[table.idx("X[2e1]")]
+    monkeypatch.setattr(liealg, "build_algebra", build_algebra.__wrapped__)
+    assert main(["alg", "info", "--type", "C", "--rank", "2"]) == 2
+    assert "is outside the basis span" in capsys.readouterr().err
 
 
-def test_a_constant_that_is_not_an_integer_is_refused(monkeypatch):
+def test_a_constant_that_is_not_an_integer_is_refused(monkeypatch, capsys):
     # with h1 realized twice over, [X[e1-e2], X[e2-e1]] = (1/2)(2 h1) - h2
     realize = liealg._realize
     h1 = BasisElement("cartan", 1)
@@ -263,8 +269,12 @@ def test_a_constant_that_is_not_an_integer_is_refused(monkeypatch):
         return z.scale(2) if elem == h1 else z
 
     monkeypatch.setattr(liealg, "_realize", doubled_h1)
+    table = build_algebra.__wrapped__("C", 2)
     with pytest.raises(RealizationError, match=r"^structure constant 1/2 at h1 is not an integer$"):
-        build_algebra.__wrapped__("C", 2)
+        table.rows[table.idx("X[e1-e2]")]
+    monkeypatch.setattr(liealg, "build_algebra", build_algebra.__wrapped__)
+    assert main(["alg", "info", "--type", "C", "--rank", "2", "--json"]) == 2
+    assert capsys.readouterr().err == "error: structure constant 1/2 at h1 is not an integer\n"
 
 
 def test_build_algebra_guards():
@@ -283,12 +293,13 @@ def test_integer_build_matches_the_fraction_oracle(kind, rank):
     assert table.basis == oracle.basis
     assert table.blocks == oracle.blocks
     assert table.realizations == oracle.realizations
-    # the oracle passes every bracket, and the table keeps the nonzero ones
-    assert table.rows == oracle.rows
-    assert table._form == oracle._form
+    # the oracle computes every bracket, and both keep the nonzero ones
+    every = range(table.dimension)
+    assert [table.rows[x] for x in every] == oracle.rows
+    assert [table._form[x] for x in every] == oracle._form
     # equal values could still differ in type: 1 == Fraction(1)
-    constants = [c for row in table.rows for terms in row.values() for _, c in terms]
-    constants += [c for row in table._form for c in row.values()]
+    constants = [c for row in table.rows.values() for terms in row.values() for _, c in terms]
+    constants += [c for row in table._form.values() for c in row.values()]
     constants += [c for w in table.weights for c in w]
     assert {type(c) for c in constants} == {int}
     assert {type(c) for z in table.realizations for c in z.terms.values()} == {Fraction}
@@ -373,10 +384,34 @@ def test_build_computes_only_commutators_that_can_contract(monkeypatch, kind, ra
     monkeypatch.setattr(weyl, "commutator_terms", counted)
     # the undecorated build, so the cached tables are left as they are
     table = build_algebra.__wrapped__(kind, rank)
-    # one commutator per pair that can contract, not one per each of the
-    # dim (dim - 1) / 2 pairs
+    assert calls == []
+    # a full read computes one commutator per pair that can contract, not
+    # one per each of the dim (dim - 1) / 2 pairs: the second row of a
+    # pair takes the first row's bracket
+    every = range(table.dimension)
+    rows = [table.rows[x] for x in every]
     assert len(calls) == brackets
-    assert table.rows == build_algebra(kind, rank).rows
+    assert rows == [build_algebra(kind, rank).rows[x] for x in every]
+
+
+@pytest.mark.parametrize("kind, rank", [("C", r) for r in range(2, 11)] + [("A", r) for r in range(3, 13)])
+def test_rows_read_in_either_order_agree(kind, rank):
+    """Rows read in descending order take [x, y] = -[y, x] from the rows
+    above them, rows read in ascending order from the rows below; both give
+    the same entries in the same ascending order, and so do the form rows."""
+    up, down = build_algebra.__wrapped__(kind, rank), build_algebra.__wrapped__(kind, rank)
+    ascending = range(up.dimension)
+    descending = ascending[::-1]
+    for table, order in ((up, ascending), (down, descending)):
+        for x in order:
+            table.rows[x]
+        for x in order:
+            table._form[x]
+    for x in ascending:
+        assert list(up.rows[x].items()) == list(down.rows[x].items())
+        assert list(up._form[x].items()) == list(down._form[x].items())
+    assert list(up.nonzero_brackets()) == list(down.nonzero_brackets())
+    assert list(up.nonzero_form()) == list(down.nonzero_form())
 
 
 def _closed_form(kind, a, b) -> int:
@@ -396,11 +431,17 @@ def _closed_form(kind, a, b) -> int:
     ("C", 18, "f6611449b32792fd8cb02215f8f16a6e8967b3ad801ad35c7c45825b2a0b2b27"),
     ("A", 26, "bbba81540669e2466fc22b5dbabd7e39db7cbfbf7cc180db79035fe55248b1c8"),
 ])
-def test_the_largest_tables_are_pinned(capsys, kind, rank, digest):
-    # the largest algebras MAX_DIMENSION admits
+def test_the_largest_tables_are_pinned(monkeypatch, capsys, kind, rank, digest):
+    # the largest algebras MAX_DIMENSION admits, on a table whose rows and
+    # form rows were all read in descending order before alg info reads them
+    # in ascending order: test_cli pins the same bytes on the cached table
+    t = build_algebra.__wrapped__(kind, rank)
+    for filled in (t.rows, t._form):
+        for x in reversed(range(t.dimension)):
+            filled[x]
+    monkeypatch.setattr(liealg, "build_algebra", lambda kind, rank: t)
     assert main(["alg", "info", "--type", kind, "--rank", str(rank), "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-    t = build_algebra(kind, rank)
     wrong = [(t.text(x), t.text(y)) for x, a in enumerate(t.basis) for y, b in enumerate(t.basis)
              if t.form(x, y) != _closed_form(kind, a, b)]
     assert wrong == []

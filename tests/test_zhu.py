@@ -501,7 +501,7 @@ def test_a_non_commuting_pair_of_entries_fails_the_check(monkeypatch):
     table = copy.copy(spec.table())
     (y11, y12), (_, y22) = build_matrix(table, spec)
     h = table.idx("h1")
-    rows = [dict(row) for row in table.rows]
+    rows = [dict(table.rows[x]) for x in range(table.dimension)]
     rows[y11][y22], rows[y22][y11] = ((h, 1),), ((h, -1),)
     table.rows = tuple(rows)
     monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
