@@ -45,6 +45,29 @@ an exit 2 on the command line.  A root vector x shifts weights, so A and B
 have a zero diagonal and the trace is 0 whenever the form holds; a nonzero
 trace comes only from a weight-zero letter, such as a Cartan element.  No
 simple raising operator of an accepted spec lacks the form.
+
+The mode 1 half is certified on the matrix too, for every n.  Let x be the
+lowest root vector and D = det Y.  On P(Y(-1))|0> with commuting entries,
+x(1) is 1/2 sum_(a, b) [[x, a], b] d^2P/da db + k sum_a (x, a) dP/da (see
+vacuum), and sum_b [z, b] d/db is the derivation d_z of the entry ring, so
+the product rule on D^n gives
+
+    x(1) D^n|0> = n D^(n-1) (Q + k K + (n - 1) T)|0>,
+    Q = 1/2 sum_a d_[x,a](dD/da),  K = sum_a (x, a) dD/da,
+    T = 1/2 sum_a t_a dD/da,
+
+with t_a = tr(A + B) for z = [x, a] (d_z D = t_a D, as at mode 0).  By
+Jacobi's formula dD/da is the sum of adj(Y)_ji over the places (i, j) of
+a, and differentiating adj(Y) Y = D I gives d_z adj(Y) = tr(A + B) adj(Y)
+- adj(Y) A - B adj(Y).  So Q, K and T are m x m matrices of cofactor
+coefficients, built from the letters a with [x, a] != 0 in O(m^3) work each
+(_mode_1_core; the Cayley identities of the papers above rest on the same
+calculus).  The cofactors of the generic matrix, and the distinct ones of
+the generic symmetric matrix of kind C, are linearly independent, and the
+vacuum module is free, so x(1) D^n|0> = 0 at the level k0 exactly when
+Q + k0 K + (n - 1) T = 0.  On every accepted spec K = beta E_11 and
+Q + (n - 1) T = -beta L E_11, E_11 picking minor(1, 1), with L the
+distinguished level.
 """
 
 from __future__ import annotations
@@ -96,22 +119,41 @@ def _index_matrix(table: StructureTable, m: int) -> tuple:
 def _derivation_trace(table: StructureTable, spec: DeterminantSpec, x: int):
     """tr(A + B) when [x, Y] = AY + YB on every entry of the matrix Y, for
     scalar m x m matrices A and B; None when there are none.  Then
-    x(0) det|0> = tr(A + B) det|0> (see the module docstring).
+    x(0) det|0> = tr(A + B) det|0> (see the module docstring)."""
+    form = _derivation_form(table, build_matrix(table, spec), ((x, 1),))
+    return None if form is None else _trace(*form)
+
+
+def _trace(a, b) -> int:
+    return sum(a[i][i] + b[i][i] for i in range(len(a)))
+
+
+def _derivation_form(table: StructureTable, matrix: tuple, z) -> tuple | None:
+    """(A, B), scalar m x m int matrices with [z, Y] = AY + YB on every
+    entry of the matrix Y, for z the combination of basis elements given by
+    its (index, int coefficient) pairs; None when there are none.
 
     With i != j the letters of row i and column j are distinct, and Y_kj
     (k != i) and Y_il (l != j) are different letters, so the coefficient of
-    Y_kj in [x, Y_ij] is A_ik and that of Y_il is B_lj; that of Y_ij itself
+    Y_kj in [z, Y_ij] is A_ik and that of Y_il is B_lj; that of Y_ij itself
     is A_ii + B_jj (for i = j too), which fixes A and B up to A + c I,
-    B - c I and leaves the trace alone (B_11 = 0 here).  The identity is
-    then checked exactly on every entry, so a wrong reading can only give
-    None.
+    B - c I (B_11 = 0 here).  The identity is then checked exactly on every
+    entry, so a wrong reading can only give None.
     """
-    m = spec.m
-    matrix = build_matrix(table, spec)
-    row = table.rows[x]
-    image = [[dict(row.get(y, ())) for y in entries] for entries in matrix]
+    m = len(matrix)
+    rows = [(table.rows[w], c) for w, c in z]
+    image = []  # image[i][j] = [z, Y_ij] as {letter: c}
+    for entries in matrix:
+        line = []
+        for y in entries:
+            terms: dict = {}
+            for row, c in rows:
+                for w, cw in row.get(y, ()):
+                    add_term(terms, w, c * cw)
+            line.append(terms)
+        image.append(line)
     off = [1 if i == 0 else 0 for i in range(m)]  # a column (or row) index other than i
-    coeff = lambda i, j, k, l: image[i][j].get(matrix[k][l], 0)  # of Y_kl in [x, Y_ij]
+    coeff = lambda i, j, k, l: image[i][j].get(matrix[k][l], 0)  # of Y_kl in [z, Y_ij]
     a = [[coeff(i, 0, i, 0) if k == i else coeff(i, off[i], k, off[i]) for k in range(m)]
          for i in range(m)]
     b = [[coeff(0, j, 0, j) - a[0][0] if l == j else coeff(off[j], j, off[j], l) for j in range(m)]
@@ -124,7 +166,77 @@ def _derivation_trace(table: StructureTable, spec: DeterminantSpec, x: int):
                 add_term(expected, matrix[i][k], b[k][j])
             if expected != image[i][j]:
                 return None
-    return sum(a[i][i] + b[i][i] for i in range(m))
+    return a, b
+
+
+def _mode_1_core(table: StructureTable, spec: DeterminantSpec) -> tuple | None:
+    """(2Q, 2K, 2T) as m x m int matrices of cofactor coefficients, with
+
+        x(1) det^n|0> = n det^(n-1) (Q + k K + (n - 1) T)|0>
+
+    for the lowest root vector x (see the module docstring); None when the
+    entries do not commute or some nonzero [x, a] has no AY + YB form.
+
+    A matrix M stands for tr(M adj(Y)) = sum_ij M_ij adj(Y)_ji.  On kind C,
+    where adj(Y) is symmetric, M_ji is folded into M_ij for i < j, so each
+    entry is the coefficient of one distinct cofactor.  The cofactors of a
+    generic matrix, and the distinct ones of a generic symmetric matrix, are
+    linearly independent, so the polynomial is zero exactly when its matrix
+    is; then also the level is L = -(Q + (n - 1) T)_11 / K_11.
+    """
+    matrix = build_matrix(table, spec)
+    if not table.commute(y for entries in matrix for y in entries):
+        return None
+    m = spec.m
+    x = table.theta_lowering
+    places: dict = {}  # letter a -> the (i, j) where Y_ij = a
+    for i, entries in enumerate(matrix):
+        for j, a in enumerate(entries):
+            places.setdefault(a, []).append((i, j))
+    q, k, t = ([[0] * m for _ in range(m)] for _ in range(3))
+    for a, spots in places.items():
+        for i, j in spots:
+            k[i][j] += 2 * table.form(x, a)
+        z = table.rows[x].get(a)
+        if not z:
+            continue
+        form = _derivation_form(table, matrix, z)
+        if form is None:
+            return None
+        a_mat, b_mat = form
+        trace = _trace(a_mat, b_mat)
+        # da = sum of the cofactors at a's places, tr(W adj) with W their
+        # 0/1 matrix; d_z tr(W adj) = tr((trace W - AW - WB) adj)
+        for i, j in spots:
+            t[i][j] += trace
+            q[i][j] += trace
+            for p in range(m):
+                q[p][j] -= a_mat[p][i]
+                q[i][p] -= b_mat[j][p]
+    if spec.kind == "C":
+        for mat in (q, k, t):
+            for i in range(m):
+                for j in range(i + 1, m):
+                    mat[i][j] += mat[j][i]
+                    mat[j][i] = 0
+    return q, k, t
+
+
+def _mode_1_vanishes(table: StructureTable, spec: DeterminantSpec, level: Fraction) -> bool:
+    """True when _mode_1_core certifies x(1) det^n|0> = 0 at the level:
+    Q + level K + (n - 1) T = 0."""
+    core = _mode_1_core(table, spec)
+    if core is None:
+        return False
+    p, d = level.numerator, level.denominator
+    return all(d * (cq + (spec.n - 1) * ct) + p * ck == 0
+               for rows in zip(*core) for cq, ck, ct in zip(*rows))
+
+
+def _det_power(table: StructureTable, spec: DeterminantSpec) -> EntryPoly:
+    """det^n as an entry polynomial."""
+    det = det_entry_poly(table, spec)
+    return det if spec.n == 1 else ep_pow(det, spec.n)
 
 
 # -- polynomials in the commuting entries -------------------------------
@@ -233,18 +345,20 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     Each simple raising operator at mode 0 is decided on the m x m matrix
     by _derivation_trace (see the module docstring): trace 0 passes, a
     nonzero trace t fails with the residual n t det^n|0>, and no AY + YB
-    form raises RuntimeError.  The lowest root vector at mode 1 runs the
-    vacuum kernel once, on det^n's entry polynomial at symbolic k; the image
-    is linear in k, and at a numeric level p/q it is q c_0 + p c_1 per key,
-    over q.  A state is built only for a failing witness.
+    form raises RuntimeError.  The lowest root vector at mode 1 is certified
+    on the matrix too, at a numeric level k0, when _mode_1_core gives
+    Q + k0 K + (n - 1) T = 0; a passing check then expands nothing.
+    Otherwise (a failing certificate, entries that do not commute, some
+    [x, a] with no AY + YB form, or a symbolic level) det^n is expanded and
+    the vacuum kernel runs once, on its entry polynomial at symbolic k; the
+    image is linear in k, and at a numeric level p/q it is q c_0 + p c_1 per
+    key, over q.  A state is built only for a failing witness.
     """
     table = spec.table()
     if level == "auto":
         level = spec.level
     elif level is not None:
         level = coerce_rational(level)
-    det = det_entry_poly(table, spec)
-    power = det if spec.n == 1 else ep_pow(det, spec.n)
     witness = None
     for x in table.simple_raising:
         trace = _derivation_trace(table, spec, x)
@@ -252,20 +366,22 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
             raise RuntimeError("no certificate applies: %s(0) on %s has no AY + YB form on the matrix"
                                % (table.text(x), spec.label()))
         if trace:
-            residual = vacuum._from_ints({(0, key): spec.n * trace * c for key, c in power.items()}, 1)
+            residual = vacuum._from_ints({(0, key): spec.n * trace * c
+                                          for key, c in _det_power(table, spec).items()}, 1)
             witness = {"operator": "%s(0)" % table.text(x), "residual": residual.text(table)}
             break
     else:
-        image = vacuum._differential_ints(table, table.theta_lowering, power)
-        den = 1
-        if level is not None:
-            den, at = level.denominator, {}
-            for (d, key), c in image.items():
-                add_term(at, (0, key), c * (level.numerator if d else den))
-            image = at
-        if image:
-            witness = {"operator": "%s(1)" % table.text(table.theta_lowering),
-                       "residual": vacuum._from_ints(image, den).text(table)}
+        if level is None or not _mode_1_vanishes(table, spec, level):
+            image = vacuum._differential_ints(table, table.theta_lowering, _det_power(table, spec))
+            den = 1
+            if level is not None:
+                den, at = level.denominator, {}
+                for (d, key), c in image.items():
+                    add_term(at, (0, key), c * (level.numerator if d else den))
+                image = at
+            if image:
+                witness = {"operator": "%s(1)" % table.text(table.theta_lowering),
+                           "residual": vacuum._from_ints(image, den).text(table)}
     level_text = "symbolic" if level is None else format_rational(level)
     return VerificationReport(
         claim="determinant vector singular: %s level=%s" % (spec.label(), level_text),

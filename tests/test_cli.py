@@ -358,22 +358,32 @@ def test_oversized_rank_exits_2_at_once(argv):
 
 
 @pytest.mark.parametrize("command, rank, m, n", [
-    pytest.param(["singular", "verify", "--no-cache"], 4, 4, 40, id="4-40"),
-    pytest.param(["singular", "verify", "--no-cache"], 3, 3, 1_000_000, id="3-1000000"),
-    pytest.param(["singular", "verify", "--no-cache"], 2, 2, 2000, id="verify-2-2-2000"),
-    pytest.param(["singular", "verify", "--no-cache"], 2, 1, 1_000_000, id="verify-2-1-1000000"),
+    pytest.param(["singular", "verify", "--no-cache", "--level", "0"], 4, 4, 40, id="4-40"),
+    pytest.param(["singular", "verify", "--no-cache", "--level", "0"], 3, 3, 1_000_000, id="3-1000000"),
+    pytest.param(["singular", "verify", "--no-cache", "--level", "0"], 2, 2, 2000, id="verify-2-2-2000"),
+    pytest.param(["singular", "verify", "--no-cache", "--level", "0"], 2, 1, 1_000_000, id="verify-2-1-1000000"),
     pytest.param(["singular", "factor", "--no-cache"], 2, 1, 1_000_000, id="factor-2-1-1000000"),
     pytest.param(["singular", "factor", "--no-cache"], 2, 1, 2828, id="factor-2-1-2828"),
 ])
 def test_oversized_power_exits_2(command, rank, m, n):
     # det^n is refused once its products together pass the letter limit, long
     # before the expansion would finish, even when det has one or two terms
-    # and each product alone is small; in a child process with a timeout
+    # and each product alone is small; in a child process with a timeout.
+    # singular verify expands the power only for a witness, so its cases
+    # are off the level
     done = run_child(command + ["--type", "C", "--rank", str(rank), "-m", str(m), "-n", str(n)])
     assert done.returncode == 2
     assert done.stdout == ""
     assert re.match(r"error: power \d+ of a \d+-term polynomial sorts \d+ letters, above the limit of 4000000\n",
                     done.stderr)
+
+
+def test_singular_verify_of_a_huge_power_at_the_level_finishes():
+    # at the level x(1) is certified on the entry matrix and no power is
+    # expanded; in a child process with a timeout, so an expansion fails the test
+    done = run_child(["singular", "verify", "--no-cache", "--type", "C", "--rank", "3", "-m", "3", "-n", "1000000"])
+    assert done.returncode == 0
+    assert done.stdout.startswith("PASS  determinant vector singular: C3 m=3 n=1000000 level=999998\n")
 
 
 def test_zhu_project_of_a_huge_power_finishes():

@@ -16,7 +16,7 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           lowering_factor_check,
                                           minor_entry_poly, verify_singular)
 from affine_singular.liealg import build_algebra
-from affine_singular.scalars import UniPoly, format_rational
+from affine_singular.scalars import UniPoly, add_term, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from affine_singular.zhu import verify_zhu_generator
 from oracles import (casimir_level, coexisting_singulars, derivation_image, entries_commute_check,
@@ -196,15 +196,18 @@ def test_ep_pow_charges_all_its_products_to_one_letter_limit(monkeypatch):
 
 def test_the_three_power_checks_share_one_letter_limit():
     # det = X[2e1] has one term, so det^n sorts 1 + 2 + ... + n letters:
-    # 3,997,378 at n = 2827 and 4,000,206 at n = 2828; verify_zhu_generator
-    # expands no power, so it passes on both sides of the limit
-    checks = (verify_singular, lowering_factor_check)
-    for check in checks:
-        assert check(DeterminantSpec("C", 2, 1, 2827)).verdict
-    for check in checks:
+    # 3,997,378 at n = 2827 and 4,000,206 at n = 2828.  verify_singular
+    # expands the power only for a witness, off the level, and
+    # verify_zhu_generator expands none, so both pass on both sides of the limit
+    below, above = DeterminantSpec("C", 2, 1, 2827), DeterminantSpec("C", 2, 1, 2828)
+    for check in (verify_singular, lowering_factor_check):
+        assert check(below).verdict
+    assert not verify_singular(below, below.level + 1).verdict
+    assert verify_singular(above).verdict
+    for run in (lambda: verify_singular(above, above.level + 1), lambda: lowering_factor_check(above)):
         with pytest.raises(ValueError, match="^power 2828 of a 1-term polynomial sorts 4000206 letters"):
-            check(DeterminantSpec("C", 2, 1, 2828))
-    assert verify_zhu_generator(DeterminantSpec("C", 2, 1, 2828)).verdict
+            run()
+    assert verify_zhu_generator(above).verdict
 
 
 def test_ep_apply_matches_ep_state(table_c2):
@@ -331,14 +334,18 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
         raise AssertionError("verify_singular built a vacuum state")
 
     monkeypatch.setattr(vacuum, "_differential_ints", recorded)
-    for name in ("apply_generator", "straighten"):
-        monkeypatch.setattr(vacuum, name, unused)
-    monkeypatch.setattr(determinants, "ep_state", unused)
-    monkeypatch.setattr(VacuumState, "__init__", unused)
-    monkeypatch.setattr(VacuumState, "_wrap", classmethod(unused))
-    assert verify_singular(spec).verdict
-    # the three simple raising operators are certified on the matrix, so
-    # the kernel runs once: x(1) on det^2's map, at symbolic k
+    with monkeypatch.context() as no_state:
+        for name in ("apply_generator", "straighten"):
+            no_state.setattr(vacuum, name, unused)
+        no_state.setattr(determinants, "ep_state", unused)
+        no_state.setattr(VacuumState, "__init__", unused)
+        no_state.setattr(VacuumState, "_wrap", classmethod(unused))
+        assert verify_singular(spec).verdict
+    # the three simple raising operators and x(1) are certified on the
+    # matrix, so the kernel does not run at the level; at L + 1 it runs
+    # once, for the witness: x(1) on det^2's map, at symbolic k
+    assert calls == []
+    assert not verify_singular(spec, spec.level + 1).verdict
     assert calls == [(spec.table().theta_lowering, square)]
 
 
@@ -417,7 +424,143 @@ def test_the_frontier_runs_the_kernel_once(monkeypatch, case):
     monkeypatch.setattr(vacuum, "_differential_ints", recorded)
     spec = DeterminantSpec(*case)
     assert verify_singular(spec).verdict
+    assert calls == []  # certified on the matrix
+    assert not verify_singular(spec, spec.level + 1).verdict
     assert calls == [(spec.table().theta_lowering, det_entry_poly(spec.table(), spec))]
+
+
+# -- the mode-1 certificate against the kernel -----------------------------
+
+
+def _cofactor_poly(table, spec, matrix):
+    """sum_ij M_ij adj(Y)_ji, with adj(Y)_ji = (-1)^(i+j) minor(i, j)."""
+    out = {}
+    for i, row in enumerate(matrix, 1):
+        for j, c in enumerate(row, 1):
+            if c:
+                for key, v in minor_entry_poly(table, spec, i, j).items():
+                    add_term(out, key, (-1) ** (i + j) * c * v)
+    return out
+
+
+def _assert_the_kernel_agrees(table, spec, powers):
+    """The kernel's x(1) on det^n|0>, for n in powers, is
+    n det^(n-1) (Q + k K + (n - 1) T) from _mode_1_core's matrices."""
+    q, k, t = determinants._mode_1_core(table, spec)
+    det = det_entry_poly(table, spec)
+    lower = {(): 1}
+    for n in powers:
+        power = ep_mul(lower, det)
+        core = [[cq + (n - 1) * ct for cq, ct in zip(*rows)] for rows in zip(q, t)]
+        expected = {}
+        for degree, matrix in ((0, core), (1, k)):
+            for key, c in ep_mul(lower, _cofactor_poly(table, spec, matrix)).items():
+                add_term(expected, (degree, key), n * c)
+        image = vacuum._differential_ints(table, table.theta_lowering, power)
+        assert {slot: 2 * c for slot, c in image.items()} == expected, (spec.label(), n)
+        lower = power
+
+
+@pytest.mark.parametrize("kind, rank", ORACLE_TABLES, ids=["%s%d" % table for table in ORACLE_TABLES])
+def test_the_mode_1_certificate_is_the_kernels_image(kind, rank):
+    """The kernel on det|0> and det^2|0> is the certificate's oracle; det^2
+    at m = 6 would pass the letter limit, so it stops at m = 5."""
+    table = build_algebra(kind, rank)
+    for m in oracle_sizes(kind, rank):
+        _assert_the_kernel_agrees(table, DeterminantSpec(kind, rank, m, 1), (1, 2) if m <= 5 else (1,))
+
+
+@pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
+def test_the_mode_1_certificate_is_the_kernels_image_at_the_frontier(case):
+    spec = DeterminantSpec(*case)
+    _assert_the_kernel_agrees(spec.table(), spec, (1,))
+
+
+@pytest.mark.parametrize("kind, rank", [("C", 3), ("C", 4), ("A", 6)])
+def test_the_mode_1_certificate_holds_for_every_lowering_operator(kind, rank):
+    """The cofactor calculus does not need the lowest root vector: with x
+    any negative root vector, the matrices still give the kernel's image,
+    now with cofactors off the diagonal, and every [x, a] has an AY + YB
+    form on C3, C4 and A6 at m = 3.  On kind C each matrix holds one
+    coefficient per distinct cofactor, so nothing below the diagonal."""
+    base = build_algebra(kind, rank)
+    spec = DeterminantSpec(kind, rank, 3, 1)
+    for x in (x for x, block in enumerate(base.blocks) if block == "lower"):
+        table = copy.copy(base)
+        table.theta_lowering = x
+        core = determinants._mode_1_core(table, spec)
+        assert core is not None, table.text(x)  # every [x, a] has the form
+        _assert_the_kernel_agrees(table, spec, (1, 2))
+        if kind == "C":
+            assert all(matrix[i][j] == 0 for matrix in core for i in range(3) for j in range(i)), table.text(x)
+
+
+def test_every_accepted_spec_has_the_mode_1_certificate():
+    """On C2-C18 and A4-A26, every allowed m, K = beta E_11 and, for n in
+    {1, 2, 5}, Q + (n - 1) T = -beta L E_11 with the level L derived from
+    the matrices equal to spec.level: verify_singular at the level never
+    runs the kernel on these specs."""
+    scanned = 0
+    for kind, ranks in (("C", range(2, 19)), ("A", range(4, 27))):
+        for rank in ranks:
+            table = build_algebra(kind, rank)
+            beta = beta_constant(table)
+            for m in oracle_sizes(kind, rank, spec_module.MAX_SIZE):
+                q, k, t = determinants._mode_1_core(table, DeterminantSpec(kind, rank, m, 1))
+                e11 = [[int(i == j == 0) for j in range(m)] for i in range(m)]
+                assert k == [[2 * beta * e for e in row] for row in e11], (kind, rank, m)
+                for n in (1, 2, 5):
+                    spec = DeterminantSpec(kind, rank, m, n)
+                    core = [[cq + (n - 1) * ct for cq, ct in zip(*rows)] for rows in zip(q, t)]
+                    level = Fraction(-core[0][0], k[0][0])
+                    assert level == spec.level, spec.label()
+                    assert core == [[core[0][0] * e for e in row] for row in e11], spec.label()
+                    scanned += 1
+    assert scanned == 771
+
+
+@pytest.mark.parametrize("case", [("C", 5, 5, 3), ("C", 6, 6, 2)], ids=["C5-5-3", "C6-6-2"])
+def test_a_passing_check_expands_nothing(monkeypatch, case):
+    def fail(*args, **kwargs):
+        raise AssertionError("verify_singular expanded the determinant or ran the kernel")
+
+    for name in ("det_entry_poly", "ep_pow"):
+        monkeypatch.setattr(determinants, name, fail)
+    monkeypatch.setattr(vacuum, "_differential_ints", fail)
+    report = verify_singular(DeterminantSpec(*case))
+    assert report.verdict and report.witness is None
+
+
+@pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 6)])
+def test_a_bracket_that_breaks_the_form_runs_the_kernel(monkeypatch, kind, rank):
+    """On a fresh table where [z, Y_12], z = [x, Y_11] or [x, Y_12] for the
+    lowest root vector x, gains a term Y_33, no AY + YB form exists, so
+    verify_singular runs the kernel once on det^n's map and reports what
+    the kernel path reports.  Y_11 and Y_12 share no term of det, so the
+    kernel sees the change from n = 2 on."""
+    table = build_algebra.__wrapped__(kind, rank)
+    monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
+    spec = DeterminantSpec(kind, rank, 3, 2)
+    matrix = build_matrix(table, spec)
+    a, b = sorted((matrix[0][0], matrix[0][1]))  # the kernel reads [[x, a], b] for a <= b
+    ((w, _),) = table.rows[table.theta_lowering][a]  # z = [x, a] is one basis element
+    table.rows[w][b] = table.rows[w].get(b, ()) + ((matrix[2][2], 1),)
+    assert determinants._mode_1_core(table, spec) is None
+    calls = []
+    kernel = vacuum._differential_ints
+
+    def recorded(table, x, poly):
+        calls.append((x, poly))
+        return kernel(table, x, poly)
+
+    monkeypatch.setattr(vacuum, "_differential_ints", recorded)
+    report = verify_singular(spec)
+    assert calls == [(table.theta_lowering, ep_pow(det_entry_poly(table, spec), 2))]
+    monkeypatch.setattr(determinants, "_mode_1_vanishes", lambda *args: False)
+    expected = verify_singular(spec)
+    assert not report.verdict
+    report.timing_ms = expected.timing_ms = 0
+    assert report.to_obj() == expected.to_obj()
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):

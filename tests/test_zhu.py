@@ -217,6 +217,30 @@ def test_rank_one_refuses_a_changed_image_and_the_fold_decides(monkeypatch, kind
         assert not report.verdict and report.witness == {"image": repr(power)}
 
 
+@pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 6)])
+def test_rank_one_refuses_a_change_off_the_first_row_and_column(monkeypatch, kind, rank):
+    """The certificate compares R_ij R_11 with R_i1 R_1j; at m = 3, doubling
+    the image of Y_23 alone, which is in neither row 1 nor column 1, must
+    still be refused, and the report must be the fold's.  On kind C the
+    letter sits at (2, 3) and (3, 2), and the image survives; on kind A only
+    (2, 3) changes, a rank-two matrix of size 3, and the fold gives zero."""
+    table = copy.copy(build_algebra(kind, rank))
+    realizations = list(table.realizations)
+    y = build_matrix(table, DeterminantSpec(kind, rank, 3, 1))[1][2]
+    realizations[y] = realizations[y] * Fraction(2)
+    table.realizations = tuple(realizations)
+    monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
+    for n in (1, 2):
+        spec = DeterminantSpec(kind, rank, 3, n)
+        assert not zhu._images_have_rank_one(table, spec)
+        image = weyl_image(table, finite_determinant(table, spec))
+        power = image * image if n == 2 else image
+        assert power.is_zero == (kind == "A")
+        report = verify_weyl_vanishing(spec)
+        assert report.verdict == power.is_zero
+        assert report.witness == (None if power.is_zero else {"image": repr(power)})
+
+
 @pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
 def test_the_frontier_image_needs_no_expansion(monkeypatch, case):
     def fail(*args, **kwargs):
