@@ -16,6 +16,7 @@ are the same, so records written either way stay valid.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -51,7 +52,11 @@ def cache_path(directory: str, key: dict) -> str:
 
 
 def cache_put(directory: str, key: dict, payload_obj) -> str:
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except FileExistsError:  # directory names a file, not a directory
+        raise NotADirectoryError(errno.ENOTDIR, "the cache directory is not a directory",
+                                 directory) from None
     payload = canonical_json(payload_obj)
     record = {
         "format_version": FORMAT_VERSION,

@@ -8,7 +8,13 @@ the labels
     X[ei+ej] = :a_i a_j:    X[-ei-ej] = :a*_i a*_j:    X[ei-ej] = :a_i a*_j:
 
 and the Cartan elements are h_i = -:a_i a*_i: (differences h_i - h_(i+1)
-for kind "A").  No structure constant is entered by hand: a bracket
+for kind "A").  Each realization is read off its label and the one
+relation [a_i, a*_j] = delta_ij, with no oscillator product: for linear x
+and y, :xy: = (xy + yx)/2 is the normally ordered monomial less half the
+contraction, so two a's or two a*'s give the bare monomial (a_i^2 when
+i = j) and :a_i a*_j: = a_i a*_j - delta_ij/2.
+
+No structure constant is entered by hand: a bracket
 [x, y] with x < y in basis order is a commutator in the oscillator algebra,
 re-expressed exactly in the basis; [y, x] is its negative and [x, x] is
 zero.  A commutator of normally ordered monomials is the sum of their
@@ -46,6 +52,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from . import weyl
 from .scalars import ONE, ZERO, HPoly, add_term
@@ -264,17 +271,28 @@ class StructureTable:
 
 
 def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
-    a = lambda i: weyl.creation(rank, i)
-    s = lambda i: weyl.annihilation(rank, i)
+    """The realization of one basis element, read off its label with Fraction
+    coefficients: h_i = -a_i a*_i + 1/2 on kind "C", the kind "A" difference
+    has no constant, and a root vector is its bare monomial."""
+
+    def unit(*indices):
+        e = [0] * rank
+        for i in indices:
+            e[i - 1] += 1
+        return tuple(e)
+
+    zero = (0,) * rank
     if elem.kind == "plus":
-        return weyl.normal_ordered(a(elem.i), a(elem.j))
-    if elem.kind == "minus":
-        return weyl.normal_ordered(s(elem.i), s(elem.j))
-    if elem.kind == "mixed":
-        return weyl.normal_ordered(a(elem.i), s(elem.j))
-    if kind == "C":
-        return -weyl.normal_ordered(a(elem.i), s(elem.i))
-    return -weyl.normal_ordered(a(elem.i), s(elem.i)) + weyl.normal_ordered(a(elem.i + 1), s(elem.i + 1))
+        terms = {(unit(elem.i, elem.j), zero): ONE}
+    elif elem.kind == "minus":
+        terms = {(zero, unit(elem.i, elem.j)): ONE}
+    elif elem.kind == "mixed":
+        terms = {(unit(elem.i), unit(elem.j)): ONE}
+    elif kind == "C":
+        terms = {(unit(elem.i), unit(elem.i)): -ONE, (zero, zero): Fraction(1, 2)}
+    else:
+        terms = {(unit(elem.i), unit(elem.i)): -ONE, (unit(elem.i + 1), unit(elem.i + 1)): ONE}
+    return weyl.WeylElement._wrap(terms, rank)
 
 
 class RealizationError(ArithmeticError):
@@ -304,8 +322,11 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     """The structure table for sp_2l (kind "C") or sl_l (kind "A").
 
     Only the basis, the realizations, their pivots and their index sets are
-    built here; each bracket row and form row is filled on its first read,
-    so a RealizationError surfaces at the first read of a faulty row.
+    built here, in a few passes over the basis (O(dim) set-up) with no
+    oscillator arithmetic: each realization is read off its label and
+    [a_i, a*_j] = delta_ij (_realize).  Each bracket row and form row is
+    filled on its first read, so a RealizationError surfaces at the first
+    read of a faulty row.
     The realizations are scaled once to integers over their common
     denominator den.  Commutators, eliminations and traces then add ints, and
     each constant is divided exactly, a remainder raising RealizationError.
@@ -342,7 +363,8 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     realizations = [_realize(kind, rank, e) for e in basis]
     dim = len(basis)
     den = math.lcm(*(c.denominator for z in realizations for c in z.terms.values()))
-    scaled = [weyl.WeylElement._wrap({mono: int(c * den) for mono, c in z.terms.items()}, rank)
+    scaled = [weyl.WeylElement._wrap({mono: c.numerator * (den // c.denominator)
+                                      for mono, c in z.terms.items()}, rank)
               for z in realizations]  # den * realization
 
     # each pivot is the realization's largest monomial, never the constant
@@ -384,10 +406,15 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     # (b_of), and the basis elements with an a factor (a_at) or an a* factor
     # (b_at) at each index; a pair can contract only where one's a* indices
     # meet the other's a indices (see the module docstring)
-    a_of = [{i for alpha, _ in z.terms for i, e in enumerate(alpha) if e} for z in scaled]
-    b_of = [{i for _, beta in z.terms for i, e in enumerate(beta) if e} for z in scaled]
-    a_at = [{n for n in range(dim) if i in a_of[n]} for i in range(rank)]
-    b_at = [{n for n in range(dim) if i in b_of[n]} for i in range(rank)]
+    a_of = [set().union(*(compress(range(rank), alpha) for alpha, _ in z.terms)) for z in scaled]
+    b_of = [set().union(*(compress(range(rank), beta) for _, beta in z.terms)) for z in scaled]
+    a_at = [set() for _ in range(rank)]
+    b_at = [set() for _ in range(rank)]
+    for n in range(dim):
+        for i in a_of[n]:
+            a_at[i].add(n)
+        for i in b_of[n]:
+            b_at[i].add(n)
 
     def bracket_row(x):
         """{y: [x, y]} over the y with [x, y] != 0, ascending; a filled row y

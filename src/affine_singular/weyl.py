@@ -52,10 +52,6 @@ class WeylElement(TermMap):
         zero = (0,) * nvars
         return cls(nvars, {(zero, zero): value})
 
-    def is_linear(self) -> bool:
-        """True when every monomial has total degree exactly 1."""
-        return bool(self.terms) and all(sum(a) + sum(b) == 1 for a, b in self.terms)
-
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):
             return WeylElement.constant(self.nvars, other)
@@ -152,11 +148,3 @@ def annihilation(nvars: int, i: int) -> WeylElement:
         raise ValueError("oscillator index out of range")
     beta = tuple(1 if t == i - 1 else 0 for t in range(nvars))
     return WeylElement(nvars, {((0,) * nvars, beta): ONE})
-
-
-def normal_ordered(x: WeylElement, y: WeylElement) -> WeylElement:
-    """The symmetrised product (xy + yx)/2 of two linear elements."""
-    if not (x.is_linear() and y.is_linear()):
-        raise ValueError("normal_ordered expects linear arguments")
-    return (x * y + y * x).scale(Fraction(1, 2))
-

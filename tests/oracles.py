@@ -285,6 +285,35 @@ def freudenthal(table, lam) -> dict:
     return mult
 
 
+def is_linear(z: weyl.WeylElement) -> bool:
+    """True when every monomial of z has total degree exactly 1."""
+    return bool(z.terms) and all(sum(a) + sum(b) == 1 for a, b in z.terms)
+
+
+def normal_ordered(x: weyl.WeylElement, y: weyl.WeylElement) -> weyl.WeylElement:
+    """The symmetrised product (xy + yx)/2 of two linear elements, from two
+    full oscillator products."""
+    if not (is_linear(x) and is_linear(y)):
+        raise ValueError("normal_ordered expects linear arguments")
+    return (x * y + y * x).scale(Fraction(1, 2))
+
+
+def realize(kind: str, rank: int, elem) -> weyl.WeylElement:
+    """The oscillator realization of a basis element as symmetrised products
+    of generators, not read off its label as liealg._realize does."""
+    a = lambda i: weyl.creation(rank, i)
+    s = lambda i: weyl.annihilation(rank, i)
+    if elem.kind == "plus":
+        return normal_ordered(a(elem.i), a(elem.j))
+    if elem.kind == "minus":
+        return normal_ordered(s(elem.i), s(elem.j))
+    if elem.kind == "mixed":
+        return normal_ordered(a(elem.i), s(elem.j))
+    if kind == "C":
+        return -normal_ordered(a(elem.i), s(elem.i))
+    return -normal_ordered(a(elem.i), s(elem.i)) + normal_ordered(a(elem.i + 1), s(elem.i + 1))
+
+
 def _pivot(elem, rank: int):
     """A monomial held by this realization and by no later one in elimination
     order, with its coefficient there."""
@@ -300,7 +329,8 @@ def _pivot(elem, rank: int):
 
 
 def structure_table(kind: str, rank: int) -> liealg.StructureTable:
-    """The structure table in Fraction arithmetic, uncached.  Each bracket
+    """The structure table in Fraction arithmetic, uncached.  The
+    realizations are symmetrised oscillator products (realize).  Each bracket
     is xy - yx from full oscillator products, not the contraction-only
     commutator, and is expanded on pivots listed per label, not read off
     the realizations.  Each form entry is the trace form of the action on
@@ -321,7 +351,7 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     upper.sort(key=lambda e: liealg.element_weight(e, rank))
     basis = lower + cartans + upper
     blocks = ["lower"] * len(lower) + ["cartan"] * len(cartans) + ["raise"] * len(upper)
-    realizations = [liealg._realize(kind, rank, e) for e in basis]
+    realizations = [realize(kind, rank, e) for e in basis]
     dim = len(basis)
     pivots = [_pivot(e, rank) for e in basis]
     root_at = {pivots[n][0]: n for n in range(dim) if basis[n].kind != "cartan"}

@@ -206,6 +206,7 @@ def test_unwritable_cache_keeps_the_verdict_exit_code(capsys, tmp_path):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert str(not_a_directory) in captured.err
+    assert captured.err.endswith(": the cache directory is not a directory\n")
     assert len(captured.err.splitlines()) == 1
     obj = json.loads(captured.out)
     code, cold = run_json(capsys, argv + ["--no-cache"])
@@ -222,6 +223,7 @@ def test_unwritable_cache_keeps_the_verdict_exit_code(capsys, tmp_path):
     assert captured.out.startswith("FAIL")
     assert "Traceback" not in captured.err
     assert str(not_a_directory) in captured.err
+    assert captured.err.endswith(": the cache directory is not a directory\n")
 
 
 def test_no_cache_bypasses_directory(capsys, tmp_path):

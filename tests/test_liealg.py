@@ -13,7 +13,7 @@ from affine_singular.cli import main
 from affine_singular.liealg import (BasisElement, RealizationError, build_algebra,
                                     element_weight, parse_element)
 from affine_singular.weyl import creation
-from oracles import coroot_pairing, det_dense, structure_table
+from oracles import coroot_pairing, det_dense, realize, structure_table
 
 
 def combo_bracket(table, u: dict, v: dict) -> dict:
@@ -303,6 +303,36 @@ def test_integer_build_matches_the_fraction_oracle(kind, rank):
     constants += [c for w in table.weights for c in w]
     assert {type(c) for c in constants} == {int}
     assert {type(c) for z in table.realizations for c in z.terms.values()} == {Fraction}
+
+
+def test_realizations_read_off_the_labels_match_the_oscillator_products():
+    # 42 tables, C2-C18 and A2-A26; key order matters, as the commutator and
+    # Weyl-image dicts are built in it
+    for kind, rank in [("C", r) for r in range(2, 19)] + [("A", r) for r in range(2, 27)]:
+        table = build_algebra(kind, rank)
+        for elem, z in zip(table.basis, table.realizations):
+            expected = realize(kind, rank, elem)
+            assert z.nvars == expected.nvars == rank
+            assert list(z.terms.items()) == list(expected.terms.items()), (kind, rank, elem)
+            assert all(type(c) is Fraction for c in z.terms.values())
+
+
+@pytest.mark.parametrize("kind, rank", [("C", 18), ("A", 26)])
+def test_the_set_up_does_no_oscillator_arithmetic(monkeypatch, kind, rank):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oscillator arithmetic during the set-up")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl.WeylElement, "__mul__", refuse)
+        patch.setattr(weyl.WeylElement, "__rmul__", refuse)
+        for name in ("_accumulate_product", "_accumulate_contractions", "commutator_terms"):
+            patch.setattr(weyl, name, refuse)
+        table = build_algebra.__wrapped__(kind, rank)
+    cached = build_algebra(kind, rank)
+    assert table.realizations == cached.realizations
+    for x in (cached.theta_raising, cached.cartan_indices[0], cached.simple_lowering[-1]):
+        assert table.rows[x] == cached.rows[x]
+        assert table._form[x] == cached._form[x]
 
 
 def test_oversized_algebras_are_refused_before_any_work():
