@@ -8,24 +8,27 @@ the labels
     X[ei+ej] = :a_i a_j:    X[-ei-ej] = :a*_i a*_j:    X[ei-ej] = :a_i a*_j:
 
 and the Cartan elements are h_i = -:a_i a*_i: (differences h_i - h_(i+1)
-for kind "A").  Each realization is read off its label and the one
-relation [a_i, a*_j] = delta_ij, with no oscillator product: for linear x
-and y, :xy: = (xy + yx)/2 is the normally ordered monomial less half the
-contraction, so two a's or two a*'s give the bare monomial (a_i^2 when
-i = j) and :a_i a*_j: = a_i a*_j - delta_ij/2.
+for kind "A").  For letters u and v, :uv: = (uv + vu)/2 is the normally
+ordered monomial uv less [u, v]/2, so only :a_i a*_i: = a_i a*_i - 1/2 has
+a constant; each realization is read off its label this way.
 
-No structure constant is entered by hand: a bracket
-[x, y] with x < y in basis order is a commutator in the oscillator algebra,
-re-expressed exactly in the basis; [y, x] is its negative and [x, x] is
-zero.  A commutator of normally ordered monomials is the sum of their
-contractions, each pairing an a*_i of one factor with an a_i of the other.
-So a commutator is computed only for the pairs where the a* indices of one
-realization meet the a indices of the other (828 of the 3,003 pairs of
-C_6), and every other bracket is exactly zero.  The table stores only
-the nonzero brackets, one row {y: [x, y]} per x; bracket gives () for any
-other pair.  A row is filled on its first read, and a row y filled before
-row x gives [x, y] = -[y, x], so each commutator is computed at most once
-and a check pays only for the rows it reads.
+No structure constant is entered by hand.  A bracket follows from the
+letters of the two labels (_letters) by Wick's rule, as the commutator of
+two letters is a scalar:
+
+    [:pq:, :rs:] = [p,r] :qs: + [p,s] :qr: + [q,r] :ps: + [q,s] :pr:,
+
+with no constant left over.  Each :uv: it gives is one root vector, or
+:a_i a*_i: = -h_i.  On kind "A" the h_i are not basis elements, but a
+bracket is traceless, so the sum of c_i :a_i a*_i: it gives is the sum over
+t < l of -(c_1 + ... + c_t)(h_t - h_(t+1)), the prefix sums of the c_i.  So a
+bracket is computed only for the pairs where a letter of one meets its
+partner (a_i with a*_i) in the other (828 of the 3,003 pairs of C_6), and
+every other bracket is exactly zero.  The table stores only the nonzero
+brackets, one row {y: [x, y]} per x; bracket gives () for any other pair.
+A row is filled on its first read, and a row y filled before row x gives
+[x, y] = -[y, x], so each bracket is computed at most once and a check pays
+only for the rows it reads.
 
 The invariant form is read off the stored brackets as the Killing form
 over 2h^v:
@@ -48,11 +51,9 @@ Fraction(c, d), never c / d, which gives a float.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 
 from . import weyl
 from .scalars import ONE, ZERO, HPoly, add_term
@@ -138,10 +139,11 @@ class StructureTable:
     tie-break order used by the straightening routines.
     """
 
-    def __init__(self, kind, rank, basis, realizations, rows, form, blocks):
+    def __init__(self, kind, rank, basis, weights, realizations, rows, form, blocks):
         self.kind = kind
         self.rank = rank
         self.basis = tuple(basis)
+        self.weights = tuple(weights)
         self.realizations = tuple(realizations)
         self._index = {elem: n for n, elem in enumerate(self.basis)}
         # rows[x] = {y: [x, y]} and _form[x] = {y: (x, y)}, nonzero entries
@@ -149,7 +151,6 @@ class StructureTable:
         self.rows = rows
         self._form = form
         self.blocks = tuple(blocks)
-        self.weights = tuple(element_weight(e, rank) for e in self.basis)
         self.dimension = len(self.basis)
         self.cartan_indices = tuple(n for n, e in enumerate(self.basis) if e.kind == "cartan")
         self._chevalley()
@@ -270,33 +271,50 @@ class StructureTable:
             yield "  (%s, %s) = %s" % (self.text(a), self.text(b), value)
 
 
-def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
-    """The realization of one basis element, read off its label with Fraction
-    coefficients: h_i = -a_i a*_i + 1/2 on kind "C", the kind "A" difference
-    has no constant, and a root vector is its bare monomial."""
-
-    def unit(*indices):
-        e = [0] * rank
-        for i in indices:
-            e[i - 1] += 1
-        return tuple(e)
-
-    zero = (0,) * rank
+def _letters(kind: str, elem: BasisElement) -> list:
+    """elem as [(c, u, v)], the sum of c :uv: over its quadratics, with the
+    letter (0, i) for a_i and (1, i) for a*_i, u <= v."""
     if elem.kind == "plus":
-        terms = {(unit(elem.i, elem.j), zero): ONE}
-    elif elem.kind == "minus":
-        terms = {(zero, unit(elem.i, elem.j)): ONE}
-    elif elem.kind == "mixed":
-        terms = {(unit(elem.i), unit(elem.j)): ONE}
-    elif kind == "C":
-        terms = {(unit(elem.i), unit(elem.i)): -ONE, (zero, zero): Fraction(1, 2)}
-    else:
-        terms = {(unit(elem.i), unit(elem.i)): -ONE, (unit(elem.i + 1), unit(elem.i + 1)): ONE}
+        return [(1, (0, elem.i), (0, elem.j))]
+    if elem.kind == "minus":
+        return [(1, (1, elem.i), (1, elem.j))]
+    if elem.kind == "mixed":
+        return [(1, (0, elem.i), (1, elem.j))]
+    h = [(-1, (0, elem.i), (1, elem.i))]
+    return h if kind == "C" else h + [(1, (0, elem.i + 1), (1, elem.i + 1))]
+
+
+def _wick(xs, ys) -> dict:
+    """[x, y] as {(u, v): int} over the quadratics :uv: (u <= v), for x and y
+    given by their letters, by Wick's rule (see the module docstring); the
+    letters u and v contract to [u, v] = v[0] - u[0] when both index i."""
+    out = {}
+    for c, p, q in xs:
+        for d, r, s in ys:
+            for u, v, w, z in ((p, r, q, s), (p, s, q, r), (q, r, p, s), (q, s, p, r)):
+                if u[1] == v[1] and u[0] != v[0]:
+                    add_term(out, (w, z) if w <= z else (z, w), c * d * (v[0] - u[0]))
+    return out
+
+
+def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
+    """The realization of one basis element, read off its letters with
+    Fraction coefficients: :uv: is the bare monomial uv, less 1/2 when
+    u = a_i and v = a*_i, as [a_i, a*_i] = 1."""
+    zero = (0,) * rank
+    terms = {}
+    for c, u, v in _letters(kind, elem):
+        exponents = ([0] * rank, [0] * rank)
+        for k, i in (u, v):
+            exponents[k][i - 1] += 1
+        add_term(terms, tuple(map(tuple, exponents)), Fraction(c))
+        if u[0] < v[0] and u[1] == v[1]:
+            add_term(terms, (zero, zero), Fraction(-c, 2))
     return weyl.WeylElement._wrap(terms, rank)
 
 
 class RealizationError(ArithmeticError):
-    """A commutator fell outside the basis span; the table is inconsistent."""
+    """A form entry is not an integer; the table is inconsistent."""
 
 
 class _FilledOnRead(dict):
@@ -321,15 +339,12 @@ class _FilledOnRead(dict):
 def build_algebra(kind: str, rank: int) -> StructureTable:
     """The structure table for sp_2l (kind "C") or sl_l (kind "A").
 
-    Only the basis, the realizations, their pivots and their index sets are
-    built here, in a few passes over the basis (O(dim) set-up) with no
-    oscillator arithmetic: each realization is read off its label and
-    [a_i, a*_j] = delta_ij (_realize).  Each bracket row and form row is
-    filled on its first read, so a RealizationError surfaces at the first
-    read of a faulty row.
-    The realizations are scaled once to integers over their common
-    denominator den.  Commutators, eliminations and traces then add ints, and
-    each constant is divided exactly, a remainder raising RealizationError.
+    Only the basis, the letters, the realizations and two maps read off the
+    letters are built here, in O(dim) with no oscillator arithmetic.  Each
+    bracket row and form row is filled on its first read.  A bracket is
+    Wick's rule on the two labels' letters (_wick), each quadratic read off
+    as ints in the basis, so no bracket can leave the span; a form entry
+    that does not divide exactly raises RealizationError.
     """
     if kind not in ("C", "A"):
         raise ValueError("kind must be 'C' or 'A'")
@@ -351,81 +366,49 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
         upper = [BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i < j]
         cartan_count = rank - 1
 
-    weight_key = lambda e: element_weight(e, rank)
-    lower.sort(key=weight_key)
-    upper.sort(key=weight_key)
     cartans = [BasisElement("cartan", i) for i in range(1, cartan_count + 1)]
+    weight = {e: element_weight(e, rank) for e in lower + cartans + upper}
+    lower.sort(key=weight.__getitem__)
+    upper.sort(key=weight.__getitem__)
     basis = lower + cartans + upper
     blocks = ["lower"] * len(lower) + ["cartan"] * len(cartans) + ["raise"] * len(upper)
     if len(basis) != expected:
         raise AssertionError("basis size %d != %d" % (len(basis), expected))
 
-    realizations = [_realize(kind, rank, e) for e in basis]
     dim = len(basis)
-    den = math.lcm(*(c.denominator for z in realizations for c in z.terms.values()))
-    scaled = [weyl.WeylElement._wrap({mono: c.numerator * (den // c.denominator)
-                                      for mono, c in z.terms.items()}, rank)
-              for z in realizations]  # den * realization
-
-    # each pivot is the realization's largest monomial, never the constant
-    # one, which sorts first: a root vector's pivot is its one quadratic,
-    # shared with no other, and the Cartans are eliminated in ascending
-    # order, so each a_i a*_i pivot is settled before the next appears
-    pivots = [max(z.terms.items()) for z in scaled]  # (monomial, its int coefficient)
-    root_at = {pivots[n][0]: n for n in range(dim) if basis[n].kind != "cartan"}
+    letters = [_letters(kind, e) for e in basis]
+    realizations = [_realize(kind, rank, e) for e in basis]
     cartan_indices = [n for n in range(dim) if basis[n].kind == "cartan"]
-
-    def eliminate(n, rem, coeffs):
-        mono, lead = pivots[n]
-        c = rem.get(mono)
-        if c:
-            q, r = divmod(c, lead * den)
-            if r:
-                raise RealizationError("structure constant %s at %s is not an integer"
-                                       % (Fraction(c, lead * den), basis[n].text(kind)))
-            coeffs[n] = q
-            for m, v in scaled[n].terms.items():
-                add_term(rem, m, -q * den * v)
-
-    def to_basis(z: dict) -> dict[int, int]:
-        """{n: q} with z / den^2 equal to the sum of q times basis element n."""
-        coeffs = {}
-        rem = dict(z)
-        for mono in z:
-            if mono in root_at:
-                eliminate(root_at[mono], rem, coeffs)
-        if rem:
-            for n in cartan_indices:
-                eliminate(n, rem, coeffs)
-        if rem:
-            raise RealizationError("element %r is outside the basis span"
-                                   % weyl.WeylElement(rank, z).scale(Fraction(1, den * den)))
-        return coeffs
-
-    # the indices of each realization's a factors (a_of) and a* factors
-    # (b_of), and the basis elements with an a factor (a_at) or an a* factor
-    # (b_at) at each index; a pair can contract only where one's a* indices
-    # meet the other's a indices (see the module docstring)
-    a_of = [set().union(*(compress(range(rank), alpha) for alpha, _ in z.terms)) for z in scaled]
-    b_of = [set().union(*(compress(range(rank), beta) for _, beta in z.terms)) for z in scaled]
-    a_at = [set() for _ in range(rank)]
-    b_at = [set() for _ in range(rank)]
-    for n in range(dim):
-        for i in a_of[n]:
-            a_at[i].add(n)
-        for i in b_of[n]:
-            b_at[i].add(n)
+    # each quadratic :uv: in the basis: a root vector, or :a_i a*_i: = -h_i,
+    # on kind "A" -(h_i - h_l), whose sum over a traceless bracket gives the
+    # prefix sums of the module docstring
+    expansion = {(u, v): ((n, 1),) for n in range(dim) if basis[n].kind != "cartan"
+                 for _, u, v in letters[n]}
+    for i in range(1, rank + 1):
+        diagonal = cartan_indices[i - 1:i] if kind == "C" else cartan_indices[i - 1:]
+        expansion[(0, i), (1, i)] = tuple((n, -1) for n in diagonal)
+    # the basis elements holding each letter: a pair can contract only where
+    # a letter of one meets its partner, (0, i) with (1, i), in the other
+    holders = {}
+    for n, terms in enumerate(letters):
+        for _, u, v in terms:
+            holders.setdefault(u, set()).add(n)
+            holders.setdefault(v, set()).add(n)
 
     def bracket_row(x):
         """{y: [x, y]} over the y with [x, y] != 0, ascending; a filled row y
-        gives [x, y] = -[y, x], so a commutator is computed once per pair."""
-        partners = set().union(*(a_at[i] for i in b_of[x]), *(b_at[i] for i in a_of[x]))
+        gives [x, y] = -[y, x], so a bracket is computed once per pair."""
+        partners = set().union(*(holders.get((1 - k, i), ()) for _, u, v in letters[x] for k, i in (u, v)))
         partners.discard(x)
         row = {}
         for y in sorted(partners):
             filled = rows.get(y)
             if filled is None:
-                terms = tuple(sorted(to_basis(weyl.commutator_terms(scaled[x].terms, scaled[y].terms)).items()))
+                coeffs = {}
+                for uv, c in _wick(letters[x], letters[y]).items():
+                    for z, e in expansion[uv]:
+                        add_term(coeffs, z, c * e)
+                terms = tuple(sorted(coeffs.items()))
             else:
                 terms = tuple((z, -q) for z, q in filled.get(x, ()))
             if terms:
@@ -461,4 +444,4 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
 
     rows = _FilledOnRead(dim, bracket_row)
     form = _FilledOnRead(dim, form_row)
-    return StructureTable(kind, rank, basis, realizations, rows, form, blocks)
+    return StructureTable(kind, rank, basis, [weight[e] for e in basis], realizations, rows, form, blocks)

@@ -12,9 +12,11 @@ so a product is normalised pair by pair with the closed formula
 Distinct indices commute, so a^a1 (a*)^b1 . a^a2 (a*)^b2 is the t = 0 term
 a^(a1+a2) (a*)^(b1+b2) plus contraction terms with t_i >= 1 only at indices
 where b1_i and a2_i are both nonzero; with no such index it is the t = 0
-term alone.  That term does not depend on the order of the factors, so a
-commutator sums only the contraction terms.  The same routines add Fraction
-and int coefficients alike.
+term alone.  The same routine adds Fraction and int coefficients alike.
+
+The library multiplies here only for the oscillator image in zhu.
+Structure constants never come from a product: liealg reads each bracket
+off the two basis labels by Wick's rule.
 """
 
 from __future__ import annotations
@@ -77,18 +79,12 @@ class WeylElement(TermMap):
 
 
 def _accumulate_product(a1, b1, a2, b2, coeff, out):
-    """Add coeff * a^a1 (a*)^b1 a^a2 (a*)^b2, normally ordered, into out."""
+    """Add coeff * a^a1 (a*)^b1 a^a2 (a*)^b2, normally ordered, into out: the
+    t = 0 term, then, where some index can contract (b1_i a2_i != 0), the
+    terms with at least one contraction."""
     add_term(out, (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))), coeff)
-    if any(map(operator.mul, b1, a2)):
-        _accumulate_contractions(a1, b1, a2, b2, coeff, out)
-
-
-def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
-    """Add the terms of that product with at least one contraction.
-
-    Callers test first that some index can contract (b1_i a2_i != 0); with
-    none there are no such terms, and the test is cheaper than the call.
-    """
+    if not any(map(operator.mul, b1, a2)):
+        return
     shared = [i for i, (b, a) in enumerate(zip(b1, a2)) if b and a]
     ranges = [range(min(b1[i], a2[i]) + 1) for i in shared]
     for ts in itertools.islice(itertools.product(*ranges), 1, None):
@@ -103,19 +99,6 @@ def _accumulate_contractions(a1, b1, a2, b2, coeff, out):
         alpha = tuple(map(operator.add, alpha, a2))
         beta = tuple(map(operator.add, beta, b2))
         add_term(out, (alpha, beta), c)
-
-
-def commutator_terms(x: dict, y: dict) -> dict:
-    """[x, y] = xy - yx on bare term dicts of one arity, from the contracted
-    terms of both products alone."""
-    out: dict[Monomial, Fraction] = {}
-    for (a1, b1), c1 in x.items():
-        for (a2, b2), c2 in y.items():
-            if any(map(operator.mul, b1, a2)):
-                _accumulate_contractions(a1, b1, a2, b2, c1 * c2, out)
-            if any(map(operator.mul, b2, a1)):
-                _accumulate_contractions(a2, b2, a1, b1, -c1 * c2, out)
-    return out
 
 
 def monomial_text(mono: Monomial) -> str:

@@ -9,6 +9,7 @@ share a level), so they live here rather than in the library.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 from affine_singular import weyl
@@ -331,12 +332,12 @@ def _pivot(elem, rank: int):
 def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     """The structure table in Fraction arithmetic, uncached.  The
     realizations are symmetrised oscillator products (realize).  Each bracket
-    is xy - yx from full oscillator products, not the contraction-only
-    commutator, and is expanded on pivots listed per label, not read off
-    the realizations.  Each form entry is the trace form of the action on
-    the 2l-dimensional generator span, halved for kind "A", not a Killing
-    form.  Every bracket and form entry is computed, and the rows keep the
-    nonzero ones, as a StructureTable's rows do."""
+    is xy - yx from full oscillator products, not Wick's rule on the labels,
+    and is expanded on pivots listed per label.  Each form entry is the
+    trace form of the action on the 2l-dimensional generator span
+    (generator_matrices), halved for kind "A", not a Killing form.  Every
+    bracket and form entry is computed, and the rows keep the nonzero ones,
+    as a StructureTable's rows do."""
     if kind == "C":
         lower = [liealg.BasisElement("minus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
         lower += [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, i)]
@@ -382,22 +383,63 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
                 rows[x][y] = terms
                 rows[y][x] = tuple((z, -c) for z, c in terms)
 
-    gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
-    gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
-    gen_index = {next(iter(gen.terms)): g for g, gen in enumerate(gens)}
-    matrices = []
-    for r in realizations:
-        mat = {}
-        for g, gen in enumerate(gens):
-            for mono, c in (r * gen - gen * r).terms.items():
-                mat[gen_index[mono], g] = c
-        matrices.append(mat)
+    matrices = generator_matrices(realizations, rank)
     scale = Fraction(1) if kind == "C" else Fraction(1, 2)
     form = [{y: scale * sum((c * matrices[y].get((t, r), ZERO) for (r, t), c in matrices[x].items()), ZERO)
              for y in range(dim)}
             for x in range(dim)]
     form = [{y: value for y, value in row.items() if value} for row in form]
-    return liealg.StructureTable(kind, rank, basis, realizations, rows, form, blocks)
+    weights = [liealg.element_weight(e, rank) for e in basis]
+    return liealg.StructureTable(kind, rank, basis, weights, realizations, rows, form, blocks)
+
+
+def generator_matrices(realizations, rank: int) -> list[dict]:
+    """The action of each realization r on the generator span a_1..a_l,
+    a*_1..a*_l (indices 0..2l-1) as a sparse matrix {(row, column): c}, each
+    column g the product commutator r g - g r.  A monomial commutes with a_j
+    unless it holds a*_j, and with a*_j unless it holds a_j, so only the
+    columns of those generators are multiplied out; the rest are zero.  The
+    entries are integers and are kept as ints."""
+    gens = [weyl.creation(rank, i) for i in range(1, rank + 1)]
+    gens += [weyl.annihilation(rank, i) for i in range(1, rank + 1)]
+    gen_index = {next(iter(gen.terms)): g for g, gen in enumerate(gens)}
+    matrices = []
+    for r in realizations:
+        columns = {rank + i for alpha, _ in r.terms for i, e in enumerate(alpha) if e}
+        columns |= {i for _, beta in r.terms for i, e in enumerate(beta) if e}
+        mat = {}
+        for g in sorted(columns):
+            for mono, c in (r * gens[g] - gens[g] * r).terms.items():
+                assert c.denominator == 1, "a generator-span entry %s is not an integer" % c
+                mat[gen_index[mono], g] = c.numerator
+        matrices.append(mat)
+    return matrices
+
+
+def matrix_brackets(matrices) -> list[dict]:
+    """{y: M_x M_y - M_y M_x} for each x, over the y whose commutator is
+    nonzero, from sparse products of the matrices (generator_matrices).
+    The action on the generator span is faithful, so these are the nonzero
+    brackets [x, y] as matrices."""
+    starting = defaultdict(list)  # t: (y, s, c) for each entry c = M_y[t, s]
+    ending = defaultdict(list)  # t: (y, r, c) for each entry c = M_y[r, t]
+    for y, mat in enumerate(matrices):
+        for (r, s), c in mat.items():
+            starting[r].append((y, s, c))
+            ending[s].append((y, r, c))
+    out = []
+    for mat in matrices:
+        row = defaultdict(dict)
+        for (r, t), c in mat.items():
+            for y, s, d in starting[t]:
+                entries = row[y]
+                entries[r, s] = entries.get((r, s), 0) + c * d
+            for y, q, d in ending[r]:
+                entries = row[y]
+                entries[q, t] = entries.get((q, t), 0) - d * c
+        row = {y: {e: c for e, c in entries.items() if c} for y, entries in row.items()}
+        out.append({y: entries for y, entries in row.items() if entries})
+    return out
 
 
 def casimir_level(kind: str, rank: int, m: int, n: int) -> Fraction:

@@ -274,8 +274,8 @@ def _mutated(table, changes):
     rows = [dict(table.rows[x]) for x in range(table.dimension)]
     for (x, y), terms in changes.items():
         rows[x][y] = terms
-    return StructureTable(table.kind, table.rank, table.basis, table.realizations, rows,
-                          table._form, table.blocks)
+    return StructureTable(table.kind, table.rank, table.basis, table.weights, table.realizations,
+                          rows, table._form, table.blocks)
 
 
 def test_raising_certificate_needs_the_chevalley_relations(table_c2):

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from affine_singular import liealg, weyl
 from affine_singular.cli import main
 from affine_singular.liealg import (BasisElement, RealizationError, build_algebra,
                                     element_weight, parse_element)
-from affine_singular.weyl import creation
-from oracles import coroot_pairing, det_dense, realize, structure_table
+from affine_singular.scalars import add_term
+from oracles import (coroot_pairing, det_dense, generator_matrices, matrix_brackets, realize,
+                     structure_table)
 
 
 def combo_bracket(table, u: dict, v: dict) -> dict:
@@ -78,6 +80,21 @@ def test_element_weights():
     assert element_weight(BasisElement("minus", 2, 2), 3) == (0, -2, 0)
     assert element_weight(BasisElement("mixed", 3, 1), 3) == (-1, 0, 1)
     assert element_weight(BasisElement("cartan", 2), 3) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("kind, rank", [("C", 6), ("A", 8)])
+def test_the_build_computes_each_weight_once(monkeypatch, kind, rank):
+    calls = []
+    weight = liealg.element_weight
+
+    def counted(elem, rank):
+        calls.append(elem)
+        return weight(elem, rank)
+
+    monkeypatch.setattr(liealg, "element_weight", counted)
+    table = build_algebra.__wrapped__(kind, rank)
+    assert len(calls) == table.dimension and set(calls) == set(table.basis)
+    assert table.weights == tuple(weight(e, rank) for e in table.basis)
 
 
 def test_frozen_brackets_c2(table_c2):
@@ -240,41 +257,25 @@ def test_cartan_hpoly(table_c2, table_a3):
         table_c2.cartan_hpoly("X[2e1]")
 
 
-def test_bracket_outside_the_span_is_refused(monkeypatch, capsys):
-    realize = liealg._realize
-
-    def degree1_root(kind, rank, elem):
-        if elem == BasisElement("plus", 1, 1):
-            return creation(rank, 1)
-        return realize(kind, rank, elem)
-
-    monkeypatch.setattr(liealg, "_realize", degree1_root)
-    # the set-up reads no row, so the fault surfaces at the first read of
-    # a row that meets it, and alg info, which reads every row, exits 2
-    table = build_algebra.__wrapped__("C", 2)
-    with pytest.raises(RealizationError, match=r"^element .* is outside the basis span$"):
-        table.rows[table.idx("X[2e1]")]
-    monkeypatch.setattr(liealg, "build_algebra", build_algebra.__wrapped__)
-    assert main(["alg", "info", "--type", "C", "--rank", "2"]) == 2
-    assert "is outside the basis span" in capsys.readouterr().err
-
-
 def test_a_constant_that_is_not_an_integer_is_refused(monkeypatch, capsys):
-    # with h1 realized twice over, [X[e1-e2], X[e2-e1]] = (1/2)(2 h1) - h2
-    realize = liealg._realize
+    # with h1's letters doubled, [h1, X[2e1]] = 4 X[2e1] and the trace of
+    # ad X[-2e1] ad X[2e1] is no longer a multiple of 2h^v = 6
+    letters = liealg._letters
     h1 = BasisElement("cartan", 1)
 
-    def doubled_h1(kind, rank, elem):
-        z = realize(kind, rank, elem)
-        return z.scale(2) if elem == h1 else z
+    def doubled_h1(kind, elem):
+        terms = letters(kind, elem)
+        return [(2 * c, u, v) for c, u, v in terms] if elem == h1 else terms
 
-    monkeypatch.setattr(liealg, "_realize", doubled_h1)
+    monkeypatch.setattr(liealg, "_letters", doubled_h1)
     table = build_algebra.__wrapped__("C", 2)
-    with pytest.raises(RealizationError, match=r"^structure constant 1/2 at h1 is not an integer$"):
-        table.rows[table.idx("X[e1-e2]")]
+    assert table.bracket("h1", "X[2e1]") == ((table.idx("X[2e1]"), 4),)
+    message = "the form entry (X[-2e1], X[2e1]) is not an integer"
+    with pytest.raises(RealizationError, match=r"^%s$" % re.escape(message)):
+        table._form[table.idx("X[-2e1]")]
     monkeypatch.setattr(liealg, "build_algebra", build_algebra.__wrapped__)
     assert main(["alg", "info", "--type", "C", "--rank", "2", "--json"]) == 2
-    assert capsys.readouterr().err == "error: structure constant 1/2 at h1 is not an integer\n"
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_build_algebra_guards():
@@ -305,10 +306,30 @@ def test_integer_build_matches_the_fraction_oracle(kind, rank):
     assert {type(c) for z in table.realizations for c in z.terms.values()} == {Fraction}
 
 
+ALL_TABLES = [("C", r) for r in range(2, 19)] + [("A", r) for r in range(2, 27)]
+
+
+def test_every_bracket_row_matches_the_matrix_commutators():
+    # the 42 tables C2-C18 and A2-A26, every row: [x, y] from Wick's rule on
+    # the labels, as a matrix on the generator span, against M_x M_y - M_y M_x
+    # of the matrices taken from oscillator products
+    for kind, rank in ALL_TABLES:
+        table = build_algebra(kind, rank)
+        matrices = generator_matrices(table.realizations, rank)
+        for x, commutators in enumerate(matrix_brackets(matrices)):
+            claimed = {}
+            for y, terms in table.rows[x].items():
+                claimed[y] = {}
+                for z, c in terms:
+                    for entry, d in matrices[z].items():
+                        add_term(claimed[y], entry, c * d)
+            assert claimed == commutators, (kind, rank, table.text(x))
+
+
 def test_realizations_read_off_the_labels_match_the_oscillator_products():
-    # 42 tables, C2-C18 and A2-A26; key order matters, as the commutator and
-    # Weyl-image dicts are built in it
-    for kind, rank in [("C", r) for r in range(2, 19)] + [("A", r) for r in range(2, 27)]:
+    # 42 tables, C2-C18 and A2-A26; key order matters, as the Weyl-image
+    # dicts are built in it
+    for kind, rank in ALL_TABLES:
         table = build_algebra(kind, rank)
         for elem, z in zip(table.basis, table.realizations):
             expected = realize(kind, rank, elem)
@@ -320,19 +341,21 @@ def test_realizations_read_off_the_labels_match_the_oscillator_products():
 @pytest.mark.parametrize("kind, rank", [("C", 18), ("A", 26)])
 def test_the_set_up_does_no_oscillator_arithmetic(monkeypatch, kind, rank):
     def refuse(*args, **kwargs):
-        raise AssertionError("oscillator arithmetic during the set-up")
+        raise AssertionError("oscillator arithmetic during the set-up or a row read")
 
+    # neither the set-up nor a full read of every bracket row and form row
     with monkeypatch.context() as patch:
         patch.setattr(weyl.WeylElement, "__mul__", refuse)
         patch.setattr(weyl.WeylElement, "__rmul__", refuse)
-        for name in ("_accumulate_product", "_accumulate_contractions", "commutator_terms"):
-            patch.setattr(weyl, name, refuse)
+        patch.setattr(weyl, "_accumulate_product", refuse)
         table = build_algebra.__wrapped__(kind, rank)
+        every = range(table.dimension)
+        rows = [table.rows[x] for x in every]
+        forms = [table._form[x] for x in every]
     cached = build_algebra(kind, rank)
     assert table.realizations == cached.realizations
-    for x in (cached.theta_raising, cached.cartan_indices[0], cached.simple_lowering[-1]):
-        assert table.rows[x] == cached.rows[x]
-        assert table._form[x] == cached._form[x]
+    assert rows == [cached.rows[x] for x in every]
+    assert forms == [cached._form[x] for x in every]
 
 
 def test_oversized_algebras_are_refused_before_any_work():
@@ -405,18 +428,18 @@ def test_commute_is_the_pairwise_bracket_scan(kind, rank):
 @pytest.mark.parametrize("kind, rank, brackets", [("C", 6, 828), ("A", 8, 552)])
 def test_build_computes_only_commutators_that_can_contract(monkeypatch, kind, rank, brackets):
     calls = []
-    commutator_terms = weyl.commutator_terms
+    wick = liealg._wick
 
-    def counted(x, y):
+    def counted(xs, ys):
         calls.append(None)
-        return commutator_terms(x, y)
+        return wick(xs, ys)
 
-    monkeypatch.setattr(weyl, "commutator_terms", counted)
+    monkeypatch.setattr(liealg, "_wick", counted)
     # the undecorated build, so the cached tables are left as they are
     table = build_algebra.__wrapped__(kind, rank)
     assert calls == []
-    # a full read computes one commutator per pair that can contract, not
-    # one per each of the dim (dim - 1) / 2 pairs: the second row of a
+    # a full read applies Wick's rule once per pair that can contract, not
+    # once per each of the dim (dim - 1) / 2 pairs: the second row of a
     # pair takes the first row's bracket
     every = range(table.dimension)
     rows = [table.rows[x] for x in every]
