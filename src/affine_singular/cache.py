@@ -91,7 +91,7 @@ def cache_get(directory: str, key: dict):
             record = json.load(handle)
     except (FileNotFoundError, NotADirectoryError):
         return None, []  # no record, or no directory to hold one
-    except (OSError, ValueError):  # ValueError: malformed JSON or UTF-8
+    except (OSError, ValueError, RecursionError):  # malformed or too deeply nested
         return None, [unreadable]
     if not isinstance(record, dict):
         return None, [unreadable]
@@ -107,7 +107,7 @@ def cache_get(directory: str, key: dict):
         return None, ["cache record failed its digest check, recomputing: %s" % path]
     try:
         obj = json.loads(payload)
-    except ValueError:
+    except (ValueError, RecursionError):
         obj = None
     if not isinstance(obj, dict):
         return None, [unreadable]

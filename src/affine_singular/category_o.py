@@ -3,14 +3,15 @@
 The image of the determinant power generates a finite-dimensional module
 under the adjoint action; its zero-weight vectors act on a highest weight
 vector v_lambda through their pure-Cartan parts, giving one polynomial
-p_u(h_1..h_l) per basis vector u.  An irreducible highest weight module is
-killed by the whole ideal exactly when all the p_u vanish at its weight, so
-the common zero locus is a complete classification of the surviving simple
-modules.  For sp_6 with the 3 x 3 determinant this locus is three parameter
-lines plus six isolated weights, all of level -1, stated once as exact
-affine data (SP6_LINES as base + x*direction, SP6_POINTS).  classify_sp6
-recomputes everything, checks that data against it, and reads the same
-data to keep its seeded controls off the locus.
+p_u(h_1..h_l) per basis vector u (a Poly in the names h1..hl).  An
+irreducible highest weight module is killed by the whole ideal exactly when
+all the p_u vanish at its weight, so the common zero locus is a complete
+classification of the surviving simple modules.  For sp_6 with the 3 x 3
+determinant this locus is three parameter lines plus six isolated weights,
+all of level -1, stated once as exact affine data (SP6_LINES as base +
+x*direction, SP6_POINTS).  classify_sp6 recomputes everything, checks that
+data against it, and reads the same data to keep its seeded controls off
+the locus.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import weights as weight_util
 from .linalg import SparseBasis
 from .report import VerificationReport, timed
-from .scalars import ZERO, HPoly, UniPoly, coerce_rational, format_rational, over_common_denominator
+from .scalars import ZERO, Poly, coerce_rational, format_rational, over_common_denominator
 from .spec import DeterminantSpec
 from .zhu import UEnvElement, _ad_ints, _fractions, finite_determinant, uenv_pow
 
@@ -143,7 +144,7 @@ def zero_weight_subspace(module: TopLevelModule) -> list:
     return [u for u, w in zip(module.elements, module.element_weights) if w == zero]
 
 
-def hc_projection(table, u: UEnvElement) -> HPoly:
+def hc_projection(table, u: UEnvElement) -> Poly:
     """Keep the pure-Cartan monomials of a PBW normal form as a polynomial.
 
     Every discarded monomial carries a positive factor on the right (the
@@ -151,10 +152,11 @@ def hc_projection(table, u: UEnvElement) -> HPoly:
     weight vector.
     """
     cartan = set(table.cartan_indices)
-    total = HPoly.constant(table.rank, 0)
+    names = tuple("h%d" % t for t in range(1, table.rank + 1))
+    total = Poly(names)
     for word, c in u.terms.items():
         if all(x in cartan for x in word):
-            piece = HPoly.constant(table.rank, c)
+            piece = Poly.constant(names, c)
             for x in word:
                 piece = piece * table.cartan_hpoly(x)
             total = total + piece
@@ -203,9 +205,7 @@ SP6_POINTS = [
 
 def sp6_printed_polynomials() -> list:
     """The four classification polynomials in the printed factored shapes."""
-    h1 = HPoly.coordinate(3, 1)
-    h2 = HPoly.coordinate(3, 2)
-    h3 = HPoly.coordinate(3, 3)
+    h1, h2, h3 = (Poly.variable(("h1", "h2", "h3"), i) for i in range(3))
     half = Fraction(1, 2)
     p1 = (h1 + 1) * (h2 + half) * h3
     p2 = (h1 + 1) * (4 * h3 + (h2 + h3) * (h2 + h3 - 1))
@@ -214,14 +214,13 @@ def sp6_printed_polynomials() -> list:
     return [p1, p2, p3, p4]
 
 
-def vanishes_on_line(p: HPoly, pairs) -> bool:
+def vanishes_on_line(p: Poly, pairs) -> bool:
     """Whether p vanishes on the whole line b + x*d, one (b, d) per coordinate.
 
     p(b + x*d) is a polynomial in x of degree at most D, the total degree of
     p, so it is zero exactly when it vanishes at the D + 1 points x = 0..D.
     """
-    top = max(map(sum, p.terms), default=0)
-    return all(p.evaluate([b + x * d for b, d in pairs]) == 0 for x in range(top + 1))
+    return all(p.evaluate([b + x * d for b, d in pairs]) == 0 for x in range(p.degree + 1))
 
 
 def _on_line(point, pairs) -> bool:
@@ -283,7 +282,7 @@ def classify_sp6(seed: int = 0, controls: int = 20) -> VerificationReport:
         line_pairs.append(pairs)
         line_results.append({
             "line": entry["label"],
-            "finite_weight": [str(UniPoly({0: b, 1: d}, "x")) for b, d in pairs],
+            "finite_weight": [str(Poly(("x",), {(0,): b, (1,): d})) for b, d in pairs],
             "level_matches": level == spec.level and slope == 0,
             "all_polynomials_vanish": all(vanishes_on_line(p, pairs) for p in computed),
         })

@@ -80,7 +80,7 @@ from functools import lru_cache
 from . import vacuum
 from .liealg import BasisElement, StructureTable
 from .report import VerificationReport, timed
-from .scalars import UniPoly, add_term, coerce_rational, format_rational
+from .scalars import Poly, add_term, coerce_rational, format_rational
 from .spec import DeterminantSpec
 from .vacuum import VacuumState
 
@@ -323,7 +323,7 @@ def ep_state(poly: EntryPoly) -> VacuumState:
     for key, c in poly.items():
         if c:
             terms[tuple(map(letter, key))] = (
-                consts.get(c) or consts.setdefault(c, UniPoly._wrap({0: Fraction(c)}, "k")))
+                consts.get(c) or consts.setdefault(c, Poly._wrap({(0,): Fraction(c)}, vacuum.LEVEL.names)))
     return VacuumState._wrap(terms)
 
 

@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import weyl
-from .scalars import ONE, ZERO, HPoly, add_term
+from .scalars import ONE, ZERO, Poly, add_term
 from .spec import FrozenValue
 
 Weight = tuple
@@ -139,12 +139,11 @@ class StructureTable:
     tie-break order used by the straightening routines.
     """
 
-    def __init__(self, kind, rank, basis, weights, realizations, rows, form, blocks):
+    def __init__(self, kind, rank, basis, weights, rows, form, blocks):
         self.kind = kind
         self.rank = rank
         self.basis = tuple(basis)
         self.weights = tuple(weights)
-        self.realizations = tuple(realizations)
         self._index = {elem: n for n, elem in enumerate(self.basis)}
         # rows[x] = {y: [x, y]} and _form[x] = {y: (x, y)}, nonzero entries
         # only, indexed by basis index (build_algebra fills each on first read)
@@ -154,6 +153,12 @@ class StructureTable:
         self.dimension = len(self.basis)
         self.cartan_indices = tuple(n for n, e in enumerate(self.basis) if e.kind == "cartan")
         self._chevalley()
+
+    @cached_property
+    def realizations(self) -> tuple:
+        """Each basis element's WeylElement, read off its label on first
+        read; only the oscillator image and alg info read them."""
+        return tuple(_realize(self.kind, self.rank, e) for e in self.basis)
 
     # -- lookup ---------------------------------------------------------
 
@@ -244,14 +249,15 @@ class StructureTable:
         """Half the sum of the positive roots."""
         return tuple(Fraction(sum(column), 2) for column in zip(*self.positive_root_weights))
 
-    def cartan_hpoly(self, spec) -> HPoly:
+    def cartan_hpoly(self, spec) -> Poly:
         """A Cartan basis element as a polynomial in the coordinates h_1..h_l."""
         elem = self.basis[self.idx(spec)]
         if elem.kind != "cartan":
             raise ValueError("not a Cartan element")
+        names = tuple("h%d" % t for t in range(1, self.rank + 1))
         if self.kind == "C":
-            return HPoly.coordinate(self.rank, elem.i)
-        return HPoly.coordinate(self.rank, elem.i) - HPoly.coordinate(self.rank, elem.i + 1)
+            return Poly.variable(names, elem.i - 1)
+        return Poly.variable(names, elem.i - 1) - Poly.variable(names, elem.i)
 
     # -- reporting ------------------------------------------------------
 
@@ -339,12 +345,12 @@ class _FilledOnRead(dict):
 def build_algebra(kind: str, rank: int) -> StructureTable:
     """The structure table for sp_2l (kind "C") or sl_l (kind "A").
 
-    Only the basis, the letters, the realizations and two maps read off the
-    letters are built here, in O(dim) with no oscillator arithmetic.  Each
-    bracket row and form row is filled on its first read.  A bracket is
-    Wick's rule on the two labels' letters (_wick), each quadratic read off
-    as ints in the basis, so no bracket can leave the span; a form entry
-    that does not divide exactly raises RealizationError.
+    Only the basis, the letters and two maps read off the letters are built
+    here, in O(dim) with no oscillator arithmetic.  Each bracket row and
+    form row is filled on its first read, and the realizations on theirs.
+    A bracket is Wick's rule on the two labels' letters (_wick), each
+    quadratic read off as ints in the basis, so no bracket can leave the
+    span; a form entry that does not divide exactly raises RealizationError.
     """
     if kind not in ("C", "A"):
         raise ValueError("kind must be 'C' or 'A'")
@@ -377,7 +383,6 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
 
     dim = len(basis)
     letters = [_letters(kind, e) for e in basis]
-    realizations = [_realize(kind, rank, e) for e in basis]
     cartan_indices = [n for n in range(dim) if basis[n].kind == "cartan"]
     # each quadratic :uv: in the basis: a root vector, or :a_i a*_i: = -h_i,
     # on kind "A" -(h_i - h_l), whose sum over a traceless bracket gives the
@@ -444,4 +449,4 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
 
     rows = _FilledOnRead(dim, bracket_row)
     form = _FilledOnRead(dim, form_row)
-    return StructureTable(kind, rank, basis, [weight[e] for e in basis], realizations, rows, form, blocks)
+    return StructureTable(kind, rank, basis, [weight[e] for e in basis], rows, form, blocks)

@@ -2,7 +2,8 @@
 
 Every coefficient in the package lives in Q, in Q[k] (k the formal level,
 kept symbolic so identities can be checked as polynomial statements and
-specialised afterwards), or in Q[h_1..h_l] (Cartan coordinates).  Every
+specialised afterwards), or in Q[h_1..h_l] (Cartan coordinates); both
+polynomial rings are Poly, told apart by their variable names.  Every
 linear combination the package builds (these polynomials, vacuum states,
 enveloping and oscillator elements) is a TermMap: zero coefficients are
 deleted eagerly, so structural equality of term maps is semantic equality.
@@ -18,6 +19,7 @@ output term is divided once at the end.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .spec import format_rational, parse_rational  # re-exported
@@ -43,28 +45,6 @@ def over_common_denominator(terms: dict) -> tuple[dict, int]:
     return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
 
 
-def _format_term(coeff: Fraction, body: str) -> str:
-    if not body:
-        return format_rational(coeff)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return "%s*%s" % (format_rational(coeff), body)
-
-
-def _join_terms(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    text = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            text += " - " + part[1:]
-        else:
-            text += " + " + part
-    return text
-
-
 def add_term(terms: dict, key, coeff) -> None:
     """terms[key] += coeff, deleting the key when the sum is zero."""
     if key in terms:
@@ -81,9 +61,9 @@ class TermMap:
     """A sparse linear combination: terms maps each key to a nonzero coefficient.
 
     The coefficients are rationals, or polynomials in k for vacuum states.
-    A subclass may carry one context value (a variable name, a number of
-    variables) in the slot named by _context; results of arithmetic carry it
-    on.  A subclass keeps to itself its validating __init__ and its product,
+    A subclass may carry one context value (the variable names, a number
+    of variables) in the slot named by _context; results of arithmetic
+    carry it on.  A subclass keeps to itself its validating __init__ and its product,
     and gives render the text of one key.  Arithmetic wraps its results with
     the trusted _wrap, which neither copies nor checks.
     """
@@ -151,7 +131,7 @@ class TermMap:
     def scale(self, value):
         """Every coefficient times value: a rational, or a polynomial in k
         when the coefficients are polynomials in k."""
-        if not isinstance(value, UniPoly):
+        if not isinstance(value, Poly):
             value = coerce_rational(value)
         terms = {key: c * value for key, c in self.terms.items()} if value else {}
         return self._wrap(terms, self._own_context())
@@ -169,145 +149,94 @@ class TermMap:
     __hash__ = None
 
 
-class UniPoly(TermMap):
-    """Sparse univariate polynomial over Q: terms maps degrees to coefficients.
+class Poly(TermMap):
+    """Sparse polynomial over Q in the variables names: terms maps exponent
+    tuples, one exponent per name, to coefficients.
 
-    The default variable is the formal level k; another name only changes
-    the text (classify_sp6 prints its lines in x).  Both operands of an
-    arithmetic expression must have the same variable, constants included.
+    The names are ("k",) for the formal level, ("h1", .., "hl") for the
+    Cartan coordinates, and ("x",) for the parameter of an sp_6 line, which
+    only changes the text.  Both operands of an arithmetic expression must
+    have the same names, constants included.
     """
 
-    __slots__ = ("var",)
-    _context = "var"
+    __slots__ = ("names",)
+    _context = "names"
 
-    def __init__(self, terms=None, var: str = "k"):
+    def __init__(self, names, terms=None):
         self.terms = {}
-        self.var = var
-        for deg, c in (terms or {}).items():
-            c = coerce_rational(c)
-            if c:
-                if deg < 0:
-                    raise ValueError("negative exponent in polynomial")
-                self.terms[int(deg)] = c
-
-    @classmethod
-    def constant(cls, value, var: str = "k") -> "UniPoly":
-        return cls({0: value}, var)
-
-    @classmethod
-    def variable(cls, var: str = "k") -> "UniPoly":
-        return cls({1: ONE}, var)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return max(self.terms, default=-1)
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.constant(other, self.var)
-        return super()._lift(other)
-
-    def __mul__(self, other) -> "UniPoly":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        var = self._join(other)
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                add_term(out, d1 + d2, c1 * c2)
-        return UniPoly._wrap(out, var)
-
-    __rmul__ = __mul__
-
-    def __call__(self, point) -> Fraction:
-        point = coerce_rational(point)
-        total = ZERO
-        for deg, c in self.terms.items():
-            total += c * point**deg
-        return total
-
-    def __repr__(self) -> str:
-        parts = []
-        for deg in sorted(self.terms, reverse=True):
-            c = self.terms[deg]
-            if deg == 0:
-                body = ""
-            elif deg == 1:
-                body = self.var
-            else:
-                body = "%s^%d" % (self.var, deg)
-            parts.append(_format_term(c, body))
-        return _join_terms(parts)
-
-
-class HPoly(TermMap):
-    """Sparse polynomial in the Cartan coordinates h_1..h_n over Q."""
-
-    __slots__ = ("nvars",)
-    _context = "nvars"
-
-    def __init__(self, nvars: int, terms=None):
-        self.terms = {}
-        self.nvars = nvars
+        self.names = names = tuple(names)
         for expo, c in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars or any(e < 0 for e in expo):
+            expo = tuple(map(int, expo))
+            if len(expo) != len(names) or min(expo, default=0) < 0:
                 raise ValueError("bad exponent vector %r" % (expo,))
             add_term(self.terms, expo, coerce_rational(c))
 
     @classmethod
-    def constant(cls, nvars: int, value) -> "HPoly":
-        return cls(nvars, {(0,) * nvars: value})
+    def constant(cls, names, value) -> "Poly":
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
-    def coordinate(cls, nvars: int, i: int) -> "HPoly":
-        """The coordinate function h_i, 1-based."""
-        if not 1 <= i <= nvars:
-            raise ValueError("coordinate index out of range")
-        expo = tuple(1 if t == i - 1 else 0 for t in range(nvars))
-        return cls(nvars, {expo: ONE})
+    def variable(cls, names, i: int = 0) -> "Poly":
+        """The variable names[i], 0-based."""
+        if not 0 <= i < len(names):
+            raise ValueError("variable index out of range")
+        return cls(names, {tuple(int(t == i) for t in range(len(names))): ONE})
+
+    @property
+    def degree(self) -> int:
+        """Total degree, with the convention that the zero polynomial has degree -1."""
+        return max(map(sum, self.terms), default=-1)
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):
-            return HPoly.constant(self.nvars, other)
+            return Poly.constant(self.names, other)
         return super()._lift(other)
 
-    def __mul__(self, other) -> "HPoly":
+    def __mul__(self, other) -> "Poly":
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        nvars = self._join(other)
+        names = self._join(other)
         out: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return HPoly._wrap(out, nvars)
+                add_term(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+        return Poly._wrap(out, names)
 
     __rmul__ = __mul__
 
     def evaluate(self, point) -> Fraction:
-        """The value at a rational point y / q, summed in ints as q^D times
-        the value (D the total degree) with the coefficients over their
-        common denominator, and divided once."""
+        """The value at a rational point y / q, one coordinate per name,
+        summed in ints as q^D times the value (D the total degree) with the
+        coefficients over their common denominator, and divided once."""
         ys, q = over_common_denominator(dict(enumerate(map(coerce_rational, point))))
-        if len(ys) != self.nvars:
+        if len(ys) != len(self.names):
             raise ValueError("point has wrong length")
         ints, den = over_common_denominator(self.terms)
-        top = max(map(sum, ints), default=0)
+        top = max(self.degree, 0)
         total = sum(c * math.prod(map(pow, ys.values(), expo)) * q ** (top - sum(expo))
                     for expo, c in ints.items())
         return Fraction(total, den * q**top)
 
     def __repr__(self) -> str:
+        """The terms by descending (total degree, exponents), each as c*body,
+        body, -body or c, body the product of name^e (name alone for e = 1)."""
         parts = []
-        for expo in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            pieces = []
-            for t, e in enumerate(expo):
-                if e == 1:
-                    pieces.append("h%d" % (t + 1))
-                elif e > 1:
-                    pieces.append("h%d^%d" % (t + 1, e))
-            parts.append(_format_term(self.terms[expo], "*".join(pieces)))
-        return _join_terms(parts)
+        terms = self.terms.items()
+        if len(terms) > 1:  # most are one constant, which needs no sort
+            terms = sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        for expo, c in terms:
+            body = power_text(self.names, expo, "*") if any(expo) else ""
+            if not body:
+                parts.append(format_rational(c))
+            elif c == 1 or c == -1:
+                parts.append(body if c == 1 else "-" + body)
+            else:
+                parts.append("%s*%s" % (format_rational(c), body))
+        return " + ".join(parts).replace(" + -", " - ") or "0"
+
+
+def power_text(names, expo, sep: str) -> str:
+    """The product of name^e over the nonzero exponents, joined by sep; a
+    bare name for e = 1 and "" when every exponent is zero."""
+    return sep.join(v if e == 1 else "%s^%d" % (v, e) for v, e in zip(names, expo) if e)

@@ -5,8 +5,8 @@ States are finite sums of ordered monomials
     x_1(n_1) x_2(n_2) ... x_r(n_r) |0>,   n_1 <= n_2 <= ... <= n_r <= -1,
 
 with ties between equal modes broken by the basis order of the structure
-table.  Coefficients are polynomials in the formal level k, so the central
-element can act symbolically.  The commutation rule is
+table.  Coefficients are polynomials in the formal level k (a Poly in the
+one name k, LEVEL), so the central element can act symbolically.  The commutation rule is
 
     [x(n), y(m)] = [x,y](n+m) + n (x,y) delta_(n+m,0) k,
 
@@ -48,18 +48,18 @@ import bisect
 from fractions import Fraction
 
 from .report import VerificationReport, timed
-from .scalars import ONE, TermMap, UniPoly, add_term, coerce_rational, format_rational
+from .scalars import ONE, Poly, TermMap, add_term, coerce_rational, format_rational
 
 Letter = tuple  # (mode, basis index)
 Monomial = tuple  # tuple of letters, canonically ordered
 
-LEVEL = UniPoly.variable("k")
+LEVEL = Poly.variable(("k",))  # a coefficient is a Poly in the names LEVEL.names
 
 
-def _coerce_poly(value) -> UniPoly:
-    if isinstance(value, UniPoly):
+def _coerce_poly(value) -> Poly:
+    if isinstance(value, Poly):
         return value
-    return UniPoly.constant(coerce_rational(value))
+    return Poly.constant(LEVEL.names, coerce_rational(value))
 
 
 class VacuumState(TermMap):
@@ -88,19 +88,19 @@ class VacuumState(TermMap):
     def specialize(self, level) -> "VacuumState":
         """Evaluate every coefficient at a numeric level.
 
-        A constant coefficient is kept as it is, the same UniPoly object, as
+        A constant coefficient is kept as it is, the same Poly object, as
         ep_state shares them; only coefficients of degree >= 1 are
         evaluated, and a monomial whose value is zero is dropped.
         """
         level = coerce_rational(level)
         out = {}
         for mono, c in self.terms.items():
-            if len(c.terms) == 1 and 0 in c.terms:  # a constant
+            if len(c.terms) == 1 and (0,) in c.terms:  # a constant
                 out[mono] = c
             else:
-                value = c(level)
+                value = c.evaluate((level,))
                 if value:
-                    out[mono] = UniPoly._wrap({0: value}, "k")
+                    out[mono] = Poly._wrap({(0,): value}, LEVEL.names)
         return VacuumState._wrap(out)
 
     def text(self, table) -> str:
@@ -116,7 +116,7 @@ def monomial_text(table, mono: Monomial) -> str:
     return " ".join("%s(%d)" % (table.text(x), n) for n, x in mono) + " |0>"
 
 
-def _reduce_into(table, coeff: UniPoly, word, out: dict):
+def _reduce_into(table, coeff: Poly, word, out: dict):
     """Accumulate the canonical form of coeff * word |0> into out, always
     rewriting the leftmost inversion first."""
     work = [(coeff, tuple(word))]
@@ -151,8 +151,8 @@ def straighten(table, word) -> VacuumState:
         if mode > -1:
             raise ValueError("straighten expects modes <= -1, got %d" % mode)
         letters.append((mode, table.idx(x)))
-    out: dict[Monomial, UniPoly] = {}
-    _reduce_into(table, UniPoly.constant(ONE), tuple(letters), out)
+    out: dict[Monomial, Poly] = {}
+    _reduce_into(table, Poly.constant(LEVEL.names, ONE), tuple(letters), out)
     return VacuumState._wrap(out)
 
 
@@ -161,7 +161,7 @@ def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
     level, by straightening x(n) in front of each monomial."""
     xi = table.idx(x)
     n = int(n)
-    out: dict[Monomial, UniPoly] = {}
+    out: dict[Monomial, Poly] = {}
     for mono, c in state.terms.items():
         _reduce_into(table, c, ((n, xi),) + mono, out)
     return VacuumState._wrap(out)
@@ -221,10 +221,10 @@ def _differential_ints(table, x: int, poly: dict) -> dict:
 def _from_ints(ints: dict, den: int) -> VacuumState:
     """The state of an int map {(k-degree, sorted letter key): c} over den."""
     letter = {y: (-1, y) for y in set().union(*(key for _, key in ints))}.__getitem__
-    out: dict[Monomial, dict[int, Fraction]] = {}
+    out: dict[Monomial, dict[tuple, Fraction]] = {}
     for (d, key), v in ints.items():
-        out.setdefault(tuple(map(letter, key)), {})[d] = Fraction(v, den)
-    return VacuumState._wrap({mono: UniPoly._wrap(coeffs, "k") for mono, coeffs in out.items()})
+        out.setdefault(tuple(map(letter, key)), {})[d,] = Fraction(v, den)
+    return VacuumState._wrap({mono: Poly._wrap(coeffs, LEVEL.names) for mono, coeffs in out.items()})
 
 
 def _insert(key: tuple, y: int) -> tuple:

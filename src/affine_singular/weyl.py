@@ -26,7 +26,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .scalars import ONE, TermMap, add_term, coerce_rational
+from .scalars import ONE, TermMap, add_term, coerce_rational, power_text
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (creation, annihilation) exponents
 
@@ -102,19 +102,10 @@ def _accumulate_product(a1, b1, a2, b2, coeff, out):
 
 
 def monomial_text(mono: Monomial) -> str:
+    """a1..al then a*1..a*l, each as name^e (name alone for e = 1), space-separated."""
     alpha, beta = mono
-    pieces = []
-    for i, e in enumerate(alpha):
-        if e == 1:
-            pieces.append("a%d" % (i + 1))
-        elif e > 1:
-            pieces.append("a%d^%d" % (i + 1, e))
-    for i, e in enumerate(beta):
-        if e == 1:
-            pieces.append("a*%d" % (i + 1))
-        elif e > 1:
-            pieces.append("a*%d^%d" % (i + 1, e))
-    return " ".join(pieces)
+    names = ["a%d" % i for i in range(1, len(alpha) + 1)]
+    return power_text(names + ["a*" + v[1:] for v in names], alpha + beta, " ")
 
 
 def creation(nvars: int, i: int) -> WeylElement:

@@ -172,9 +172,9 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
     """
     values = {}  # position in state.terms -> constant coefficient
     for pos, c in enumerate(state.terms.values()):
-        if len(c.terms) != 1 or 0 not in c.terms:
+        if len(c.terms) != 1 or (0,) not in c.terms:
             raise ValueError("projection needs a numeric level; specialize the state first")
-        values[pos] = c.terms[0]
+        values[pos] = c.terms[0,]
     commuting = table.commute({x for mono in state.terms for _, x in mono})
     scaled, scale = over_common_denominator(values)
     # the sign (-1)^sum(-n - 1) has the parity of len(mono) + sum(n); commuting

@@ -19,7 +19,7 @@ from affine_singular import liealg
 from affine_singular.liealg import build_algebra
 from affine_singular.linalg import SparseBasis
 from affine_singular.report import VerificationReport
-from affine_singular.scalars import ZERO, UniPoly, add_term, coerce_rational
+from affine_singular.scalars import ZERO, Poly, add_term, coerce_rational
 from affine_singular.vacuum import VacuumState, apply_generator
 from affine_singular.zhu import UEnvElement
 
@@ -30,7 +30,7 @@ def straighten_rightmost(table, word, coeff=1) -> VacuumState:
     results show that the rewriting is confluent."""
     k = level_var()
     out = {}
-    work = [(UniPoly.constant(coeff), tuple((int(n), table.idx(x)) for n, x in word))]
+    work = [(Poly.constant(K, coeff), tuple((int(n), table.idx(x)) for n, x in word))]
     while work:
         c, w = work.pop()
         if w and w[-1][0] >= 0:
@@ -390,7 +390,9 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
             for x in range(dim)]
     form = [{y: value for y, value in row.items() if value} for row in form]
     weights = [liealg.element_weight(e, rank) for e in basis]
-    return liealg.StructureTable(kind, rank, basis, weights, realizations, rows, form, blocks)
+    table = liealg.StructureTable(kind, rank, basis, weights, rows, form, blocks)
+    table.realizations = tuple(realizations)  # this build's own, not the table's
+    return table
 
 
 def generator_matrices(realizations, rank: int) -> list[dict]:
@@ -469,16 +471,19 @@ def casimir_level(kind: str, rank: int, m: int, n: int) -> Fraction:
 # -- helpers ------------------------------------------------------------
 
 
-def level_var() -> UniPoly:
+K = ("k",)  # the names of a polynomial in the level
+
+
+def level_var() -> Poly:
     """The formal level as a polynomial."""
-    return UniPoly.variable("k")
+    return Poly.variable(K)
 
 
-def constant_value(poly: UniPoly) -> Fraction:
+def constant_value(poly: Poly) -> Fraction:
     """The value of a constant polynomial; raises if it has positive degree."""
     if poly.degree > 0:
         raise ValueError("polynomial %s is not constant" % (poly,))
-    return poly.terms.get(0, ZERO)
+    return poly.terms.get((0,), ZERO)
 
 
 def minor_vector(table, spec: DeterminantSpec, i: int, j: int) -> VacuumState:
@@ -493,11 +498,6 @@ def mode_degree(state: VacuumState) -> int:
     if len(degrees) > 1:
         raise ValueError("state mixes mode degrees %s" % sorted(degrees))
     return degrees.pop()
-
-
-def total_degree(poly) -> int:
-    """Total degree of an HPoly; -1 for zero."""
-    return max((sum(e) for e in poly.terms), default=-1)
 
 
 def coexisting_singulars(kind: str, rank: int, level) -> list[DeterminantSpec]:

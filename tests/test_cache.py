@@ -147,3 +147,22 @@ def test_invalid_utf8_is_unreadable(tmp_path):
     got, warnings = cache_get(directory, KEY)
     assert got is None
     assert any("unreadable" in w for w in warnings)
+
+
+def test_a_record_nested_past_the_recursion_limit_is_unreadable(tmp_path):
+    directory = str(tmp_path)
+    path = cache_put(directory, KEY, PAYLOAD)
+    with open(path, "w") as handle:
+        handle.write("[" * 100_000 + "]" * 100_000)
+    got, warnings = cache_get(directory, KEY)
+    assert got is None
+    assert warnings == ["cache record unreadable, recomputing: %s" % path]
+
+
+def test_a_signed_payload_nested_past_the_recursion_limit_is_unreadable(tmp_path):
+    directory = str(tmp_path)
+    path = cache_put(directory, KEY, PAYLOAD)
+    _rewrite(path, _signed("[" * 100_000 + "]" * 100_000))
+    got, warnings = cache_get(directory, KEY)
+    assert got is None
+    assert warnings == ["cache record unreadable, recomputing: %s" % path]

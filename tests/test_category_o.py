@@ -18,7 +18,7 @@ from affine_singular.category_o import (SP6_LINES, SP6_POINTS,
 from affine_singular.determinants import DeterminantSpec
 from affine_singular.liealg import StructureTable, build_algebra
 from affine_singular.linalg import SparseBasis
-from affine_singular.scalars import HPoly, UniPoly
+from affine_singular.scalars import Poly
 from affine_singular.weights import multiplicity, weyl_dim
 from affine_singular.zhu import UEnvElement, ad_action, finite_determinant, uenv_pow
 from oracles import adjoint_closure_scan, uenv_normal_form
@@ -130,43 +130,43 @@ def test_sp6_printed_polynomials_vanish_on_printed_locus(table_c3):
     assert any(p.evaluate((2, 2, 2)) != 0 for p in polys)
 
 
-def _restrict(p: HPoly, pairs) -> UniPoly:
+def _restrict(p: Poly, pairs) -> Poly:
     """p(b + x*d), one (b, d) per coordinate, expanded as a polynomial in x."""
-    total = UniPoly({}, "x")
+    total = Poly(("x",))
     for expo, c in p.terms.items():
-        term = UniPoly.constant(c, "x")
+        term = Poly.constant(("x",), c)
         for (b, d), e in zip(pairs, expo):
             for _ in range(e):
-                term = term * UniPoly({0: b, 1: d}, "x")
+                term = term * Poly(("x",), {(0,): b, (1,): d})
         total = total + term
     return total
 
 
 def test_line_check_evaluates_at_one_point_past_the_degree():
     # h1 (h1 - 1)(h1 - 2) on the line h1 = x vanishes at x = 0, 1, 2 only
-    h1 = HPoly.coordinate(3, 1)
+    h1 = Poly.variable(("h1", "h2", "h3"), 0)
     cubic = h1 * (h1 - 1) * (h1 - 2)
     line = [(0, 1), (0, 0), (0, 0)]
     assert all(cubic.evaluate((x, 0, 0)) == 0 for x in range(3))
     assert not vanishes_on_line(cubic, line)
-    assert vanishes_on_line(cubic * HPoly.coordinate(3, 2), line)
-    assert vanishes_on_line(HPoly.constant(3, 0), line)
-    assert not vanishes_on_line(HPoly.constant(3, 1), line)
+    assert vanishes_on_line(cubic * Poly.variable(("h1", "h2", "h3"), 1), line)
+    assert vanishes_on_line(Poly.constant(("h1", "h2", "h3"), 0), line)
+    assert not vanishes_on_line(Poly.constant(("h1", "h2", "h3"), 1), line)
 
     # the verdict agrees with expanding the substitution, on random lines and
     # on polynomials made to vanish on them by a linear factor
-    g1, g2 = HPoly.coordinate(2, 1), HPoly.coordinate(2, 2)
+    g1, g2 = Poly.variable(("h1", "h2"), 0), Poly.variable(("h1", "h2"), 1)
     rng = random.Random(5)
     for trial in range(40):
-        q = HPoly(2, {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3))
-                      for _ in range(3)})
+        q = Poly(("h1", "h2"), {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3))
+                                for _ in range(3)})
         pairs = [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in "bd") for _ in range(2)]
         if trial % 2:
             (b1, d1), (b2, d2) = pairs
             q = q * (d2 * (g1 - b1) - d1 * (g2 - b2))  # zero on the line
         restricted = _restrict(q, pairs)
         for x in range(max(map(sum, q.terms), default=0) + 1):
-            assert restricted(x) == q.evaluate([b + x * d for b, d in pairs])
+            assert restricted.evaluate((x,)) == q.evaluate([b + x * d for b, d in pairs])
         assert vanishes_on_line(q, pairs) == restricted.is_zero
 
 
@@ -274,8 +274,7 @@ def _mutated(table, changes):
     rows = [dict(table.rows[x]) for x in range(table.dimension)]
     for (x, y), terms in changes.items():
         rows[x][y] = terms
-    return StructureTable(table.kind, table.rank, table.basis, table.weights, table.realizations,
-                          rows, table._form, table.blocks)
+    return StructureTable(table.kind, table.rank, table.basis, table.weights, rows, table._form, table.blocks)
 
 
 def test_raising_certificate_needs_the_chevalley_relations(table_c2):

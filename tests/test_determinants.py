@@ -16,10 +16,10 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
                                           lowering_factor_check,
                                           minor_entry_poly, verify_singular)
 from affine_singular.liealg import build_algebra
-from affine_singular.scalars import UniPoly, add_term, format_rational
+from affine_singular.scalars import Poly, add_term, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from affine_singular.zhu import verify_zhu_generator
-from oracles import (casimir_level, coexisting_singulars, derivation_image, entries_commute_check,
+from oracles import (K, casimir_level, coexisting_singulars, derivation_image, entries_commute_check,
                      ep_apply, leibniz_entry_poly, minor_vector)
 from test_acceptance import A_GRID, C_GRID
 
@@ -575,7 +575,7 @@ def test_lowering_factor_c_type(table_c2):
     # x_-theta(1) X[2e1](-1) |0> = -4 k |0>
     from affine_singular.vacuum import apply_generator
     lhs = apply_generator(t, t.theta_lowering, 1, determinant_vector(t, spec))
-    assert lhs == VacuumState.vacuum() * UniPoly({1: Fraction(-4)})
+    assert lhs == VacuumState.vacuum() * Poly(K, {(1,): Fraction(-4)})
     report = lowering_factor_check(spec)
     assert report.verdict
 
@@ -586,7 +586,7 @@ def test_lowering_factor_a_type(table_a2):
     # f(1) e(-1)^2 |0> = 2 (k - 1) e(-1) |0>
     from affine_singular.vacuum import apply_generator
     lhs = apply_generator(t, t.theta_lowering, 1, determinant_vector(t, spec))
-    expected = straighten(t, [(-1, "X[e1-e2]")]) * UniPoly({1: Fraction(2), 0: Fraction(-2)})
+    expected = straighten(t, [(-1, "X[e1-e2]")]) * Poly(K, {(1,): Fraction(2), (0,): Fraction(-2)})
     assert lhs == expected
     report = lowering_factor_check(spec)
     assert report.verdict
@@ -609,7 +609,7 @@ def test_lowering_factor_grid():
 @pytest.mark.parametrize("wrong", ["beta", "level"])
 def test_a_failing_lowering_factor_reports_the_symbolic_difference(monkeypatch, kind, rank, m, n, wrong):
     """The identity is compared in ints; a failure must still report the
-    difference and lhs that the Fraction/UniPoly computation gives."""
+    difference and lhs that the Fraction/Poly computation gives."""
     spec = DeterminantSpec(kind, rank, m, n)
     table = spec.table()
     level = spec.level + (Fraction(1, 3) if wrong == "level" else 0)
@@ -617,7 +617,7 @@ def test_a_failing_lowering_factor_reports_the_symbolic_difference(monkeypatch, 
     lhs = vacuum.apply_generator(table, table.theta_lowering, 1, determinant_vector(table, spec))
     lower = ep_pow(det_entry_poly(table, spec), n - 1)
     minor = ep_state(ep_mul(minor_entry_poly(table, spec, 1, 1), lower))
-    difference = lhs - minor * UniPoly({1: beta * n, 0: -beta * n * level})
+    difference = lhs - minor * Poly(K, {(1,): beta * n, (0,): -beta * n * level})
     monkeypatch.setattr(determinants, "beta_constant", lambda table: beta)
     monkeypatch.setattr(DeterminantSpec, "level", property(lambda self: level))
     report = lowering_factor_check(spec)

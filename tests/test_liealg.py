@@ -352,6 +352,7 @@ def test_the_set_up_does_no_oscillator_arithmetic(monkeypatch, kind, rank):
         every = range(table.dimension)
         rows = [table.rows[x] for x in every]
         forms = [table._form[x] for x in every]
+    assert "realizations" not in vars(table)  # made on first read only
     cached = build_algebra(kind, rank)
     assert table.realizations == cached.realizations
     assert rows == [cached.rows[x] for x in every]
