@@ -23,9 +23,11 @@ t = 0, and otherwise an exact residual that needs no expansion of x(0).
 
 That x(0) kills det|0> is read off the m x m matrix Y of entries, not the
 m! terms of det (Jacobi's formula; Howe-Umeda, Math. Ann. 290 (1991),
-Caracciolo-Sokal-Sportiello, Adv. Appl. Math. 50 (2013)).  x(0) acts on
-P(Y(-1))|0> as the derivation d = sum_Y [x, Y] dP/dY (see vacuum).  Suppose
-[x, Y] = AY + YB entrywise, with A and B scalar m x m matrices.  A
+Caracciolo-Sokal-Sportiello, Adv. Appl. Math. 50 (2013)).  Since
+[x(0), Y(-1)] = [x, Y](-1) and x(0)|0> = 0, x(0) acts on P(Y(-1))|0> as
+the derivation d = sum_Y [x, Y] dP/dY when each [x, Y] commutes with the
+entries.  Suppose [x, Y] = AY + YB entrywise, with A and B scalar m x m
+matrices; then [x, Y] lies in the span of the entries.  A
 derivation of the commutative ring of the entries satisfies
 d det Y = tr(adj(Y) dY), by the product rule on each Leibniz term, so with
 adj(Y) Y = Y adj(Y) = det(Y) I it gives
@@ -48,9 +50,12 @@ simple raising operator of an accepted spec lacks the form.
 
 The mode 1 half is certified on the matrix too, for every n.  Let x be the
 lowest root vector and D = det Y.  On P(Y(-1))|0> with commuting entries,
-x(1) is 1/2 sum_(a, b) [[x, a], b] d^2P/da db + k sum_a (x, a) dP/da (see
-vacuum), and sum_b [z, b] d/db is the derivation d_z of the entry ring, so
-the product rule on D^n gives
+x(1) is 1/2 sum_(a, b) [[x, a], b] d^2P/da db + k sum_a (x, a) dP/da:
+moving x(1) to the vacuum past a(-1) leaves [x, a](0) and k (x, a), and
+[x, a](0) past b(-1) leaves [[x, a], b](-1), a sum symmetric in a and b by
+the Jacobi identity since [a, b] = 0 (tests/oracles.py applies this
+operator term by term, as the certificate's oracle).  sum_b [z, b] d/db is
+the derivation d_z of the entry ring, so the product rule on D^n gives
 
     x(1) D^n|0> = n D^(n-1) (Q + k K + (n - 1) T)|0>,
     Q = 1/2 sum_a d_[x,a](dD/da),  K = sum_a (x, a) dD/da,
@@ -67,12 +72,24 @@ the generic symmetric matrix of kind C, are linearly independent, and the
 vacuum module is free, so x(1) D^n|0> = 0 at the level k0 exactly when
 Q + k0 K + (n - 1) T = 0.  On every accepted spec K = beta E_11 and
 Q + (n - 1) T = -beta L E_11, E_11 picking minor(1, 1), with L the
-distinguished level.
+distinguished level; lowering_factor_check compares exactly these
+matrices, and verify_singular raises RuntimeError ("no certificate
+applies") when _mode_1_core finds no cofactor form.
+
+So no check expands det^n or acts on a state to reach its verdict.  A
+failing check states its residual from the same coefficients: n t det^n|0>
+at mode 0 and sum_ij c_ij minor(i, j) det^(n-1)|0> at mode 1, with c_ij =
+n (-1)^(i+j) (Q + k K + (n - 1) T)_ij, at the given level or with k
+symbolic.  The residual is expanded into vacuum monomials only while the
+Leibniz terms it multiplies out, (m!)^n or (m-1)! (m!)^(n-1), are at most
+WITNESS_TERMS; above that it is stated factored, as "(-8) minor(1,1) det^1
+|0>" or "(6) det^2 |0>", each coefficient printed as in an expanded state.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -80,7 +97,7 @@ from functools import lru_cache
 from . import vacuum
 from .liealg import BasisElement, StructureTable
 from .report import VerificationReport, timed
-from .scalars import Poly, add_term, coerce_rational, format_rational
+from .scalars import Poly, TermMap, add_term, coerce_rational, format_rational
 from .spec import DeterminantSpec
 from .vacuum import VacuumState
 
@@ -91,6 +108,11 @@ EntryPoly = dict  # sorted index tuple -> int, a polynomial in commuting entries
 # C5 m=5 sorts 2.27 million (2.21 million in its last product, 2,021 x 73
 # pairs of 15 letters), det^2 for C6 m=6 1.81 million (388 x 388 pairs of 12).
 MAX_MUL_LETTERS = 4_000_000
+
+# A failing check expands its residual only while the Leibniz terms it
+# multiplies out, (m!)^n at mode 0 and (m-1)! (m!)^(n-1) at mode 1, are at
+# most this many; above that it states the residual factored.
+WITNESS_TERMS = 1000
 
 
 def entry_element(kind: str, rank: int, i: int, j: int) -> BasisElement:
@@ -222,21 +244,61 @@ def _mode_1_core(table: StructureTable, spec: DeterminantSpec) -> tuple | None:
     return q, k, t
 
 
-def _mode_1_vanishes(table: StructureTable, spec: DeterminantSpec, level: Fraction) -> bool:
-    """True when _mode_1_core certifies x(1) det^n|0> = 0 at the level:
-    Q + level K + (n - 1) T = 0."""
+def _mode_1_residual(table: StructureTable, spec: DeterminantSpec, level) -> TermMap:
+    """x(1) det^n|0> for the lowest root vector x, as the TermMap
+    {(i, j): c_ij} of sum_ij c_ij minor(i, j) det^(n-1)|0>, each c_ij a
+    Poly in k, or its value when level is a rational.  With adj(Y)_ji =
+    (-1)^(i+j) minor(i, j), c_ij = n (-1)^(i+j) (Q + k K + (n - 1) T)_ij
+    from _mode_1_core; raises RuntimeError when no certificate applies."""
     core = _mode_1_core(table, spec)
     if core is None:
-        return False
-    p, d = level.numerator, level.denominator
-    return all(d * (cq + (spec.n - 1) * ct) + p * ck == 0
-               for rows in zip(*core) for cq, ck, ct in zip(*rows))
+        raise RuntimeError("no certificate applies: %s(1) on %s has no cofactor form on the matrix"
+                           % (table.text(table.theta_lowering), spec.label()))
+    n = spec.n
+    out = {}
+    for i, rows in enumerate(zip(*core), 1):
+        for j, (cq, ck, ct) in enumerate(zip(*rows), 1):
+            c0, c1 = cq + (n - 1) * ct, ck  # twice the k-degree 0 and 1 coefficients
+            if level is not None and c1:
+                c0, c1 = c0 + level * c1, 0
+            if c0 or c1:
+                half = Fraction(n * (-1) ** (i + j), 2)
+                out[i, j] = Poly._wrap({(d,): half * c for d, c in enumerate((c0, c1)) if c},
+                                       vacuum.LEVEL.names)
+    return TermMap._wrap(out)
 
 
-def _det_power(table: StructureTable, spec: DeterminantSpec) -> EntryPoly:
-    """det^n as an entry polynomial."""
-    det = det_entry_poly(table, spec)
-    return det if spec.n == 1 else ep_pow(det, spec.n)
+def _expands(first: int, m: int, power: int) -> bool:
+    """True when first! (m!)^power, the Leibniz terms a residual multiplies
+    out, is at most WITNESS_TERMS.  m! >= 2 for m >= 2, so the power can be
+    capped at WITNESS_TERMS without changing the answer."""
+    return math.factorial(first) * math.factorial(m) ** min(power, WITNESS_TERMS) <= WITNESS_TERMS
+
+
+def _cofactor_text(table: StructureTable, spec: DeterminantSpec, residual: TermMap) -> str:
+    """The text of sum_ij c_ij minor(i, j) det^(n-1)|0> for the residual
+    {(i, j): c_ij}: expanded into monomials while (m-1)! (m!)^(n-1) is at
+    most WITNESS_TERMS, and otherwise factored, one term per cofactor."""
+    m, power = spec.m, spec.n - 1
+    if not _expands(m - 1, m, power):
+        det = " det^%d" % power if power else ""
+        return residual.render(lambda ij: "minor(%d,%d)%s |0>" % (ij[0], ij[1], det))
+    lower = ep_pow(det_entry_poly(table, spec), power) if power else {(): 1}
+    terms: dict = {}
+    for (i, j), c in residual.terms.items():
+        for key, v in ep_mul(minor_entry_poly(table, spec, i, j), lower).items():
+            for (d,), cd in c.terms.items():
+                add_term(terms, (d, key), cd * v)
+    return vacuum._from_keys(terms).text(table)
+
+
+def _det_power_text(table: StructureTable, spec: DeterminantSpec, c: int) -> str:
+    """The text of c det^n|0>: expanded while (m!)^n is at most
+    WITNESS_TERMS, and otherwise factored."""
+    if not _expands(spec.m, spec.m, spec.n - 1):
+        return "(%d) det^%d |0>" % (c, spec.n)
+    power = ep_pow(det_entry_poly(table, spec), spec.n)
+    return vacuum._from_keys({(0, key): c * v for key, v in power.items()}).text(table)
 
 
 # -- polynomials in the commuting entries -------------------------------
@@ -260,20 +322,15 @@ def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
     """The n-th power; its products share one budget of MAX_MUL_LETTERS, so
     a power of a small polynomial cannot run n products of growing keys.
     Raises ValueError before the product that would pass the budget."""
-    return _top_powers(p, n)[1]
-
-
-def _top_powers(p: EntryPoly, n: int) -> tuple:
-    """(p^(n-1), p^n), or (None, {(): 1}) for n = 0, by ep_pow's one loop and budget."""
-    below, out = None, {(): 1}
+    out: EntryPoly = {(): 1}
     letters = 0
     for t in range(1, n + 1):
         letters += _mul_letters(out, p)
         if letters > MAX_MUL_LETTERS:
             raise ValueError("power %d of a %d-term polynomial sorts %d letters, above the limit of %d"
                              % (t, len(p), letters, MAX_MUL_LETTERS))
-        below, out = out, ep_mul(out, p)
-    return below, out
+        out = ep_mul(out, p)
+    return out
 
 
 def _mul_letters(p: EntryPoly, q: EntryPoly) -> int:
@@ -342,17 +399,13 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
     level "auto" uses spec.level, the distinguished level; None keeps the
     level symbolic; any rational overrides it (the negative-control path).
 
-    Each simple raising operator at mode 0 is decided on the m x m matrix
-    by _derivation_trace (see the module docstring): trace 0 passes, a
-    nonzero trace t fails with the residual n t det^n|0>, and no AY + YB
-    form raises RuntimeError.  The lowest root vector at mode 1 is certified
-    on the matrix too, at a numeric level k0, when _mode_1_core gives
-    Q + k0 K + (n - 1) T = 0; a passing check then expands nothing.
-    Otherwise (a failing certificate, entries that do not commute, some
-    [x, a] with no AY + YB form, or a symbolic level) det^n is expanded and
-    the vacuum kernel runs once, on its entry polynomial at symbolic k; the
-    image is linear in k, and at a numeric level p/q it is q c_0 + p c_1 per
-    key, over q.  A state is built only for a failing witness.
+    Every operator is decided on the m x m matrix (see the module
+    docstring).  Each simple raising operator by _derivation_trace: trace 0
+    passes, a nonzero trace t fails with the residual n t det^n|0>, and no
+    AY + YB form raises RuntimeError.  The lowest root vector at mode 1 by
+    _mode_1_residual, whose cofactor coefficients give the residual; no
+    cofactor form raises RuntimeError.  A passing check expands nothing, and
+    a failing one expands its residual only while it is small.
     """
     table = spec.table()
     if level == "auto":
@@ -366,22 +419,14 @@ def verify_singular(spec: DeterminantSpec, level="auto") -> VerificationReport:
             raise RuntimeError("no certificate applies: %s(0) on %s has no AY + YB form on the matrix"
                                % (table.text(x), spec.label()))
         if trace:
-            residual = vacuum._from_ints({(0, key): spec.n * trace * c
-                                          for key, c in _det_power(table, spec).items()}, 1)
-            witness = {"operator": "%s(0)" % table.text(x), "residual": residual.text(table)}
+            witness = {"operator": "%s(0)" % table.text(x),
+                       "residual": _det_power_text(table, spec, spec.n * trace)}
             break
     else:
-        if level is None or not _mode_1_vanishes(table, spec, level):
-            image = vacuum._differential_ints(table, table.theta_lowering, _det_power(table, spec))
-            den = 1
-            if level is not None:
-                den, at = level.denominator, {}
-                for (d, key), c in image.items():
-                    add_term(at, (0, key), c * (level.numerator if d else den))
-                image = at
-            if image:
-                witness = {"operator": "%s(1)" % table.text(table.theta_lowering),
-                           "residual": vacuum._from_ints(image, den).text(table)}
+        residual = _mode_1_residual(table, spec, level)
+        if residual:
+            witness = {"operator": "%s(1)" % table.text(table.theta_lowering),
+                       "residual": _cofactor_text(table, spec, residual)}
     level_text = "symbolic" if level is None else format_rational(level)
     return VerificationReport(
         claim="determinant vector singular: %s level=%s" % (spec.label(), level_text),
@@ -405,30 +450,18 @@ def lowering_factor_check(spec: DeterminantSpec) -> VerificationReport:
         x(1) det^n |0> = beta n (k - level) minor(1,1) det^(n-1) |0>
 
     with beta the form pairing of the two extreme root vectors.  Both sides
-    are compared as int maps {(k-degree, letter key): c}, the vacuum
-    kernel's own form, times the level's denominator; states and their text
-    are built only for a failing witness.
+    are compared as cofactor coefficients (_mode_1_residual), so the check
+    holds exactly when K = beta E_11 and Q + (n - 1) T = -beta level E_11,
+    and a passing check expands nothing.
     """
     table = spec.table()
-    lower, power = _top_powers(det_entry_poly(table, spec), spec.n)
-    lhs = vacuum._differential_ints(table, table.theta_lowering, power)
     beta = beta_constant(table)
-    # with level = p/q, q times the identity is
-    # q x(1) det^n |0> = beta n (k q - p) minor(1,1) det^(n-1) |0>
-    p, q = spec.level.numerator, spec.level.denominator
-    scale = beta * spec.n
-    rhs = {}
-    for key, c in ep_mul(minor_entry_poly(table, spec, 1, 1), lower).items():
-        rhs[1, key] = scale * q * c
-        if p:
-            rhs[0, key] = -scale * p * c
-    q_lhs = {slot: q * v for slot, v in lhs.items()}
+    lhs = _mode_1_residual(table, spec, None)
+    difference = lhs - TermMap._wrap({(1, 1): (vacuum.LEVEL - spec.level) * (beta * spec.n)})
     witness = None
-    if q_lhs != rhs:
-        for slot, v in rhs.items():
-            add_term(q_lhs, slot, -v)  # q (lhs - rhs)
-        witness = {"difference": vacuum._from_ints(q_lhs, q).text(table),
-                   "lhs": vacuum._from_ints(lhs, 1).text(table)}
+    if difference:
+        witness = {"difference": _cofactor_text(table, spec, difference),
+                   "lhs": _cofactor_text(table, spec, lhs)}
     notes = ["beta = (x_-theta, x_theta) = %s from the trace form" % format_rational(beta)]
     if spec.kind == "A":
         notes.append("beta for kind A is derived from the invariant form, not imposed")

@@ -15,36 +15,13 @@ Straightening rewrites an arbitrary word to this normal form; it terminates
 because a swap lowers the inversion count and every bracket or central
 correction shortens the word.
 
-Most states the package builds are P(Y(-1))|0>, a polynomial P in
-commuting letters Y at mode -1.  On those, x(1) acts as a second-order
-differential operator on P:
-
-    x(1) P = 1/2 sum_(Y, Y') [[x, Y], Y'] d^2P/dYdY' + k sum_Y (x, Y) dP/dY,
-
-with the new letters put back in sorted order; the double sum is symmetric
-by the Jacobi identity, since [Y, Y'] = 0.  The rule holds when the state's
-letters, together with every letter it produces, pairwise commute.  Only
-the determinant checks apply it, to the lowest root vector;
-apply_generator always straightens, so singular_check shares no code with
-it and can serve as its oracle.  The mode 0 operators need no such rule
-there: they are certified on the entry matrix (see determinants).
-
-The rule touches only the letters that x moves: those Y with [x, Y] != 0
-or (x, Y) != 0.  The same Jacobi identity gives [[x, Y], Y'] =
-[[x, Y'], Y], so a pair term vanishes unless [x, Y] and [x, Y'] are both
-nonzero.  For the lowest root vector on det^n that is at most 2n of the mn
-letters of a monomial; every other letter is carried over unchanged, and a
-monomial's moved letters are found by one set intersection with its key.
-
-The rule runs on ints, in _differential_ints: it takes the entry
-polynomial {sorted letter key: c} and returns its image as
-{(k-degree, key): c}, k-degree 1 for the central term and 0 for the pair
-term, and a Fraction is made once per term of a state, in _from_ints.
+The determinant checks act on no state: they decide every operator on
+the entry matrix and build a state only for a failing witness (see
+determinants), so singular_check, which straightens, is their oracle.
 """
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 from .report import VerificationReport, timed
@@ -167,70 +144,14 @@ def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
     return VacuumState._wrap(out)
 
 
-def _differential_ints(table, x: int, poly: dict) -> dict:
-    """x(1) at the symbolic level on poly(Y(-1))|0>, for an int map poly
-    {sorted letter key: c}: the image {(k-degree, key): c}, with no zero
-    entries.  Raises RuntimeError unless the letters, together with every
-    letter the operator produces, pairwise commute.
-    """
-    letters = set().union(*poly)
-    # Only the letters x moves contribute (see the module docstring); the
-    # Jacobi argument needs [a, b] = 0, and letters that do not commute
-    # fail the guard below in any case.
-    first = {y: terms for y in letters if (terms := table.bracket(x, y))}  # y -> [x, y]
-    central = {a: pairing for a in letters if (pairing := table.form(x, a))}
-    replace = {}  # (a, b) with a <= b -> [[x, a], b], when nonzero
-    for a in first:
-        for b in first:
-            if a <= b:
-                nested: dict[int, int] = {}
-                for z, cz in first[a]:
-                    for w, cw in table.bracket(z, b):
-                        nested[w] = nested.get(w, 0) + cz * cw
-                terms = [(w, c) for w, c in nested.items() if c]
-                if terms:
-                    replace[a, b] = terms
-    span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
-    if not table.commute(span):
-        raise RuntimeError("%s(1) acts on letters that do not commute" % table.text(x))
-    moved = first.keys() | central.keys()
-
-    acc: dict[tuple, int] = {}
-    for key, v in poly.items():
-        present = moved.intersection(key)
-        if not present:
-            continue
-        groups = [(a, key.index(a), key.count(a)) for a in sorted(present)]  # in key order
-        for g, (a, ia, ea) in enumerate(groups):
-            rest = key[:ia] + key[ia + 1:]
-            if a in central:
-                slot = (1, rest)
-                acc[slot] = acc.get(slot, 0) + v * ea * central[a]
-            for b, ib, eb in groups[g:]:
-                terms = replace.get((a, b))
-                pairs = ea * (ea - 1) // 2 if b == a else ea * eb
-                if not (terms and pairs):
-                    continue
-                pair_rest = rest[:ia] + rest[ia + 1:] if b == a else rest[:ib - 1] + rest[ib:]
-                for w, cw in terms:
-                    slot = (0, _insert(pair_rest, w))
-                    acc[slot] = acc.get(slot, 0) + v * pairs * cw
-    return {slot: v for slot, v in acc.items() if v}
-
-
-def _from_ints(ints: dict, den: int) -> VacuumState:
-    """The state of an int map {(k-degree, sorted letter key): c} over den."""
-    letter = {y: (-1, y) for y in set().union(*(key for _, key in ints))}.__getitem__
+def _from_keys(terms: dict) -> VacuumState:
+    """The state of a map {(k-degree, sorted letter key): rational}, every
+    letter at mode -1."""
+    letter = {y: (-1, y) for y in set().union(*(key for _, key in terms))}.__getitem__
     out: dict[Monomial, dict[tuple, Fraction]] = {}
-    for (d, key), v in ints.items():
-        out.setdefault(tuple(map(letter, key)), {})[d,] = Fraction(v, den)
+    for (d, key), v in terms.items():
+        out.setdefault(tuple(map(letter, key)), {})[d,] = Fraction(v)
     return VacuumState._wrap({mono: Poly._wrap(coeffs, LEVEL.names) for mono, coeffs in out.items()})
-
-
-def _insert(key: tuple, y: int) -> tuple:
-    """The sorted tuple key with one more y."""
-    t = bisect.bisect(key, y)
-    return key[:t] + (y,) + key[t:]
 
 
 def _monomial_weight(table, mono: Monomial) -> tuple:

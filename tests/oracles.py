@@ -8,13 +8,16 @@ share a level), so they live here rather than in the library.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import re
 from collections import defaultdict
 from fractions import Fraction
 
 from affine_singular import weyl
-from affine_singular.determinants import (DeterminantSpec, build_matrix, ep_state,
-                                          entry_element, minor_entry_poly)
+from affine_singular.determinants import (DeterminantSpec, build_matrix, det_entry_poly,
+                                          ep_mul, ep_pow, ep_state, entry_element,
+                                          minor_entry_poly)
 from affine_singular import liealg
 from affine_singular.liealg import build_algebra
 from affine_singular.linalg import SparseBasis
@@ -71,6 +74,123 @@ def derivation_image(table, x, poly) -> dict:
         for i, y in enumerate(key):
             for z, cz in table.bracket(x, y):
                 add_term(out, tuple(sorted(key[:i] + (z,) + key[i + 1:])), c * cz)
+    return out
+
+
+def differential_ints(table, x: int, poly: dict) -> dict:
+    """x(1) at the symbolic level on poly(Y(-1))|0>, for an int map poly
+    {sorted letter key: c}: the image {(k-degree, key): c}, with no zero
+    entries, k-degree 1 for the central term and 0 for the pair term.
+    Raises RuntimeError unless the letters, together with every letter the
+    operator produces, pairwise commute.
+
+    On such a state x(1) acts as a second-order differential operator on P:
+
+        x(1) P = 1/2 sum_(Y, Y') [[x, Y], Y'] d^2P/dYdY' + k sum_Y (x, Y) dP/dY,
+
+    with the new letters put back in sorted order; the double sum is
+    symmetric by the Jacobi identity, since [Y, Y'] = 0.  The library
+    decides x(1) on det^n|0> by the cofactor matrices instead
+    (determinants._mode_1_core), so this operator is their oracle, and
+    vacuum.singular_check, which only straightens, is this one's.
+
+    Only the letters that x moves contribute: those Y with [x, Y] != 0 or
+    (x, Y) != 0.  The same Jacobi identity gives [[x, Y], Y'] =
+    [[x, Y'], Y], so a pair term vanishes unless [x, Y] and [x, Y'] are
+    both nonzero, and a monomial's moved letters are found by one set
+    intersection with its key.
+    """
+    letters = set().union(*poly)
+    first = {y: terms for y in letters if (terms := table.bracket(x, y))}  # y -> [x, y]
+    central = {a: pairing for a in letters if (pairing := table.form(x, a))}
+    replace = {}  # (a, b) with a <= b -> [[x, a], b], when nonzero
+    for a in first:
+        for b in first:
+            if a <= b:
+                nested: dict[int, int] = {}
+                for z, cz in first[a]:
+                    for w, cw in table.bracket(z, b):
+                        nested[w] = nested.get(w, 0) + cz * cw
+                terms = [(w, c) for w, c in nested.items() if c]
+                if terms:
+                    replace[a, b] = terms
+    span = letters.union(*({w for w, _ in terms} for terms in replace.values()))
+    if not table.commute(span):
+        raise RuntimeError("%s(1) acts on letters that do not commute" % table.text(x))
+    moved = first.keys() | central.keys()
+
+    acc: dict[tuple, int] = {}
+    for key, v in poly.items():
+        present = moved.intersection(key)
+        if not present:
+            continue
+        groups = [(a, key.index(a), key.count(a)) for a in sorted(present)]  # in key order
+        for g, (a, ia, ea) in enumerate(groups):
+            rest = key[:ia] + key[ia + 1:]
+            if a in central:
+                slot = (1, rest)
+                acc[slot] = acc.get(slot, 0) + v * ea * central[a]
+            for b, ib, eb in groups[g:]:
+                terms = replace.get((a, b))
+                pairs = ea * (ea - 1) // 2 if b == a else ea * eb
+                if not (terms and pairs):
+                    continue
+                pair_rest = rest[:ia] + rest[ia + 1:] if b == a else rest[:ib - 1] + rest[ib:]
+                for w, cw in terms:
+                    slot = (0, _insert(pair_rest, w))
+                    acc[slot] = acc.get(slot, 0) + v * pairs * cw
+    return {slot: v for slot, v in acc.items() if v}
+
+
+def _insert(key: tuple, y: int) -> tuple:
+    """The sorted tuple key with one more y."""
+    t = bisect.bisect(key, y)
+    return key[:t] + (y,) + key[t:]
+
+
+def kernel_residual(table, spec: DeterminantSpec, level=None) -> VacuumState:
+    """x(1) det^n|0> for the lowest root vector x, by differential_ints on
+    det^n's int map, with k symbolic or specialized at the level."""
+    image = differential_ints(table, table.theta_lowering, ep_pow(det_entry_poly(table, spec), spec.n))
+    terms = {}
+    for (d, key), c in image.items():
+        mono = tuple((-1, y) for y in key)
+        terms[mono] = terms.get(mono, Poly.constant(K, 0)) + Poly(K, {(d,): c})
+    state = VacuumState(terms)
+    return state if level is None else state.specialize(level)
+
+
+_FACTORED = re.compile(r"\(([^()]*)\) (?:minor\((\d+),(\d+)\) )?(?:det\^(\d+) )?\|0>")
+
+
+def expand_residual(table, spec: DeterminantSpec, text: str) -> str:
+    """A witness residual as vacuum monomials: a factored text, terms
+    "(c) minor(i,j) det^p |0>" or "(c) det^p |0>" with c a polynomial in k,
+    expanded term by term; an expanded text as it is."""
+    terms = re.split(r" \+ (?=\()", text)
+    matches = [_FACTORED.fullmatch(term) for term in terms]
+    if not all(matches):
+        return text
+    det = det_entry_poly(table, spec)
+    state = VacuumState.zero()
+    for match in matches:
+        coeff, i, j, power = match.groups()
+        poly = ep_pow(det, int(power or 0))
+        if i:
+            poly = ep_mul(minor_entry_poly(table, spec, int(i), int(j)), poly)
+        state = state + ep_state(poly) * level_poly(coeff)
+    return state.text(table)
+
+
+def level_poly(text: str) -> Poly:
+    """The polynomial in k that Poly prints as text, e.g. "-12*k + 6"."""
+    out = Poly.constant(K, 0)
+    for part in text.replace(" - ", " + -").split(" + "):
+        if part.endswith("k"):
+            c = part[:-1].rstrip("*")
+            out = out + level_var() * Fraction({"": 1, "-": -1}.get(c, c))
+        else:
+            out = out + Fraction(part)
     return out
 
 

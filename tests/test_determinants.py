@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,9 +21,11 @@ from affine_singular.liealg import build_algebra
 from affine_singular.scalars import Poly, add_term, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from affine_singular.zhu import verify_zhu_generator
-from oracles import (K, casimir_level, coexisting_singulars, derivation_image, entries_commute_check,
-                     ep_apply, leibniz_entry_poly, minor_vector)
+from oracles import (K, casimir_level, coexisting_singulars, derivation_image, differential_ints,
+                     entries_commute_check, ep_apply, expand_residual, kernel_residual,
+                     leibniz_entry_poly, minor_vector)
 from test_acceptance import A_GRID, C_GRID
+from test_report_digests import BENCHMARK_SPECS
 
 
 def test_spec_validation():
@@ -196,18 +200,18 @@ def test_ep_pow_charges_all_its_products_to_one_letter_limit(monkeypatch):
 
 def test_the_three_power_checks_share_one_letter_limit():
     # det = X[2e1] has one term, so det^n sorts 1 + 2 + ... + n letters:
-    # 3,997,378 at n = 2827 and 4,000,206 at n = 2828.  verify_singular
-    # expands the power only for a witness, off the level, and
-    # verify_zhu_generator expands none, so both pass on both sides of the limit
-    below, above = DeterminantSpec("C", 2, 1, 2827), DeterminantSpec("C", 2, 1, 2828)
-    for check in (verify_singular, lowering_factor_check):
-        assert check(below).verdict
-    assert not verify_singular(below, below.level + 1).verdict
-    assert verify_singular(above).verdict
-    for run in (lambda: verify_singular(above, above.level + 1), lambda: lowering_factor_check(above)):
-        with pytest.raises(ValueError, match="^power 2828 of a 1-term polynomial sorts 4000206 letters"):
-            run()
-    assert verify_zhu_generator(above).verdict
+    # 3,997,378 at n = 2827 and 4,000,206 at n = 2828.  No check expands a
+    # power for its verdict, so all three pass on both sides of the limit;
+    # a failing verify_singular expands its witness, minor(1,1) det^(n-1)
+    # with minor(1,1) = 1 at m = 1, until det^(n-1) passes the limit
+    below, above = DeterminantSpec("C", 2, 1, 2828), DeterminantSpec("C", 2, 1, 2829)
+    for spec in (below, above):
+        for check in (verify_singular, lowering_factor_check, verify_zhu_generator):
+            assert check(spec).verdict
+    residual = verify_singular(below, below.level + 1).witness["residual"]
+    assert residual == "(-11312) " + "X[2e1](-1) " * 2827 + "|0>"
+    with pytest.raises(ValueError, match="^power 2828 of a 1-term polynomial sorts 4000206 letters"):
+        verify_singular(above, above.level + 1)
 
 
 def test_ep_apply_matches_ep_state(table_c2):
@@ -252,25 +256,20 @@ def test_verify_singular_fails_off_level():
 
 
 @pytest.mark.parametrize("case", C_GRID + A_GRID + [("C", 4, 4, 3)], ids=lambda case: "%s%d-%d-%d" % case)
-def test_verify_singular_matches_the_state_check(monkeypatch, case):
-    """verify_singular certifies the mode 0 operators on the matrix and runs
-    the kernel at symbolic k on int maps, evaluating its image at a numeric
-    level; the state check straightens every operator on det^n|0> at the
-    symbolic level and specializes, sharing no code with the kernel, which
-    is made to raise while it runs.  The two reports must be equal."""
+def test_verify_singular_matches_the_state_check(case):
+    """verify_singular decides every operator on the matrix and builds its
+    witness from the cofactor coefficients; the state check straightens
+    every operator on det^n|0> at the symbolic level and specializes.  The
+    two reports must be equal once a factored witness (C4 m=4 n=3 off the
+    level) is expanded."""
     spec = DeterminantSpec(*case)
     table = spec.table()
     state = determinant_vector(table, spec)
-    kernel = vacuum._differential_ints
-
-    def unused(*args, **kwargs):
-        raise AssertionError("the state check ran the kernel")
-
     for level in (spec.level, spec.level + 1, spec.level + Fraction(1, 3), None):
         report = verify_singular(spec, level)
-        monkeypatch.setattr(vacuum, "_differential_ints", unused)
+        if report.witness:
+            report.witness["residual"] = expand_residual(table, spec, report.witness["residual"])
         expected = vacuum.singular_check(table, state, level, report.claim)
-        monkeypatch.setattr(vacuum, "_differential_ints", kernel)
         expected.parameters.update(m=spec.m, n=spec.n, distinguished_level=format_rational(spec.level))
         report.timing_ms = expected.timing_ms = 0
         assert report.to_obj() == expected.to_obj(), (case, level)
@@ -322,18 +321,17 @@ def test_a_nonzero_trace_fails_with_the_state_checks_report(monkeypatch, kind, r
 
 def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
     spec = DeterminantSpec("C", 3, 3, 2)
-    square = ep_pow(det_entry_poly(spec.table(), spec), 2)
     calls = []
-    kernel = vacuum._differential_ints
+    power = determinants.ep_pow
 
-    def recorded(table, x, poly):
-        calls.append((x, poly))
-        return kernel(table, x, poly)
+    def recorded(p, n):
+        calls.append(n)
+        return power(p, n)
 
     def unused(*args, **kwargs):
         raise AssertionError("verify_singular built a vacuum state")
 
-    monkeypatch.setattr(vacuum, "_differential_ints", recorded)
+    monkeypatch.setattr(determinants, "ep_pow", recorded)
     with monkeypatch.context() as no_state:
         for name in ("apply_generator", "straighten"):
             no_state.setattr(vacuum, name, unused)
@@ -342,11 +340,11 @@ def test_mode_0_operators_that_kill_det_skip_the_power(monkeypatch):
         no_state.setattr(VacuumState, "_wrap", classmethod(unused))
         assert verify_singular(spec).verdict
     # the three simple raising operators and x(1) are certified on the
-    # matrix, so the kernel does not run at the level; at L + 1 it runs
-    # once, for the witness: x(1) on det^2's map, at symbolic k
+    # matrix, so no power is expanded at the level; at L + 1 the witness
+    # minor(1,1) det^(n-1) expands det^1, never det^2
     assert calls == []
     assert not verify_singular(spec, spec.level + 1).verdict
-    assert calls == [(spec.table().theta_lowering, square)]
+    assert calls == [1]
 
 
 # C2-C8 and A4-A16, every allowed m up to 7: at m = 8 det has 40,320
@@ -413,20 +411,20 @@ def test_a_passing_check_fills_few_rows(monkeypatch, kind, rank):
 
 
 @pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
-def test_the_frontier_runs_the_kernel_once(monkeypatch, case):
-    calls = []
-    kernel = vacuum._differential_ints
+def test_the_frontier_runs_no_kernel(monkeypatch, case):
+    # minor(1,1) has 7! = 5,040 > WITNESS_TERMS terms, so even the failing
+    # check expands nothing and states its witness factored
+    def fail(*args, **kwargs):
+        raise AssertionError("the check expanded a determinant")
 
-    def recorded(table, x, poly):
-        calls.append((x, poly))
-        return kernel(table, x, poly)
-
-    monkeypatch.setattr(vacuum, "_differential_ints", recorded)
+    for name in ("det_entry_poly", "minor_entry_poly", "ep_pow", "ep_mul"):
+        monkeypatch.setattr(determinants, name, fail)
     spec = DeterminantSpec(*case)
     assert verify_singular(spec).verdict
-    assert calls == []  # certified on the matrix
-    assert not verify_singular(spec, spec.level + 1).verdict
-    assert calls == [(spec.table().theta_lowering, det_entry_poly(spec.table(), spec))]
+    assert lowering_factor_check(spec).verdict
+    report = verify_singular(spec, spec.level + 1)
+    beta = beta_constant(spec.table())
+    assert report.witness["residual"] == "(%s) minor(1,1) |0>" % format_rational(beta)
 
 
 # -- the mode-1 certificate against the kernel -----------------------------
@@ -456,7 +454,7 @@ def _assert_the_kernel_agrees(table, spec, powers):
         for degree, matrix in ((0, core), (1, k)):
             for key, c in ep_mul(lower, _cofactor_poly(table, spec, matrix)).items():
                 add_term(expected, (degree, key), n * c)
-        image = vacuum._differential_ints(table, table.theta_lowering, power)
+        image = differential_ints(table, table.theta_lowering, power)
         assert {slot: 2 * c for slot, c in image.items()} == expected, (spec.label(), n)
         lower = power
 
@@ -526,18 +524,17 @@ def test_a_passing_check_expands_nothing(monkeypatch, case):
 
     for name in ("det_entry_poly", "ep_pow"):
         monkeypatch.setattr(determinants, name, fail)
-    monkeypatch.setattr(vacuum, "_differential_ints", fail)
-    report = verify_singular(DeterminantSpec(*case))
-    assert report.verdict and report.witness is None
+    for check in (verify_singular, lowering_factor_check):
+        report = check(DeterminantSpec(*case))
+        assert report.verdict and report.witness is None
 
 
 @pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 6)])
-def test_a_bracket_that_breaks_the_form_runs_the_kernel(monkeypatch, kind, rank):
+def test_a_bracket_that_breaks_the_form_has_no_certificate(monkeypatch, capsys, kind, rank):
     """On a fresh table where [z, Y_12], z = [x, Y_11] or [x, Y_12] for the
-    lowest root vector x, gains a term Y_33, no AY + YB form exists, so
-    verify_singular runs the kernel once on det^n's map and reports what
-    the kernel path reports.  Y_11 and Y_12 share no term of det, so the
-    kernel sees the change from n = 2 on."""
+    lowest root vector x, gains a term Y_33, no AY + YB form exists, so no
+    certificate applies: both checks refuse at every level, and the command
+    line exits 2, as for a mode 0 operator with no form."""
     table = build_algebra.__wrapped__(kind, rank)
     monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
     spec = DeterminantSpec(kind, rank, 3, 2)
@@ -546,21 +543,75 @@ def test_a_bracket_that_breaks_the_form_runs_the_kernel(monkeypatch, kind, rank)
     ((w, _),) = table.rows[table.theta_lowering][a]  # z = [x, a] is one basis element
     table.rows[w][b] = table.rows[w].get(b, ()) + ((matrix[2][2], 1),)
     assert determinants._mode_1_core(table, spec) is None
-    calls = []
-    kernel = vacuum._differential_ints
+    message = r"^no certificate applies: %s\(1\) on %s has no cofactor form on the matrix$" % (
+        re.escape(table.text(table.theta_lowering)), spec.label())
+    for run in (lambda: verify_singular(spec), lambda: verify_singular(spec, spec.level + 1),
+                lambda: verify_singular(spec, None), lambda: lowering_factor_check(spec)):
+        with pytest.raises(RuntimeError, match=message):
+            run()
+    for command in (["verify"], ["verify", "--symbolic"], ["factor"]):
+        assert main(["singular", *command, "--type", kind, "--rank", str(rank), "-m", "3", "-n", "2",
+                     "--no-cache"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no certificate applies: ")
 
-    def recorded(table, x, poly):
-        calls.append((x, poly))
-        return kernel(table, x, poly)
 
-    monkeypatch.setattr(vacuum, "_differential_ints", recorded)
-    report = verify_singular(spec)
-    assert calls == [(table.theta_lowering, ep_pow(det_entry_poly(table, spec), 2))]
-    monkeypatch.setattr(determinants, "_mode_1_vanishes", lambda *args: False)
-    expected = verify_singular(spec)
-    assert not report.verdict
-    report.timing_ms = expected.timing_ms = 0
-    assert report.to_obj() == expected.to_obj()
+WITNESS_CASES = C_GRID + A_GRID + [(s.kind, s.rank, s.m, s.n) for s in BENCHMARK_SPECS]
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES, ids=lambda case: "%s%d-%d-%d" % case)
+def test_every_witness_expanded_is_the_kernels_image(case):
+    """The residual that verify_singular builds from the cofactor
+    coefficients, expanded when it is stated factored, is the image of x(1)
+    on det^n|0> under the differential operator of oracles, at L + 1, at
+    L + 1/3 and with k symbolic."""
+    spec = DeterminantSpec(*case)
+    table = spec.table()
+    for level in (spec.level + 1, spec.level + Fraction(1, 3), None):
+        witness = verify_singular(spec, level).witness
+        assert witness["operator"] == "%s(1)" % table.text(table.theta_lowering)
+        # stated factored exactly when (m-1)! (m!)^(n-1) passes the bound
+        terms = math.factorial(spec.m - 1) * math.factorial(spec.m) ** (spec.n - 1)
+        assert ("minor(" in witness["residual"]) == (terms > determinants.WITNESS_TERMS), (case, level)
+        expected = kernel_residual(table, spec, level).text(table)
+        assert expand_residual(table, spec, witness["residual"]) == expected, (case, level)
+
+
+def test_the_frontier_witness_expanded_is_the_kernels_image():
+    spec = DeterminantSpec("C", 8, 8, 1)
+    table = spec.table()
+    residual = verify_singular(spec, spec.level + 1).witness["residual"]
+    assert residual == "(-4) minor(1,1) |0>"
+    assert expand_residual(table, spec, residual) == kernel_residual(table, spec, spec.level + 1).text(table)
+
+
+LOWERING_FACTOR_GRID = [("C", 2, 1, 3), ("C", 2, 2, 1), ("C", 2, 2, 2), ("C", 3, 2, 1), ("C", 3, 3, 1),
+                        ("A", 2, 1, 1), ("A", 4, 2, 1), ("A", 4, 2, 2)]
+
+
+@pytest.mark.parametrize("case", LOWERING_FACTOR_GRID, ids=lambda case: "%s%d-%d-%d" % case)
+def test_the_factor_check_agrees_with_the_kernel(monkeypatch, case):
+    """lowering_factor_check, decided on the cofactor matrices, gives the
+    verdict of comparing the kernel's x(1) det^n|0> with
+    beta n (k - L) minor(1,1) det^(n-1)|0>, and on a failure the kernel's
+    lhs and difference, with the true beta and level and with either one
+    moved."""
+    spec = DeterminantSpec(*case)
+    table = spec.table()
+    lhs = kernel_residual(table, spec)
+    minor = ep_state(ep_mul(minor_entry_poly(table, spec, 1, 1), ep_pow(det_entry_poly(table, spec), spec.n - 1)))
+    true_beta, true_level = beta_constant(table), spec.level
+    for beta, level in ((true_beta, true_level), (true_beta + 1, true_level),
+                        (true_beta, true_level + Fraction(1, 3))):
+        difference = lhs - minor * Poly(K, {(1,): beta * spec.n, (0,): -beta * spec.n * level})
+        monkeypatch.setattr(determinants, "beta_constant", lambda table: beta)
+        monkeypatch.setattr(DeterminantSpec, "level", property(lambda self: level))
+        report = lowering_factor_check(spec)
+        monkeypatch.undo()
+        assert report.verdict == difference.is_zero, (case, beta, level)
+        if not report.verdict:
+            assert {key: expand_residual(table, spec, text) for key, text in report.witness.items()} == {
+                "difference": difference.text(table), "lhs": lhs.text(table)}
 
 
 def test_beta_constants(table_c2, table_c3, table_a4):
@@ -594,12 +645,7 @@ def test_lowering_factor_a_type(table_a2):
 
 
 def test_lowering_factor_grid():
-    cases = [
-        ("C", 2, 1, 3), ("C", 2, 2, 1), ("C", 2, 2, 2),
-        ("C", 3, 2, 1), ("C", 3, 3, 1),
-        ("A", 2, 1, 1), ("A", 4, 2, 1), ("A", 4, 2, 2),
-    ]
-    for kind, rank, m, n in cases:
+    for kind, rank, m, n in LOWERING_FACTOR_GRID:
         report = lowering_factor_check(DeterminantSpec(kind, rank, m, n))
         assert report.verdict, (kind, rank, m, n, report.witness)
 

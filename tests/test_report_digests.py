@@ -51,9 +51,9 @@ DIGESTS = {
     "benchmark_zhu_generator": "bc2584c3608c54f61bcddda29b4731b4cbeb2e2a0aa7da84bc238a3e6d32b39b",
     "benchmark_weyl_vanishing": "23caab72609d34fd58d4e1c1ea17c0f5af88552bfdaf47bc7b5b048d3a1191ff",
     "benchmark_verify_auto": "b275ea57783d82bf794452e00940febb7ddce8998fb7725d0b0f2e56fc044957",
-    "benchmark_verify_level_plus_1": "468187af434e3aea08a4df2b004e34a84910a5a2d0db4a8194af71022fc85efb",
-    "benchmark_verify_symbolic": "8a9c7ea1070d2c3032f92c8b451ec269112451a6cc4857f3150301b804c5c474",
-    "benchmark_verify_level_plus_third": "c2672dedadf88e3d69331269e73144cfdd251f288debda6fde46a6e2c5c35b2c",
+    "benchmark_verify_level_plus_1": "b42db1a5168192bbac6087c3dc7f2462cf0cda1a3a00423e2b6af4a6b6736554",
+    "benchmark_verify_symbolic": "f3e13ad0931ab88e4dfeded71f261e58064f7f802f345f8a9876b3858bc44d04",
+    "benchmark_verify_level_plus_third": "08dd0824e777ced982393742c05fabb35bbf7b5537b072acd977ee5d09d2680d",
     "benchmark_lowering_factor": "e3683c6bb2a7557a1974a49fa3bf3e429d03c47833d6a76170db4279b99e757b",
 }
 
