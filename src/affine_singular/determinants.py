@@ -65,7 +65,8 @@ with t_a = tr(A + B) for z = [x, a] (d_z D = t_a D, as at mode 0).  By
 Jacobi's formula dD/da is the sum of adj(Y)_ji over the places (i, j) of
 a, and differentiating adj(Y) Y = D I gives d_z adj(Y) = tr(A + B) adj(Y)
 - adj(Y) A - B adj(Y).  So Q, K and T are m x m matrices of cofactor
-coefficients, built from the letters a with [x, a] != 0 in O(m^3) work each
+coefficients, built from the letters a with [x, a] != 0, each in
+O(m^2 + (nnz A + nnz B) m) work past a walk of the bracket rows of [x, a]
 (_mode_1_core; the Cayley identities of the papers above rest on the same
 calculus).  The cofactors of the generic matrix, and the distinct ones of
 the generic symmetric matrix of kind C, are linearly independent, and the
@@ -160,35 +161,56 @@ def _derivation_form(table: StructureTable, matrix: tuple, z) -> tuple | None:
     Y_kj in [z, Y_ij] is A_ik and that of Y_il is B_lj; that of Y_ij itself
     is A_ii + B_jj (for i = j too), which fixes A and B up to A + c I,
     B - c I (B_11 = 0 here).  The identity is then checked exactly on every
-    entry, so a wrong reading can only give None.
+    entry, so a wrong reading can only give None.  The work follows the
+    nonzeros: the image only where [z, Y_ij] != 0, read off the bracket rows
+    of z's letters, and AY + YB from the nonzero A_ik and B_kj, in
+    (nnz A + nnz B) m terms.  The two maps must be equal, so an image entry
+    or a letter that AY + YB does not reach fails.
     """
     m = len(matrix)
-    rows = [(table.rows[w], c) for w, c in z]
-    image = []  # image[i][j] = [z, Y_ij] as {letter: c}
-    for entries in matrix:
-        line = []
-        for y in entries:
-            terms: dict = {}
-            for row, c in rows:
-                for w, cw in row.get(y, ()):
-                    add_term(terms, w, c * cw)
-            line.append(terms)
-        image.append(line)
-    off = [1 if i == 0 else 0 for i in range(m)]  # a column (or row) index other than i
-    coeff = lambda i, j, k, l: image[i][j].get(matrix[k][l], 0)  # of Y_kl in [z, Y_ij]
-    a = [[coeff(i, 0, i, 0) if k == i else coeff(i, off[i], k, off[i]) for k in range(m)]
-         for i in range(m)]
-    b = [[coeff(0, j, 0, j) - a[0][0] if l == j else coeff(off[j], j, off[j], l) for j in range(m)]
-         for l in range(m)]
+    places = _places(matrix)
+    image: dict = {}  # (i, j) -> [z, Y_ij] as {letter: c}, where nonzero
+    for w, c in z:
+        for y, terms in table.rows[w].items():
+            for ij in places.get(y, ()):
+                entry = image.setdefault(ij, {})
+                for u, cu in terms:
+                    add_term(entry, u, c * cu)
+    image = {ij: entry for ij, entry in image.items() if entry}
+    a, b = ([[0] * m for _ in range(m)] for _ in range(2))
     for i in range(m):
-        for j in range(m):
-            expected: dict = {}
-            for k in range(m):
-                add_term(expected, matrix[k][j], a[i][k])
-                add_term(expected, matrix[i][k], b[k][j])
-            if expected != image[i][j]:
-                return None
-    return a, b
+        a[i][i] = image.get((i, 0), {}).get(matrix[i][0], 0)
+        b[i][i] = image.get((0, i), {}).get(matrix[0][i], 0) - a[0][0]
+        off = 1 if i == 0 else 0  # a column (or row) index other than i
+        # A_ik: the coefficient of Y_k,off in [z, Y_i,off]; B_ki: that of Y_off,k in [z, Y_off,i]
+        for u, c in image.get((i, off), {}).items():
+            for k, l in places.get(u, ()):
+                if l == off and k != i:
+                    a[i][k] = c
+        for u, c in image.get((off, i), {}).items():
+            for l, k in places.get(u, ()):
+                if l == off and k != i:
+                    b[k][i] = c
+    expected: dict = {}  # AY + YB, from the nonzero A_ik and B_ik
+    for i, k in itertools.product(range(m), repeat=2):
+        if a[i][k]:  # A_ik Y_kj at (i, j)
+            for j in range(m):
+                add_term(expected.setdefault((i, j), {}), matrix[k][j], a[i][k])
+        if b[i][k]:  # Y_ji B_ik at (j, k)
+            for j in range(m):
+                add_term(expected.setdefault((j, k), {}), matrix[j][i], b[i][k])
+    return (a, b) if {ij: e for ij, e in expected.items() if e} == image else None
+
+
+@lru_cache(maxsize=None)
+def _places(matrix: tuple) -> dict:
+    """{letter: [(i, j), ...]}, the places of each letter of the matrix in
+    row-major order; built once per matrix."""
+    places: dict = {}
+    for i, entries in enumerate(matrix):
+        for j, a in enumerate(entries):
+            places.setdefault(a, []).append((i, j))
+    return places
 
 
 def _mode_1_core(table: StructureTable, spec: DeterminantSpec) -> tuple | None:
@@ -211,12 +233,8 @@ def _mode_1_core(table: StructureTable, spec: DeterminantSpec) -> tuple | None:
         return None
     m = spec.m
     x = table.theta_lowering
-    places: dict = {}  # letter a -> the (i, j) where Y_ij = a
-    for i, entries in enumerate(matrix):
-        for j, a in enumerate(entries):
-            places.setdefault(a, []).append((i, j))
     q, k, t = ([[0] * m for _ in range(m)] for _ in range(3))
-    for a, spots in places.items():
+    for a, spots in _places(matrix).items():
         for i, j in spots:
             k[i][j] += 2 * table.form(x, a)
         z = table.rows[x].get(a)
@@ -289,7 +307,7 @@ def _cofactor_text(table: StructureTable, spec: DeterminantSpec, residual: TermM
         for key, v in ep_mul(minor_entry_poly(table, spec, i, j), lower).items():
             for (d,), cd in c.terms.items():
                 add_term(terms, (d, key), cd * v)
-    return vacuum._from_keys(terms).text(table)
+    return vacuum._keys_text(table, terms)
 
 
 def _det_power_text(table: StructureTable, spec: DeterminantSpec, c: int) -> str:
@@ -298,7 +316,7 @@ def _det_power_text(table: StructureTable, spec: DeterminantSpec, c: int) -> str
     if not _expands(spec.m, spec.m, spec.n - 1):
         return "(%d) det^%d |0>" % (c, spec.n)
     power = ep_pow(det_entry_poly(table, spec), spec.n)
-    return vacuum._from_keys({(0, key): c * v for key, v in power.items()}).text(table)
+    return vacuum._keys_text(table, {(0, key): c * v for key, v in power.items()})
 
 
 # -- polynomials in the commuting entries -------------------------------

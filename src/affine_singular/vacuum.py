@@ -16,7 +16,7 @@ because a swap lowers the inversion count and every bracket or central
 correction shortens the word.
 
 The determinant checks act on no state: they decide every operator on
-the entry matrix and build a state only for a failing witness (see
+the entry matrix and write a failing witness from its coefficients (see
 determinants), so singular_check, which straightens, is their oracle.
 """
 
@@ -144,14 +144,23 @@ def apply_generator(table, x, n: int, state: VacuumState) -> VacuumState:
     return VacuumState._wrap(out)
 
 
-def _from_keys(terms: dict) -> VacuumState:
-    """The state of a map {(k-degree, sorted letter key): rational}, every
-    letter at mode -1."""
-    letter = {y: (-1, y) for y in set().union(*(key for _, key in terms))}.__getitem__
-    out: dict[Monomial, dict[tuple, Fraction]] = {}
+def _keys_text(table, terms: dict) -> str:
+    """The text of the state {(k-degree, sorted letter key): rational}, every
+    letter at mode -1, as VacuumState.text writes it, with each distinct
+    letter and coefficient rendered once."""
+    coeffs: dict = {}  # letter key -> {(k-degree,): rational}
     for (d, key), v in terms.items():
-        out.setdefault(tuple(map(letter, key)), {})[d,] = Fraction(v)
-    return VacuumState._wrap({mono: Poly._wrap(coeffs, LEVEL.names) for mono, coeffs in out.items()})
+        coeffs.setdefault(key, {})[d,] = v
+    letter = {y: "%s(-1) " % table.text(y) for y in set().union(*coeffs)}.__getitem__
+    rendered: dict = {}  # the items of a coefficient -> its text
+    parts = []
+    for key in sorted(coeffs):
+        c = coeffs[key]
+        ident = frozenset(c.items())
+        if ident not in rendered:
+            rendered[ident] = repr(Poly._wrap({d: Fraction(v) for d, v in c.items()}, LEVEL.names))
+        parts.append("(%s) %s|0>" % (rendered[ident], "".join(map(letter, key))))
+    return " + ".join(parts) or "0"
 
 
 def _monomial_weight(table, mono: Monomial) -> tuple:

@@ -77,6 +77,39 @@ def derivation_image(table, x, poly) -> dict:
     return out
 
 
+def derivation_form_dense(table, matrix: tuple, z) -> tuple | None:
+    """determinants._derivation_form read densely: [z, Y_ij] built at every
+    entry, A and B read from single coefficients, and AY + YB built with 2m
+    terms at each of the m^2 entries and compared with the image there."""
+    m = len(matrix)
+    rows = [(table.rows[w], c) for w, c in z]
+    image = []  # image[i][j] = [z, Y_ij] as {letter: c}
+    for entries in matrix:
+        line = []
+        for y in entries:
+            terms: dict = {}
+            for row, c in rows:
+                for w, cw in row.get(y, ()):
+                    add_term(terms, w, c * cw)
+            line.append(terms)
+        image.append(line)
+    off = [1 if i == 0 else 0 for i in range(m)]  # a column (or row) index other than i
+    coeff = lambda i, j, k, l: image[i][j].get(matrix[k][l], 0)  # of Y_kl in [z, Y_ij]
+    a = [[coeff(i, 0, i, 0) if k == i else coeff(i, off[i], k, off[i]) for k in range(m)]
+         for i in range(m)]
+    b = [[coeff(0, j, 0, j) - a[0][0] if l == j else coeff(off[j], j, off[j], l) for j in range(m)]
+         for l in range(m)]
+    for i in range(m):
+        for j in range(m):
+            expected: dict = {}
+            for k in range(m):
+                add_term(expected, matrix[k][j], a[i][k])
+                add_term(expected, matrix[i][k], b[k][j])
+            if expected != image[i][j]:
+                return None
+    return a, b
+
+
 def differential_ints(table, x: int, poly: dict) -> dict:
     """x(1) at the symbolic level on poly(Y(-1))|0>, for an int map poly
     {sorted letter key: c}: the image {(k-degree, key): c}, with no zero
@@ -158,6 +191,16 @@ def kernel_residual(table, spec: DeterminantSpec, level=None) -> VacuumState:
         terms[mono] = terms.get(mono, Poly.constant(K, 0)) + Poly(K, {(d,): c})
     state = VacuumState(terms)
     return state if level is None else state.specialize(level)
+
+
+def from_keys(terms: dict) -> VacuumState:
+    """The state of a map {(k-degree, sorted letter key): rational}, every
+    letter at mode -1; its text is vacuum._keys_text's oracle."""
+    out: dict = {}
+    for (d, key), v in terms.items():
+        mono = tuple((-1, y) for y in key)
+        out[mono] = out.get(mono, Poly.constant(K, 0)) + Poly(K, {(d,): v})
+    return VacuumState(out)
 
 
 _FACTORED = re.compile(r"\(([^()]*)\) (?:minor\((\d+),(\d+)\) )?(?:det\^(\d+) )?\|0>")

@@ -21,8 +21,8 @@ from affine_singular.liealg import build_algebra
 from affine_singular.scalars import Poly, add_term, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
 from affine_singular.zhu import verify_zhu_generator
-from oracles import (K, casimir_level, coexisting_singulars, derivation_image, differential_ints,
-                     entries_commute_check, ep_apply, expand_residual, kernel_residual,
+from oracles import (K, casimir_level, coexisting_singulars, derivation_form_dense, derivation_image,
+                     differential_ints, entries_commute_check, ep_apply, expand_residual, kernel_residual,
                      leibniz_entry_poly, minor_vector)
 from test_acceptance import A_GRID, C_GRID
 from test_report_digests import BENCHMARK_SPECS
@@ -397,6 +397,55 @@ def test_every_accepted_spec_has_the_mode_0_certificate():
     assert scanned == 3575
 
 
+def test_the_sparse_form_is_the_dense_reading():
+    """_derivation_form builds [z, Y] and AY + YB only where they are
+    nonzero; oracles.derivation_form_dense reads and checks every entry.
+    They give the same (A, B), or None, for every simple raising and simple
+    lowering operator (a lowering operator sends some entry outside the
+    matrix) and every z = [x, a] of _mode_1_core, on every accepted spec."""
+    forms = refused = 0
+    for kind, ranks in (("C", range(2, 19)), ("A", range(2, 27))):
+        for rank in ranks:
+            table = build_algebra(kind, rank)
+            x = table.theta_lowering
+            for m in oracle_sizes(kind, rank, spec_module.MAX_SIZE):
+                matrix = build_matrix(table, DeterminantSpec(kind, rank, m, 1))
+                zs = [((y, 1),) for y in table.simple_raising + table.simple_lowering]
+                zs += [z for a in sorted({a for entries in matrix for a in entries}) if (z := table.rows[x].get(a))]
+                for z in zs:
+                    form = determinants._derivation_form(table, matrix, z)
+                    assert form == derivation_form_dense(table, matrix, z), (kind, rank, m, z)
+                    forms += form is not None
+                    refused += form is None
+    assert (forms, refused) == (8218, 395)
+    # X[e1-e2] sends the entry of the 1 x 1 matrix (X[2e2]) of C2 to
+    # X[e1+e2], a letter with no place in the matrix
+    table = build_algebra("C", 2)
+    matrix, z = ((table.idx("X[2e2]"),),), ((table.idx("X[e1-e2]"), 1),)
+    assert determinants._derivation_form(table, matrix, z) is derivation_form_dense(table, matrix, z) is None
+
+
+@pytest.mark.parametrize("case", [("C", 6, 6, 1), ("A", 16, 8, 1)], ids=["C6-6-1", "A16-8-1"])
+def test_a_passing_check_does_little_dict_work(monkeypatch, case):
+    """With the rows already filled, one passing verify_singular and one
+    passing lowering_factor_check each make at most 1,000 (C6 m=6 n=1) or
+    2,000 (A16 m=8 n=1) determinants.add_term calls.  The AY + YB check
+    follows the nonzero entries: 307 and 192 on C6, 807 and 583 on A16 when
+    this was written, where the dense reading, 2m terms at each of the m^2
+    entries, made 5,305 and 2,658, 31,183 and 15,711.  A count of calls
+    does not depend on the machine."""
+    spec = DeterminantSpec(*case)
+    ceiling = 1000 if spec.m == 6 else 2000
+    add = determinants.add_term
+    for check in (verify_singular, lowering_factor_check):
+        assert check(spec).verdict  # fills the rows the check reads
+        calls = []
+        monkeypatch.setattr(determinants, "add_term", lambda *args: calls.append(None) or add(*args))
+        assert check(spec).verdict
+        monkeypatch.setattr(determinants, "add_term", add)
+        assert 0 < len(calls) <= ceiling, (check.__name__, len(calls))
+
+
 @pytest.mark.parametrize("kind, rank", [("C", 18), ("A", 26)])
 def test_a_passing_check_fills_few_rows(monkeypatch, kind, rank):
     """verify_singular on m=8 n=1 of the largest algebras reads the rows of
@@ -542,6 +591,8 @@ def test_a_bracket_that_breaks_the_form_has_no_certificate(monkeypatch, capsys, 
     a, b = sorted((matrix[0][0], matrix[0][1]))  # the kernel reads [[x, a], b] for a <= b
     ((w, _),) = table.rows[table.theta_lowering][a]  # z = [x, a] is one basis element
     table.rows[w][b] = table.rows[w].get(b, ()) + ((matrix[2][2], 1),)
+    z = table.rows[table.theta_lowering][a]
+    assert determinants._derivation_form(table, matrix, z) is derivation_form_dense(table, matrix, z) is None
     assert determinants._mode_1_core(table, spec) is None
     message = r"^no certificate applies: %s\(1\) on %s has no cofactor form on the matrix$" % (
         re.escape(table.text(table.theta_lowering)), spec.label())

@@ -7,11 +7,11 @@ import pytest
 
 from affine_singular.determinants import DeterminantSpec, determinant_vector
 from affine_singular.scalars import Poly, over_common_denominator
-from affine_singular.vacuum import (VacuumState, _from_keys,
+from affine_singular.vacuum import (VacuumState, _keys_text,
                                     annihilation_operators, apply_generator,
                                     monomial_text, singular_check,
                                     state_weight, straighten)
-from oracles import (K, differential_ints, level_var, mode_degree,
+from oracles import (K, differential_ints, from_keys, level_var, mode_degree,
                      straighten_rightmost)
 from test_acceptance import A_GRID, C_GRID
 
@@ -142,7 +142,7 @@ def folded(table, x, state):
         out = differential_ints(table, table.idx(x), ints)
     except RuntimeError:
         return None
-    return _from_keys({slot: Fraction(v, den) for slot, v in out.items()})
+    return from_keys({slot: Fraction(v, den) for slot, v in out.items()})
 
 
 def test_differential_action_matches_straightening():
@@ -281,3 +281,20 @@ def test_monomial_text(table_c2):
     t = table_c2
     assert monomial_text(t, ()) == "|0>"
     assert monomial_text(t, ((-2, t.idx("X[2e1]")), (-1, t.idx("h1")))) == "X[2e1](-2) h1(-1) |0>"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_keys_text_is_the_states_text(table_a4, seed):
+    """_keys_text writes the witness text straight from its coefficient map,
+    rendering each letter and coefficient once; VacuumState.text of the same
+    state is its oracle, on random maps with repeated coefficients, both
+    k-degrees, the empty key and the empty map."""
+    rng = random.Random(seed)
+    t = table_a4
+    values = [Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-6), Fraction(2)]
+    terms = {}
+    for _ in range(rng.randint(0, 40)):
+        key = tuple(sorted(rng.randrange(t.dimension) for _ in range(rng.randint(0, 4))))
+        terms[rng.randint(0, 1), key] = rng.choice(values)
+    assert _keys_text(t, terms) == from_keys(terms).text(t)
+    assert _keys_text(t, {}) == from_keys({}).text(t) == "0"
