@@ -83,8 +83,9 @@ at mode 0 and sum_ij c_ij minor(i, j) det^(n-1)|0> at mode 1, with c_ij =
 n (-1)^(i+j) (Q + k K + (n - 1) T)_ij, at the given level or with k
 symbolic.  The residual is expanded into vacuum monomials only while the
 Leibniz terms it multiplies out, (m!)^n or (m-1)! (m!)^(n-1), are at most
-WITNESS_TERMS; above that it is stated factored, as "(-8) minor(1,1) det^1
-|0>" or "(6) det^2 |0>", each coefficient printed as in an expanded state.
+WITNESS_TERMS and its power of det sorts at most MAX_MUL_LETTERS letters;
+above that it is stated factored, as "(-8) minor(1,1) det^1 |0>" or "(6)
+det^2 |0>", each coefficient printed as in an expanded state.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ MAX_MUL_LETTERS = 4_000_000
 
 # A failing check expands its residual only while the Leibniz terms it
 # multiplies out, (m!)^n at mode 0 and (m-1)! (m!)^(n-1) at mode 1, are at
-# most this many; above that it states the residual factored.
+# most this many, and its power of det within MAX_MUL_LETTERS; otherwise it
+# states the residual factored.
 WITNESS_TERMS = 1000
 
 
@@ -287,16 +289,24 @@ def _mode_1_residual(table: StructureTable, spec: DeterminantSpec, level) -> Ter
 
 
 def _expands(first: int, m: int, power: int) -> bool:
-    """True when first! (m!)^power, the Leibniz terms a residual multiplies
-    out, is at most WITNESS_TERMS.  m! >= 2 for m >= 2, so the power can be
-    capped at WITNESS_TERMS without changing the answer."""
-    return math.factorial(first) * math.factorial(m) ** min(power, WITNESS_TERMS) <= WITNESS_TERMS
+    """True when a residual with a first x first minor times det^power is
+    expanded: its first! (m!)^power Leibniz terms are at most WITNESS_TERMS,
+    and the letters that ep_pow(det, power) sorts are at most
+    MAX_MUL_LETTERS.  Its t-th product sorts at most m t (m!)^t letters,
+    exactly t at m = 1.  m! >= 2 for m >= 2, so the power can be capped at
+    WITNESS_TERMS in the first test, and the second sums at most 9 terms."""
+    f = math.factorial(m)
+    if math.factorial(first) * f ** min(power, WITNESS_TERMS) > WITNESS_TERMS:
+        return False
+    if f == 1:
+        return power * (power + 1) // 2 <= MAX_MUL_LETTERS
+    return m * sum(t * f ** t for t in range(1, power + 1)) <= MAX_MUL_LETTERS
 
 
 def _cofactor_text(table: StructureTable, spec: DeterminantSpec, residual: TermMap) -> str:
     """The text of sum_ij c_ij minor(i, j) det^(n-1)|0> for the residual
-    {(i, j): c_ij}: expanded into monomials while (m-1)! (m!)^(n-1) is at
-    most WITNESS_TERMS, and otherwise factored, one term per cofactor."""
+    {(i, j): c_ij}: expanded into monomials while _expands allows the
+    minors times det^(n-1), and otherwise factored, one term per cofactor."""
     m, power = spec.m, spec.n - 1
     if not _expands(m - 1, m, power):
         det = " det^%d" % power if power else ""
@@ -311,9 +321,9 @@ def _cofactor_text(table: StructureTable, spec: DeterminantSpec, residual: TermM
 
 
 def _det_power_text(table: StructureTable, spec: DeterminantSpec, c: int) -> str:
-    """The text of c det^n|0>: expanded while (m!)^n is at most
-    WITNESS_TERMS, and otherwise factored."""
-    if not _expands(spec.m, spec.m, spec.n - 1):
+    """The text of c det^n|0>: expanded while _expands allows det^n, and
+    otherwise factored."""
+    if not _expands(0, spec.m, spec.n):
         return "(%d) det^%d |0>" % (c, spec.n)
     power = ep_pow(det_entry_poly(table, spec), spec.n)
     return vacuum._keys_text(table, {(0, key): c * v for key, v in power.items()})
@@ -391,15 +401,7 @@ def minor_entry_poly(table: StructureTable, spec: DeterminantSpec, i: int, j: in
 
 def ep_state(poly: EntryPoly) -> VacuumState:
     """Place every entry at mode -1 and apply to the vacuum."""
-    # one shared (-1, x) letter per entry and one constant per coefficient value
-    letter = {x: (-1, x) for x in set().union(*poly)}.__getitem__
-    consts: dict = {}
-    terms = {}
-    for key, c in poly.items():
-        if c:
-            terms[tuple(map(letter, key))] = (
-                consts.get(c) or consts.setdefault(c, Poly._wrap({(0,): Fraction(c)}, vacuum.LEVEL.names)))
-    return VacuumState._wrap(terms)
+    return VacuumState({tuple((-1, x) for x in key): c for key, c in poly.items()})
 
 
 def determinant_vector(table: StructureTable, spec: DeterminantSpec) -> VacuumState:

@@ -27,8 +27,7 @@ from fractions import Fraction
 from .report import VerificationReport, timed
 from .scalars import ONE, Poly, TermMap, add_term, coerce_rational, format_rational
 
-Letter = tuple  # (mode, basis index)
-Monomial = tuple  # tuple of letters, canonically ordered
+Monomial = tuple  # tuple of (mode, basis index) letters, canonically ordered
 
 LEVEL = Poly.variable(("k",))  # a coefficient is a Poly in the names LEVEL.names
 
@@ -46,11 +45,8 @@ class VacuumState(TermMap):
 
     def __init__(self, terms=None):
         self.terms = {}
-        letters: dict[Letter, Letter] = {}  # one shared tuple per distinct letter
         for mono, c in (terms or {}).items():
-            mono = tuple(letters.setdefault(letter, letter)
-                         for letter in ((int(n), int(x)) for n, x in mono))
-            add_term(self.terms, mono, _coerce_poly(c))
+            add_term(self.terms, tuple((int(n), int(x)) for n, x in mono), _coerce_poly(c))
 
     @classmethod
     def vacuum(cls) -> "VacuumState":
@@ -63,21 +59,14 @@ class VacuumState(TermMap):
     __mul__ = __rmul__ = TermMap.scale
 
     def specialize(self, level) -> "VacuumState":
-        """Evaluate every coefficient at a numeric level.
-
-        A constant coefficient is kept as it is, the same Poly object, as
-        ep_state shares them; only coefficients of degree >= 1 are
-        evaluated, and a monomial whose value is zero is dropped.
-        """
+        """Evaluate every coefficient at a numeric level; a monomial whose
+        value is zero is dropped."""
         level = coerce_rational(level)
         out = {}
         for mono, c in self.terms.items():
-            if len(c.terms) == 1 and (0,) in c.terms:  # a constant
-                out[mono] = c
-            else:
-                value = c.evaluate((level,))
-                if value:
-                    out[mono] = Poly._wrap({(0,): value}, LEVEL.names)
+            value = c.evaluate((level,))
+            if value:
+                out[mono] = Poly._wrap({(0,): value}, LEVEL.names)
         return VacuumState._wrap(out)
 
     def text(self, table) -> str:

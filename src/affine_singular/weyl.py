@@ -11,8 +11,8 @@ so a product is normalised pair by pair with the closed formula
 
 Distinct indices commute, so a^a1 (a*)^b1 . a^a2 (a*)^b2 is the t = 0 term
 a^(a1+a2) (a*)^(b1+b2) plus contraction terms with t_i >= 1 only at indices
-where b1_i and a2_i are both nonzero; with no such index it is the t = 0
-term alone.  The same routine adds Fraction and int coefficients alike.
+where b1_i and a2_i are both nonzero.  The same routine adds Fraction and
+int coefficients alike.
 
 The library multiplies here only for the oscillator image in zhu.
 Structure constants never come from a product: liealg reads each bracket
@@ -60,8 +60,6 @@ class WeylElement(TermMap):
         return super()._lift(other)
 
     def __mul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -80,11 +78,9 @@ class WeylElement(TermMap):
 
 def _accumulate_product(a1, b1, a2, b2, coeff, out):
     """Add coeff * a^a1 (a*)^b1 a^a2 (a*)^b2, normally ordered, into out: the
-    t = 0 term, then, where some index can contract (b1_i a2_i != 0), the
-    terms with at least one contraction."""
+    t = 0 term, then the terms with at least one contraction, at the indices
+    where b1_i a2_i != 0."""
     add_term(out, (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2))), coeff)
-    if not any(map(operator.mul, b1, a2)):
-        return
     shared = [i for i, (b, a) in enumerate(zip(b1, a2)) if b and a]
     ranges = [range(min(b1[i], a2[i]) + 1) for i in shared]
     for ts in itertools.islice(itertools.product(*ranges), 1, None):

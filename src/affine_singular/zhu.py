@@ -22,12 +22,9 @@ When the entries pairwise commute (table.commute), reversal and PBW sorting
 agree, and the image is P(Y) with sorted words: det^n in U(g).  On det^n,
 zhu_project is the tests' oracle for this certificate.
 
-When all the letters of a product or a projected state pairwise commute,
-which holds for the determinant entries, their PBW normal form is just the
-sorted word, and uenv_mul and zhu_project sort instead of rewriting.  The
-check is made once per call on the set of letters; any non-commuting pair
-sends the whole call through the general straightening, which reads the
-table's rows of nonzero brackets (_ad_ints reads one row per call).
+uenv_mul, ad_action and zhu_project straighten every word they make with
+_uenv_reduce, which reads the table's rows of nonzero brackets; a word of
+commuting letters is only swapped into sorted order.
 
 Elements carry Fraction coefficients, but uenv_mul, ad_action and
 zhu_project add Python ints: their inputs are scaled to one common
@@ -92,14 +89,15 @@ class UEnvElement(TermMap):
         return "UEnvElement(%d terms)" % len(self.terms)
 
 
-def _uenv_reduce(rows, work: list, out: dict):
-    """Straighten the (int coefficient, word) pairs of work into PBW order,
-    adding into out; work is used up.
+def _uenv_reduce(rows, work: list) -> dict:
+    """The sum of the (int coefficient, word) pairs of work, straightened
+    into PBW order, as {word: int} (zero sums kept); work is used up.
 
     rows are the table's rows {y: [x, y]} of nonzero brackets.  Their
     constants are ints, so a bracket step stays in the integers and needs
     no division.
     """
+    out: dict[Word, int] = {}
     while work:
         c, w = work.pop()
         for i in range(len(w) - 1):
@@ -113,19 +111,7 @@ def _uenv_reduce(rows, work: list, out: dict):
         work.append((c, head + (y, x) + tail))
         for z, cz in rows[x].get(y, ()):
             work.append((c * cz, head + (z,) + tail))
-
-
-def _normal_form(table: StructureTable, commuting: bool, products) -> dict:
-    """The sum of the (int coefficient, word) products in PBW order.  Words
-    whose letters commute are sorted; otherwise they are straightened."""
-    acc: dict[Word, int] = {}
-    if commuting:
-        for c, word in products:
-            key = tuple(sorted(word))
-            acc[key] = acc.get(key, 0) + c
-    else:
-        _uenv_reduce(table.rows, list(products), acc)
-    return acc
+    return out
 
 
 def _fractions(acc: dict, den: int) -> UEnvElement:
@@ -137,11 +123,10 @@ def _fractions(acc: dict, den: int) -> UEnvElement:
 
 
 def uenv_mul(table: StructureTable, u: UEnvElement, v: UEnvElement) -> UEnvElement:
-    commuting = table.commute({x for word in (*u.terms, *v.terms) for x in word})
     us, u_den = over_common_denominator(u.terms)
     vs, v_den = over_common_denominator(v.terms)
-    products = ((c1 * c2, w1 + w2) for w1, c1 in us.items() for w2, c2 in vs.items())
-    return _fractions(_normal_form(table, commuting, products), u_den * v_den)
+    products = [(c1 * c2, w1 + w2) for w1, c1 in us.items() for w2, c2 in vs.items()]
+    return _fractions(_uenv_reduce(table.rows, products), u_den * v_den)
 
 
 def uenv_pow(table: StructureTable, u: UEnvElement, n: int) -> UEnvElement:
@@ -160,9 +145,9 @@ def ad_action(table: StructureTable, g, u: UEnvElement) -> UEnvElement:
 def _ad_ints(table: StructureTable, g: int, us: dict) -> dict:
     """ad(g) on an int map {word: c}, as an int map with no zero entries."""
     row = table.rows[g]
-    terms = ((c * cz, word[:t] + (z,) + word[t + 1:])
-             for word, c in us.items() for t, x in enumerate(word) for z, cz in row.get(x, ()))
-    return {word: c for word, c in _normal_form(table, False, terms).items() if c}
+    terms = [(c * cz, word[:t] + (z,) + word[t + 1:])
+             for word, c in us.items() for t, x in enumerate(word) for z, cz in row.get(x, ())]
+    return {word: c for word, c in _uenv_reduce(table.rows, terms).items() if c}
 
 
 def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
@@ -175,14 +160,11 @@ def zhu_project(table: StructureTable, state: VacuumState) -> UEnvElement:
         if len(c.terms) != 1 or (0,) not in c.terms:
             raise ValueError("projection needs a numeric level; specialize the state first")
         values[pos] = c.terms[0,]
-    commuting = table.commute({x for mono in state.terms for _, x in mono})
     scaled, scale = over_common_denominator(values)
-    # the sign (-1)^sum(-n - 1) has the parity of len(mono) + sum(n); commuting
-    # letters are sorted by _normal_form, so they need no reversal
-    products = ((-c if (len(mono) + sum(n for n, _ in mono)) & 1 else c,
-                 [x for _, x in mono] if commuting else tuple(x for _, x in reversed(mono)))
-                for mono, c in zip(state.terms, scaled.values()))
-    return _fractions(_normal_form(table, commuting, products), scale)
+    # the sign (-1)^sum(-n - 1) has the parity of len(mono) + sum(n)
+    products = [(-c if (len(mono) + sum(n for n, _ in mono)) & 1 else c, tuple(x for _, x in reversed(mono)))
+                for mono, c in zip(state.terms, scaled.values())]
+    return _fractions(_uenv_reduce(table.rows, products), scale)
 
 
 def finite_determinant(table: StructureTable, spec: DeterminantSpec) -> UEnvElement:

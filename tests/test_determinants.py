@@ -203,15 +203,16 @@ def test_the_three_power_checks_share_one_letter_limit():
     # 3,997,378 at n = 2827 and 4,000,206 at n = 2828.  No check expands a
     # power for its verdict, so all three pass on both sides of the limit;
     # a failing verify_singular expands its witness, minor(1,1) det^(n-1)
-    # with minor(1,1) = 1 at m = 1, until det^(n-1) passes the limit
+    # with minor(1,1) = 1 at m = 1, while det^(n-1) is within the limit, and
+    # above it states the witness factored
     below, above = DeterminantSpec("C", 2, 1, 2828), DeterminantSpec("C", 2, 1, 2829)
     for spec in (below, above):
         for check in (verify_singular, lowering_factor_check, verify_zhu_generator):
             assert check(spec).verdict
     residual = verify_singular(below, below.level + 1).witness["residual"]
     assert residual == "(-11312) " + "X[2e1](-1) " * 2827 + "|0>"
-    with pytest.raises(ValueError, match="^power 2828 of a 1-term polynomial sorts 4000206 letters"):
-        verify_singular(above, above.level + 1)
+    residual = verify_singular(above, above.level + 1).witness["residual"]
+    assert residual == "(-11316) minor(1,1) det^2828 |0>"
 
 
 def test_ep_apply_matches_ep_state(table_c2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -125,3 +126,16 @@ def test_the_library_defines_no_vacuum_kernel():
             if name in ("_differential_ints", "differential_ints"):
                 named.add(path.stem)
     assert named == set()
+
+
+def test_every_name_the_benchmark_tracer_hooks_resolves(monkeypatch):
+    # perfbench/tracer.py wraps library functions by attribute name, so a
+    # dropped or renamed name fails here with an AttributeError naming it;
+    # leaving the tracer puts every original back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    modules = {name: dict(vars(module)) for name, module in sys.modules.items()
+               if name.startswith("affine_singular")}
+    with tracer.installed(tracer.Tracer()):
+        pass
+    assert {name: dict(vars(sys.modules[name])) for name in modules} == modules
