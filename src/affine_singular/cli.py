@@ -13,7 +13,7 @@ Every check prints a report; --json emits it as canonical JSON.  The
 singular and zhu commands all run through cmd_check: each names its check
 and, for singular verify/factor, a cache name.  Those reports are cached on
 disk keyed by the full parameter set, so repeated runs are byte-stable;
-corrupted or stale cache records are ignored with a warning.
+a corrupted record is ignored with a warning, a stale version silently.
 
 Each command imports the modules it needs when it runs: a warm singular
 verify or factor loads only this module, cache, serialize and spec.

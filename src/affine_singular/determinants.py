@@ -105,10 +105,11 @@ from .vacuum import VacuumState
 
 EntryPoly = dict  # sorted index tuple -> int, a polynomial in commuting entries
 
-# ep_mul sorts one letter key per pair of terms, so its work is the number of
-# letters it sorts; ep_pow charges all its products to one budget.  det^3 for
-# C5 m=5 sorts 2.27 million (2.21 million in its last product, 2,021 x 73
-# pairs of 15 letters), det^2 for C6 m=6 1.81 million (388 x 388 pairs of 12).
+# The one limit on an expansion, in letters sorted: ep_mul sorts one key per
+# pair of terms, ep_pow charges all its products to one budget, and
+# det_entry_poly its m! keys of m letters.  det^3 for C5 m=5 sorts 2.27
+# million (2.21 million in its last product, 2,021 x 73 pairs of 15 letters),
+# det^2 for C6 m=6 1.81 million (388 x 388 pairs of 12).
 MAX_MUL_LETTERS = 4_000_000
 
 # A failing check expands its residual only while the Leibniz terms it
@@ -335,10 +336,7 @@ def _det_power_text(table: StructureTable, spec: DeterminantSpec, c: int) -> str
 def ep_mul(p: EntryPoly, q: EntryPoly) -> EntryPoly:
     """The product; raises ValueError, before any work, when it would sort
     more than MAX_MUL_LETTERS letters."""
-    letters = _mul_letters(p, q)
-    if letters > MAX_MUL_LETTERS:
-        raise ValueError("a product of %d by %d terms sorts %d letters, above the limit of %d"
-                         % (len(p), len(q), letters, MAX_MUL_LETTERS))
+    _charge(_mul_letters(p, q), "a product of %d by %d terms" % (len(p), len(q)))
     out: EntryPoly = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
@@ -354,11 +352,15 @@ def ep_pow(p: EntryPoly, n: int) -> EntryPoly:
     letters = 0
     for t in range(1, n + 1):
         letters += _mul_letters(out, p)
-        if letters > MAX_MUL_LETTERS:
-            raise ValueError("power %d of a %d-term polynomial sorts %d letters, above the limit of %d"
-                             % (t, len(p), letters, MAX_MUL_LETTERS))
+        _charge(letters, "power %d of a %d-term polynomial" % (t, len(p)))
         out = ep_mul(out, p)
     return out
+
+
+def _charge(letters: int, what: str) -> None:
+    """Refuse an expansion that would sort more than MAX_MUL_LETTERS letters."""
+    if letters > MAX_MUL_LETTERS:
+        raise ValueError("%s sorts %d letters, above the limit of %d" % (what, letters, MAX_MUL_LETTERS))
 
 
 def _mul_letters(p: EntryPoly, q: EntryPoly) -> int:
@@ -372,7 +374,8 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
     itertools.permutations yields the permutations in lexicographic order,
     and itertools.product their Lehmer codes in the same order: row t takes
     the column at position p_t among those still free, which inverts p_t
-    pairs, so the sign is (-1)**sum(p_t).
+    pairs, so the sign is (-1)**sum(p_t).  The walk is charged before it
+    starts: size 9 is expanded, size 10 raises ValueError.
     """
     rows = list(rows) if rows is not None else list(range(1, spec.m + 1))
     cols = list(cols) if cols is not None else list(range(1, spec.m + 1))
@@ -380,9 +383,10 @@ def det_entry_poly(table: StructureTable, spec: DeterminantSpec, rows=None, cols
         raise ValueError("determinant needs a square index set")
     if not all(1 <= r <= spec.m for r in rows + cols):
         raise ValueError("row or column index out of range")
+    size = len(rows)
+    _charge(math.factorial(size) * size, "a determinant of size %d" % size)
     matrix = build_matrix(table, spec)
     entries = [[matrix[r - 1][c - 1] for c in cols] for r in rows]
-    size = len(rows)
     out: EntryPoly = {}
     codes = itertools.product(*(range(size - t) for t in range(size)))
     for code, perm in zip(codes, itertools.permutations(range(size))):

@@ -9,11 +9,11 @@ enveloping and oscillator elements) is a TermMap: zero coefficients are
 deleted eagerly, so structural equality of term maps is semantic equality.
 
 Rationals are what every public function takes and returns.  The inner
-loops that add many products (the differential operators on the vacuum
-module, PBW straightening, row reduction, Freudenthal's recursion) run on
-Python ints instead: over_common_denominator scales a map of rationals to
-integers over one common denominator, the loop adds integers, and each
-output term is divided once at the end.
+loops that add many products (PBW straightening, the adjoint action and
+the projection onto U(g), row reduction, Freudenthal's recursion, the
+evaluation of a Poly) run on Python ints instead: over_common_denominator
+scales a map of rationals to integers over one common denominator, the
+loop adds integers, and each output term is divided once at the end.
 """
 
 from __future__ import annotations

@@ -12,8 +12,6 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 
-MAX_SIZE = 8  # the Leibniz expansion walks m! permutations: 40,320 at m = 8
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "[-]p" or "[-]p/q" text in decimal digits into an exact rational."""
@@ -81,8 +79,6 @@ class DeterminantSpec(FrozenValue):
             raise ValueError("power must be at least 1")
         if m < 1:
             raise ValueError("size must be at least 1")
-        if m > MAX_SIZE:
-            raise ValueError("size %d is above the limit of %d (m! determinant terms)" % (m, MAX_SIZE))
         if kind == "C" and m > rank:
             raise ValueError("size %d exceeds rank %d" % (m, rank))
         if kind == "A" and 2 * m > rank:

@@ -34,22 +34,26 @@ adjoint closure in category_o runs on _ad_ints, the {word: int} core of
 ad_action, and makes each element's Fractions once.
 
 The realization extends to an algebra homomorphism U(g) -> Weyl, because
-it respects every bracket of the table (build_algebra computes each bracket
-in the oscillator algebra).  So the image of det^n is the n-th power of the
-image of det, and the oscillator check never builds the PBW power.
+it respects every bracket of the table (build_algebra reads each bracket
+off the two labels by Wick's rule, the commutator of their quadratics).  So
+the image of det^n is the n-th power of the image of det, and the
+oscillator check never builds the PBW power.
 
-For m >= 2 the oscillator check first tries a certificate on the m x m
-matrix of images R_ij = phi(Y_ij), which needs no det expansion.  Suppose
-each R_ij is a single monomial and no two of them contract: no index
-carries an a* in one entry's monomial and an a in another's (or the same).
-Then the images, and all their products, commute and multiply by adding
-exponents, so phi(det) = det(R) in that commutative ring.  If moreover
-every 2 x 2 minor R_ij R_kl - R_il R_kj vanishes, Laplace expansion along
-the first two rows writes det(R) as a sum of such minors times
-complementary minors, so phi(det) = 0 and phi(det^n) = 0 for every n.  The
-entries of both kinds pass (R_ij = a_i a_j on kind C, a_i a*_(l-j+1) on
-kind A: an outer product).  When the certificate does not apply, or for
-m = 1, where the image survives, the image is computed as phi(det)^n.
+The oscillator check decides on the m x m matrix of images R_ij =
+phi(Y_ij), with no det expansion.  Suppose each R_ij is a single monomial
+and no two of them contract: no index carries an a* in one entry's
+monomial and an a in another's (or the same).  Then the images, and all
+their products, commute and multiply by adding exponents, so phi(det) =
+det(R) in that commutative ring.  If moreover every 2 x 2 minor R_ij R_kl
+- R_il R_kj vanishes, Laplace expansion along the first two rows writes
+det(R) as a sum of such minors times complementary minors, so phi(det) = 0
+and phi(det^n) = 0 for every n.  The entries of both kinds pass (R_ij =
+a_i a_j on kind C, a_i a*_(l-j+1) on kind A: an outer product).  For m = 1 the minor test is empty, and the
+image of det^n = Y_11^n is c^n a^(n alpha) (a*)^(n beta) when R_11 is
+c a^alpha (a*)^beta: the power of one monomial that does not contract with
+itself.  When the certificate does not apply, the check raises
+RuntimeError ("no certificate applies"), an exit 2 on the command line; no
+accepted spec reaches that branch.
 """
 
 from __future__ import annotations
@@ -217,7 +221,8 @@ def verify_zhu_generator(spec: DeterminantSpec) -> VerificationReport:
 def _images_have_rank_one(table: StructureTable, spec: DeterminantSpec) -> bool:
     """True when the entries' images are single monomials, no two contract,
     and every 2 x 2 minor of their matrix vanishes; then phi(det) = 0 for
-    m >= 2 (see the module docstring).
+    m >= 2, and for m = 1 the image is one monomial that does not contract
+    with itself (see the module docstring).
 
     The minors are checked in O(m^2) products, R_ij R_11 = R_i1 R_1j for
     every i and j.  That is exact: the images multiply as monomials with
@@ -248,36 +253,23 @@ def _images_have_rank_one(table: StructureTable, spec: DeterminantSpec) -> bool:
 def verify_weyl_vanishing(spec: DeterminantSpec) -> VerificationReport:
     """The oscillator image of the finite determinant power; zero once m >= 2.
 
-    For m >= 2 the zero is certified on the matrix of the entries' images
-    when _images_have_rank_one holds.  Otherwise the image is taken as
-    phi(det)^n in the oscillator algebra, which equals phi(det^n) because
-    phi is an algebra homomorphism, by repeated squaring.
+    Decided on the matrix of the entries' images by _images_have_rank_one:
+    for m >= 2 the image is zero, and for m = 1 it is the n-th power of the
+    single monomial R_11.  Raises RuntimeError when the certificate does
+    not apply.
     """
     table = spec.table()
-    expect_zero = spec.m >= 2
-    if expect_zero and _images_have_rank_one(table, spec):
-        image = weyl.WeylElement(table.rank)
-    else:
-        base = weyl_image(table, finite_determinant(table, spec))
-        image = weyl.WeylElement.constant(table.rank, ONE)
-        n = spec.n
-        while n:
-            if n & 1:
-                image = image * base
-            n >>= 1
-            if n:
-                base = base * base
-    ok = image.is_zero == expect_zero
-    witness = None
-    if not ok:
-        witness = {"image": repr(image)}
-    report = VerificationReport(
-        claim="oscillator image of det power %s: %s" % (
-            "vanishes" if expect_zero else "survives", spec.label()),
-        verdict=ok,
+    if not _images_have_rank_one(table, spec):
+        raise RuntimeError("no certificate applies: the oscillator images of the entries of %s are not "
+                           "a rank-one matrix of monomials that do not contract" % spec.label())
+    details = None
+    if spec.m == 1:  # R_11^n = c^n a^(n alpha) (a*)^(n beta)
+        ((alpha, beta), c), = table.realizations[build_matrix(table, spec)[0][0]].terms.items()
+        power = tuple(spec.n * e for e in alpha), tuple(spec.n * e for e in beta)
+        details = {"image": repr(weyl.WeylElement._wrap({power: c ** spec.n}, table.rank))}
+    return VerificationReport(
+        claim="oscillator image of det power %s: %s" % ("survives" if details else "vanishes", spec.label()),
+        verdict=True,
         parameters={"algebra": "%s_%d" % (spec.kind, spec.rank), "m": spec.m, "n": spec.n},
-        witness=witness,
+        details=details,
     )
-    if ok and not expect_zero:
-        report.details = {"image": repr(image)}
-    return report

@@ -663,6 +663,20 @@ def mode_degree(state: VacuumState) -> int:
     return degrees.pop()
 
 
+def accepted_sizes(kind: str, rank: int) -> list[int]:
+    """Every size m that DeterminantSpec accepts on the (kind, rank)
+    algebra, read off the spec itself, so a scan over them follows its
+    bounds: m <= rank on kind C and 2m <= rank on kind A."""
+    sizes = []
+    for m in range(1, rank + 2):
+        try:
+            DeterminantSpec(kind, rank, m, 1)
+        except ValueError:
+            continue
+        sizes.append(m)
+    return sizes
+
+
 def coexisting_singulars(kind: str, rank: int, level) -> list[DeterminantSpec]:
     """All determinant vectors that become singular at the given level."""
     level = coerce_rational(level)

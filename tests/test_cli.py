@@ -113,15 +113,22 @@ def test_negative_controls_exit_code(capsys):
 
 
 def test_oversized_determinant_exits_2_before_expanding(capsys, monkeypatch):
+    """A size the algebra does not admit exits 2; the largest size it
+    admits, C12 m=12 with 12! determinant terms, is decided on the matrix
+    at the level and off it, and nothing is expanded."""
     def fail(*args, **kwargs):
         raise AssertionError("the determinant was expanded")
 
     monkeypatch.setattr(determinants, "det_entry_poly", fail)
-    assert main(["singular", "verify", "--type", "C", "--rank", "12", "-m", "12", "-n", "1",
-                 "--no-cache"]) == 2
+    verify = ["singular", "verify", "--type", "C", "--rank", "12", "-n", "1", "--no-cache"]
+    assert main(verify + ["-m", "13"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: size 12 is above the limit of 8 (m! determinant terms)\n"
-    assert captured.out == ""
+    assert captured.err == "error: size 13 exceeds rank 12\n" and captured.out == ""
+    assert main(verify + ["-m", "12"]) == 0
+    assert capsys.readouterr().out.startswith("PASS  determinant vector singular: C12 m=12 n=1 level=-11/2\n")
+    assert main(verify + ["-m", "12", "--level", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "  witness operator: X[-2e1](1)\n  witness residual: (-22) minor(1,1) |0>\n" in out
 
 
 def test_level_and_symbolic_are_exclusive(capsys):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import re
 from fractions import Fraction
 
 import pytest
 
-from affine_singular import determinants
+from affine_singular import determinants, zhu
 from affine_singular import spec as spec_module
 from affine_singular import vacuum
 from affine_singular.cli import main
@@ -20,10 +21,10 @@ from affine_singular.determinants import (DeterminantSpec, beta_constant,
 from affine_singular.liealg import build_algebra
 from affine_singular.scalars import Poly, add_term, format_rational
 from affine_singular.vacuum import VacuumState, state_weight, straighten
-from affine_singular.zhu import verify_zhu_generator
-from oracles import (K, casimir_level, coexisting_singulars, derivation_form_dense, derivation_image,
-                     differential_ints, entries_commute_check, ep_apply, expand_residual, kernel_residual,
-                     leibniz_entry_poly, minor_vector)
+from affine_singular.zhu import verify_weyl_vanishing, verify_zhu_generator
+from oracles import (K, accepted_sizes, casimir_level, coexisting_singulars, derivation_form_dense,
+                     derivation_image, differential_ints, entries_commute_check, ep_apply, expand_residual,
+                     kernel_residual, leibniz_entry_poly, minor_vector)
 from test_acceptance import A_GRID, C_GRID
 from test_report_digests import BENCHMARK_SPECS
 
@@ -39,11 +40,9 @@ def test_spec_validation():
         DeterminantSpec("C", 2, 1, 0)
     with pytest.raises(ValueError):
         DeterminantSpec("C", 2, 0, 1)
-    assert DeterminantSpec("C", 8, 8, 1).m == spec_module.MAX_SIZE == 8
-    with pytest.raises(ValueError, match="size 9 is above the limit of 8"):
-        DeterminantSpec("C", 9, 9, 1)
-    with pytest.raises(ValueError, match="size 9 is above the limit of 8"):
-        DeterminantSpec("A", 18, 9, 1)
+    # every size the algebra admits is accepted: the checks decide on the matrix
+    for kind, rank, m in (("C", 9, 9), ("A", 18, 9), ("C", 18, 18)):
+        assert DeterminantSpec(kind, rank, m, 1).m == m
 
 
 def test_spec_is_a_frozen_value():
@@ -196,6 +195,29 @@ def test_ep_pow_charges_all_its_products_to_one_letter_limit(monkeypatch):
     assert ep_pow({(7,): 1}, 4) == {(7, 7, 7, 7): 1}
     with pytest.raises(ValueError, match="^power 5 of a 1-term polynomial sorts 15 letters, above the limit of 10$"):
         ep_pow({(7,): 1}, 5)
+
+
+def test_a_leibniz_walk_above_the_letter_limit_is_refused_before_it_starts(monkeypatch):
+    """det_entry_poly charges its m! keys of m letters to MAX_MUL_LETTERS:
+    size 9 sorts 3,265,920 letters and starts its walk, size 10 sorts
+    36,288,000 and is refused before any permutation is made, for the
+    determinant, its vector and a minor alike."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a permutation was made")
+
+    monkeypatch.setattr(itertools, "permutations", fail)
+    spec = DeterminantSpec("C", 9, 9, 1)
+    with pytest.raises(AssertionError, match="a permutation was made"):
+        det_entry_poly(spec.table(), spec)
+    message = "^a determinant of size 10 sorts 36288000 letters, above the limit of 4000000$"
+    spec = DeterminantSpec("C", 10, 10, 1)
+    with pytest.raises(ValueError, match=message):
+        det_entry_poly(spec.table(), spec)
+    with pytest.raises(ValueError, match=message):
+        determinant_vector(spec.table(), spec)
+    spec = DeterminantSpec("A", 22, 11, 2)
+    with pytest.raises(ValueError, match=message):
+        minor_entry_poly(spec.table(), spec, 1, 1)
 
 
 def test_the_three_power_checks_share_one_letter_limit():
@@ -390,12 +412,12 @@ def test_every_accepted_spec_has_the_mode_0_certificate():
     for kind, ranks in (("C", range(2, 19)), ("A", range(2, 27))):
         for rank in ranks:
             table = build_algebra(kind, rank)
-            for m in oracle_sizes(kind, rank, spec_module.MAX_SIZE):
+            for m in accepted_sizes(kind, rank):
                 spec = DeterminantSpec(kind, rank, m, 1)
                 for x in table.simple_raising:
                     assert determinants._derivation_trace(table, spec, x) == 0, (spec.label(), table.text(x))
                     scanned += 1
-    assert scanned == 3575
+    assert scanned == 4955
 
 
 def test_the_sparse_form_is_the_dense_reading():
@@ -409,7 +431,7 @@ def test_the_sparse_form_is_the_dense_reading():
         for rank in ranks:
             table = build_algebra(kind, rank)
             x = table.theta_lowering
-            for m in oracle_sizes(kind, rank, spec_module.MAX_SIZE):
+            for m in accepted_sizes(kind, rank):
                 matrix = build_matrix(table, DeterminantSpec(kind, rank, m, 1))
                 zs = [((y, 1),) for y in table.simple_raising + table.simple_lowering]
                 zs += [z for a in sorted({a for entries in matrix for a in entries}) if (z := table.rows[x].get(a))]
@@ -418,7 +440,7 @@ def test_the_sparse_form_is_the_dense_reading():
                     assert form == derivation_form_dense(table, matrix, z), (kind, rank, m, z)
                     forms += form is not None
                     refused += form is None
-    assert (forms, refused) == (8218, 395)
+    assert (forms, refused) == (12023, 495)
     # X[e1-e2] sends the entry of the 1 x 1 matrix (X[2e2]) of C2 to
     # X[e1+e2], a letter with no place in the matrix
     table = build_algebra("C", 2)
@@ -553,7 +575,7 @@ def test_every_accepted_spec_has_the_mode_1_certificate():
         for rank in ranks:
             table = build_algebra(kind, rank)
             beta = beta_constant(table)
-            for m in oracle_sizes(kind, rank, spec_module.MAX_SIZE):
+            for m in accepted_sizes(kind, rank):
                 q, k, t = determinants._mode_1_core(table, DeterminantSpec(kind, rank, m, 1))
                 e11 = [[int(i == j == 0) for j in range(m)] for i in range(m)]
                 assert k == [[2 * beta * e for e in row] for row in e11], (kind, rank, m)
@@ -564,7 +586,45 @@ def test_every_accepted_spec_has_the_mode_1_certificate():
                     assert level == spec.level, spec.label()
                     assert core == [[core[0][0] * e for e in row] for row in e11], spec.label()
                     scanned += 1
-    assert scanned == 771
+    assert scanned == 1011
+
+
+def test_the_largest_tables_are_decided_on_the_matrix_at_every_size(monkeypatch):
+    """On C18 and A26, at every accepted m and n in {1, 2}: verify_singular
+    at the level, lowering_factor_check, verify_zhu_generator and
+    verify_weyl_vanishing pass, with det_entry_poly patched to fail.  One
+    above the level, verify_singular fails at the lowest root vector at mode
+    1 with the residual beta n minor(1,1) det^(n-1)|0>, stated factored and
+    expanding nothing wherever _expands refuses (m >= 8 at n = 1, m >= 5 at
+    n = 2), and otherwise the expansion of that text."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the determinant was expanded")
+
+    real = determinants.det_entry_poly
+    scanned = 0
+    for kind, rank in (("C", 18), ("A", 26)):
+        table = build_algebra(kind, rank)
+        operator = "%s(1)" % table.text(table.theta_lowering)
+        for m in accepted_sizes(kind, rank):
+            for n in (1, 2):
+                spec = DeterminantSpec(kind, rank, m, n)
+                residual = "(%s) minor(1,1)%s |0>" % (format_rational(n * beta_constant(table)), " det^1" * (n - 1))
+                expands = determinants._expands(m - 1, m, n - 1)
+                with monkeypatch.context() as patch:
+                    for module in (determinants, zhu):
+                        patch.setattr(module, "det_entry_poly", fail)
+                    for check in (verify_singular, lowering_factor_check, verify_zhu_generator, verify_weyl_vanishing):
+                        report = check(spec)
+                        assert report.verdict and report.witness is None, (check.__name__, spec.label())
+                    if expands:  # a witness this small is expanded by design
+                        patch.setattr(determinants, "det_entry_poly", real)
+                        residual = expand_residual(table, spec, residual)
+                    report = verify_singular(spec, spec.level + 1)
+                assert not report.verdict, spec.label()
+                assert report.witness == {"operator": operator, "residual": residual}, spec.label()
+                assert (m >= 8 or n == 2 and m >= 5) != expands, spec.label()
+                scanned += 1
+    assert scanned == 2 * (18 + 13)
 
 
 @pytest.mark.parametrize("case", [("C", 5, 5, 3), ("C", 6, 6, 2)], ids=["C5-5-3", "C6-6-2"])

@@ -9,17 +9,17 @@ from fractions import Fraction
 import pytest
 
 from affine_singular import determinants, zhu
+from affine_singular.cli import main
 from affine_singular.determinants import (DeterminantSpec, build_matrix, det_entry_poly,
                                           determinant_vector, entry_element, ep_pow, ep_state)
 from affine_singular.liealg import MAX_DIMENSION, build_algebra, element_weight
 from affine_singular.scalars import over_common_denominator
-from affine_singular.spec import MAX_SIZE
 from affine_singular.vacuum import VacuumState, straighten
 from affine_singular.weyl import WeylElement, annihilation, creation
 from affine_singular.zhu import (UEnvElement, ad_action, finite_determinant,
                                  uenv_mul, uenv_pow, verify_weyl_vanishing,
                                  verify_zhu_generator, weyl_image, zhu_project)
-from oracles import constant_value, uenv_normal_form, uenv_product, uenv_sum
+from oracles import accepted_sizes, constant_value, uenv_normal_form, uenv_product, uenv_sum
 from test_acceptance import A_GRID, C_GRID
 from test_determinants import ORACLE_TABLES, oracle_sizes
 
@@ -165,14 +165,23 @@ def test_weyl_survival_for_size_one(table_c2, table_a4):
 
 @pytest.mark.parametrize("kind, rank", ORACLE_TABLES, ids=["%s%d" % table for table in ORACLE_TABLES])
 def test_rank_one_gives_the_folds_verdict(kind, rank):
+    """The fold, phi(det)^n with phi(det) the image of the expanded finite
+    determinant, is the oracle: zero for m >= 2, and at m = 1 the power of
+    one monomial that the check reads off R_11."""
     table = build_algebra(kind, rank)
     for m in oracle_sizes(kind, rank):
         spec = DeterminantSpec(kind, rank, m, 1)
+        assert zhu._images_have_rank_one(table, spec), m
         folded = weyl_image(table, finite_determinant(table, spec))
-        if m == 1:
-            assert not folded.is_zero
-        else:
-            assert zhu._images_have_rank_one(table, spec) and folded.is_zero, m
+        if m >= 2:
+            assert folded.is_zero, m
+            continue
+        power = folded
+        for n in (1, 2, 3):
+            assert not power.is_zero
+            report = verify_weyl_vanishing(DeterminantSpec(kind, rank, 1, n))
+            assert report.verdict and report.details == {"image": repr(power)}, n
+            power = power * folded
 
 
 def _unit(rank, i):
@@ -194,13 +203,25 @@ def _contract(table, matrix):
     return {matrix[i][1]: WeylElement(rank, {(_unit(rank, i + 1), _unit(rank, 1)): 1}) for i in (0, 1)}
 
 
+def _assert_no_certificate_applies(capsys, spec):
+    message = ("no certificate applies: the oscillator images of the entries of %s are not a rank-one "
+               "matrix of monomials that do not contract" % spec.label())
+    with pytest.raises(RuntimeError, match="^%s$" % message):
+        verify_weyl_vanishing(spec)
+    assert main(["zhu", "phi", "--type", spec.kind, "--rank", str(spec.rank), "-m", str(spec.m),
+                 "-n", str(spec.n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("kind, rank, change", [
     ("C", 2, _halve), ("C", 2, _second_monomial),
     ("A", 4, _halve), ("A", 4, _second_monomial), ("A", 4, _contract),
 ], ids=["C2-halve", "C2-second-monomial", "A4-halve", "A4-second-monomial", "A4-contract"])
-def test_rank_one_refuses_a_changed_image_and_the_fold_decides(monkeypatch, kind, rank, change):
+def test_rank_one_refuses_a_changed_image_and_the_check_raises(monkeypatch, capsys, kind, rank, change):
     """On a copied table with one entry's realization changed, the
-    certificate must refuse, and the report must be the fold's."""
+    certificate must refuse, and the check must raise "no certificate
+    applies", an exit 2 from zhu phi, whatever the fold would give."""
     table = copy.copy(build_algebra(kind, rank))
     realizations = list(table.realizations)
     for y, image in change(table, build_matrix(table, DeterminantSpec(kind, rank, 2, 1))).items():
@@ -210,20 +231,39 @@ def test_rank_one_refuses_a_changed_image_and_the_fold_decides(monkeypatch, kind
     for n in (1, 2):
         spec = DeterminantSpec(kind, rank, 2, n)
         assert not zhu._images_have_rank_one(table, spec)
-        image = weyl_image(table, finite_determinant(table, spec))
-        power = image * image if n == 2 else image
-        assert not power.is_zero
+        _assert_no_certificate_applies(capsys, spec)
+
+
+@pytest.mark.parametrize("kind, rank, text", [("C", 2, "(1/8) a1^6"), ("A", 4, "(1/8) a1^3 a*4^3")], ids=["C2", "A4"])
+def test_the_size_one_image_is_the_power_of_a_scaled_monomial(monkeypatch, kind, rank, text):
+    """Every accepted R_11 has coefficient 1; on a copied table where it is
+    halved, still one monomial, the m = 1 image must carry (1/2)^n, as the
+    fold gives."""
+    table = copy.copy(build_algebra(kind, rank))
+    realizations = list(table.realizations)
+    for y, image in _halve(table, build_matrix(table, DeterminantSpec(kind, rank, 1, 1))).items():
+        realizations[y] = image
+    table.realizations = tuple(realizations)
+    monkeypatch.setattr(DeterminantSpec, "table", lambda self: table)
+    folded = weyl_image(table, finite_determinant(table, DeterminantSpec(kind, rank, 1, 1)))
+    power = folded
+    for n in (1, 2, 3):
+        spec = DeterminantSpec(kind, rank, 1, n)
+        assert zhu._images_have_rank_one(table, spec)
         report = verify_weyl_vanishing(spec)
-        assert not report.verdict and report.witness == {"image": repr(power)}
+        assert report.details == {"image": repr(power)}, n
+        power = power * folded
+    assert report.details == {"image": text}
 
 
 @pytest.mark.parametrize("kind, rank", [("C", 3), ("A", 6)])
-def test_rank_one_refuses_a_change_off_the_first_row_and_column(monkeypatch, kind, rank):
+def test_rank_one_refuses_a_change_off_the_first_row_and_column(monkeypatch, capsys, kind, rank):
     """The certificate compares R_ij R_11 with R_i1 R_1j; at m = 3, doubling
     the image of Y_23 alone, which is in neither row 1 nor column 1, must
-    still be refused, and the report must be the fold's.  On kind C the
-    letter sits at (2, 3) and (3, 2), and the image survives; on kind A only
-    (2, 3) changes, a rank-two matrix of size 3, and the fold gives zero."""
+    still be refused, and the check must raise.  On kind C the letter sits
+    at (2, 3) and (3, 2), and the fold's image survives; on kind A only
+    (2, 3) changes, a rank-two matrix of size 3, and the fold gives zero:
+    the check raises on both, since no certificate covers either."""
     table = copy.copy(build_algebra(kind, rank))
     realizations = list(table.realizations)
     y = build_matrix(table, DeterminantSpec(kind, rank, 3, 1))[1][2]
@@ -236,21 +276,24 @@ def test_rank_one_refuses_a_change_off_the_first_row_and_column(monkeypatch, kin
         image = weyl_image(table, finite_determinant(table, spec))
         power = image * image if n == 2 else image
         assert power.is_zero == (kind == "A")
-        report = verify_weyl_vanishing(spec)
-        assert report.verdict == power.is_zero
-        assert report.witness == (None if power.is_zero else {"image": repr(power)})
+        _assert_no_certificate_applies(capsys, spec)
 
 
-@pytest.mark.parametrize("case", [("C", 8, 8, 1), ("A", 16, 8, 1)], ids=["C8-8-1", "A16-8-1"])
-def test_the_frontier_image_needs_no_expansion(monkeypatch, case):
+@pytest.mark.parametrize("case, image", [
+    (("C", 8, 8, 1), None), (("A", 16, 8, 1), None), (("C", 18, 18, 2), None), (("A", 26, 13, 1), None),
+    (("C", 2, 1, 3), "(1) a1^6"), (("A", 4, 1, 2), "(1) a1^2 a*4^2"),
+], ids=["C8-8-1", "A16-8-1", "C18-18-2", "A26-13-1", "C2-1-3", "A4-1-2"])
+def test_the_frontier_image_needs_no_expansion(monkeypatch, case, image):
     def fail(*args, **kwargs):
         raise AssertionError("the determinant was expanded or folded")
 
     for module in (zhu, determinants):
         monkeypatch.setattr(module, "det_entry_poly", fail)
     monkeypatch.setattr(zhu, "weyl_image", fail)
+    monkeypatch.setattr(WeylElement, "__mul__", fail)
     report = verify_weyl_vanishing(DeterminantSpec(*case))
-    assert report.verdict and report.witness is None and report.details is None
+    assert report.verdict and report.witness is None
+    assert report.details == (None if image is None else {"image": image})
 
 # -- the sorted-word rule against the general rewriter --------------------
 
@@ -467,17 +510,6 @@ def _accepted_ranks(kind):
     return ranks
 
 
-def _accepted_sizes(kind, rank):
-    sizes = []
-    for m in range(1, MAX_SIZE + 1):
-        try:
-            DeterminantSpec(kind, rank, m, 1)
-        except ValueError:
-            continue
-        sizes.append(m)
-    return sizes
-
-
 def test_no_two_entries_have_roots_summing_to_a_root():
     """On every spec the CLI accepts (C2-C18, A2-A26, every allowed m),
     each entry is a positive root vector and no two entries' roots sum to a
@@ -491,7 +523,7 @@ def test_no_two_entries_have_roots_summing_to_a_root():
     for kind in ("C", "A"):
         for rank in _accepted_ranks(kind):
             roots = set()  # of the m x m matrix, grown by its last row and column
-            for m in _accepted_sizes(kind, rank):
+            for m in accepted_sizes(kind, rank):
                 border = [(m, j) for j in range(1, m + 1)] + [(i, m) for i in range(1, m)]
                 new = {element_weight(entry_element(kind, rank, i, j), rank) for i, j in border}
                 roots |= new
@@ -500,15 +532,15 @@ def test_no_two_entries_have_roots_summing_to_a_root():
                     total = tuple(map(operator.add, a, b))
                     assert any(total) and not _is_root(kind, total), (kind, rank, m, a, b)
                 scanned += 1
-    # C: m <= min(rank, 8), 27 specs up to C7 and 8 each for C8-C18; A: 2m <= rank, m <= 8
-    assert scanned == (27 + 11 * 8) + (2 * (1 + 2 + 3 + 4 + 5 + 6 + 7) + 11 * 8)
+    # C: m <= rank, 2 + 3 + ... + 18 specs; A: 2m <= rank, 1 + 1 + 2 + 2 + ... + 12 + 12 + 13
+    assert scanned == 170 + 169
 
 
 @pytest.mark.parametrize("kind, rank", [(kind, rank) for kind in ("C", "A") for rank in range(2, 9)])
 def test_the_matrix_letters_commute_in_the_table(kind, rank):
     table = build_algebra(kind, rank)
     assert table.dimension == _dimension(kind, rank)
-    for m in _accepted_sizes(kind, rank):
+    for m in accepted_sizes(kind, rank):
         assert table.commute(y for row in build_matrix(table, DeterminantSpec(kind, rank, m, 1)) for y in row)
 
 
