@@ -1,9 +1,9 @@
 """Walk through the oscillator construction of the two algebra families.
 
 Every structure constant in the package is computed, never typed in: basis
-elements are quadratics in creation/annihilation operators, brackets are
-oscillator commutators re-expanded in the basis, and the invariant form is
-the trace of the action on the linear span of the generators.
+elements are quadratics in creation/annihilation operators, a bracket is
+read off the two labels' oscillator letters by Wick's rule, and a form entry
+by their double contraction.
 """
 
 from affine_singular.liealg import build_algebra

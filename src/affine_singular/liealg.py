@@ -30,23 +30,24 @@ A row is filled on its first read, and a row y filled before row x gives
 [x, y] = -[y, x], so each bracket is computed at most once and a check pays
 only for the rows it reads.
 
-The invariant form is read off the stored brackets as the Killing form
-over 2h^v:
+The invariant form is read off the letters the same way, as the double
+contraction of the two labels' quadratics:
 
-    (x, y) = tr(ad x ad y) / 2h^v,    h^v = l + 1 for sp_2l, l for sl_l.
+    (:pq:, :rs:) = -h ([p,r][q,s] + [p,s][q,r]),    h = 2 on "C", 1 on "A".
 
-The Killing form is 2(l + 1) tr(xy) on sp_2l and 2l tr(xy) on sl_l, traces
-on the natural module (Kac, Infinite Dimensional Lie Algebras, ch. 6), so
-(x, y) is the natural module's trace form, with (theta, theta) = 2 as the
-affine central terms need.  Only pairs of opposite weight have a nonzero
-trace, so only a root vector with its negative, and Cartan with Cartan,
-are summed.  The form is stored like the brackets, one row {y: (x, y)} per x,
-filled on its first read from the bracket rows of x and of each such y.
+On the letter span, ad :pq: sends u to p[q,u] + [p,u]q, so the trace of
+ad :pq: ad :rs: there is -2([p,r][q,s] + [p,s][q,r]).  That span is the
+natural module of sp_2l, and two copies (W + W*) of that of sl_l, hence
+h = 1 on "A": (x, y) is the natural module's trace form (Kac, Infinite
+Dimensional Lie Algebras, ch. 6), with (theta, theta) = 2 as the affine
+central terms need.  Only pairs of opposite weight contract, so only a
+root vector with its negative, and Cartan with Cartan, are paired.  The
+form is stored like the brackets, one row {y: (x, y)} per x, filled on
+its first read from the letters alone, with no bracket row read.
 
 Every structure constant, form entry and weight coordinate is an integer in
-this basis, as in a Chevalley basis, and the table holds them as ints (a
-constant that is not one raises RealizationError).  Divide one with
-Fraction(c, d), never c / d, which gives a float.
+this basis, as in a Chevalley basis, and the table holds them as ints.
+Divide one with Fraction(c, d), never c / d, which gives a float.
 """
 
 from __future__ import annotations
@@ -303,6 +304,18 @@ def _wick(xs, ys) -> dict:
     return out
 
 
+def _contract(kind: str, xs, ys) -> int:
+    """(x, y) for x and y given by their letters, by the double contraction
+    of the module docstring, with [u, v] as in _wick."""
+    total = 0
+    for c, p, q in xs:
+        for d, r, s in ys:
+            for u, v, w, z in ((p, r, q, s), (p, s, q, r)):
+                if u[1] == v[1] and w[1] == z[1]:
+                    total -= c * d * (v[0] - u[0]) * (z[0] - w[0])
+    return 2 * total if kind == "C" else total
+
+
 def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
     """The realization of one basis element, read off its letters with
     Fraction coefficients: :uv: is the bare monomial uv, less 1/2 when
@@ -317,10 +330,6 @@ def _realize(kind: str, rank: int, elem: BasisElement) -> weyl.WeylElement:
         if u[0] < v[0] and u[1] == v[1]:
             add_term(terms, (zero, zero), Fraction(-c, 2))
     return weyl.WeylElement._wrap(terms, rank)
-
-
-class RealizationError(ArithmeticError):
-    """A form entry is not an integer; the table is inconsistent."""
 
 
 class _FilledOnRead(dict):
@@ -350,7 +359,7 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
     form row is filled on its first read, and the realizations on theirs.
     A bracket is Wick's rule on the two labels' letters (_wick), each
     quadratic read off as ints in the basis, so no bracket can leave the
-    span; a form entry that does not divide exactly raises RealizationError.
+    span; a form entry is their double contraction (_contract).
     """
     if kind not in ("C", "A"):
         raise ValueError("kind must be 'C' or 'A'")
@@ -420,32 +429,13 @@ def build_algebra(kind: str, rank: int) -> StructureTable:
                 row[y] = terms
         return row
 
-    # (x, y) = tr(ad x ad y) / 2h^v, where tr(ad x ad y) is the sum over z
-    # of c [x, w]_z for each c w in [y, z].  Only pairs of opposite weight
-    # are summed: both root blocks are sorted by weight, so the root vector
-    # of weight -w(x) is the one at dim - 1 - x; Cartans pair with Cartans
-    two_dual_coxeter = 2 * (rank + 1 if kind == "C" else rank)
-
     def form_row(x):
-        """{y: (x, y)} over the y of opposite weight with (x, y) != 0; a
-        filled form row y gives (x, y) = (y, x)."""
-        ad_x = None
-        row = {}
-        for y in cartan_indices if basis[x].kind == "cartan" else (dim - 1 - x,):
-            filled = form.get(y)
-            if filled is not None:
-                value = filled.get(x, 0)
-            else:
-                ad_x = ad_x or {w: dict(terms) for w, terms in rows[x].items()}
-                trace = sum(c * ad_x[w].get(z, 0) for z, terms in rows[y].items()
-                            for w, c in terms if w in ad_x)
-                value, r = divmod(trace, two_dual_coxeter)
-                if r:
-                    raise RealizationError("the form entry (%s, %s) is not an integer"
-                                           % (basis[x].text(kind), basis[y].text(kind)))
-            if value:
-                row[y] = value
-        return row
+        """{y: (x, y)} over the y with (x, y) != 0: both root blocks are
+        sorted by weight, so the root vector of weight -w(x) is the one at
+        dim - 1 - x, and Cartans pair with Cartans."""
+        partners = cartan_indices if basis[x].kind == "cartan" else (dim - 1 - x,)
+        values = ((y, _contract(kind, letters[x], letters[y])) for y in partners)
+        return {y: value for y, value in values if value}
 
     rows = _FilledOnRead(dim, bracket_row)
     form = _FilledOnRead(dim, form_row)

@@ -498,9 +498,10 @@ def structure_table(kind: str, rank: int) -> liealg.StructureTable:
     is xy - yx from full oscillator products, not Wick's rule on the labels,
     and is expanded on pivots listed per label.  Each form entry is the
     trace form of the action on the 2l-dimensional generator span
-    (generator_matrices), halved for kind "A", not a Killing form.  Every
-    bracket and form entry is computed, and the rows keep the nonzero ones,
-    as a StructureTable's rows do."""
+    (generator_matrices), halved for kind "A", from matrix products, not the
+    double contraction of the labels' letters.  Every bracket and form entry
+    is computed, and the rows keep the nonzero ones, as a StructureTable's
+    rows do."""
     if kind == "C":
         lower = [liealg.BasisElement("minus", i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
         lower += [liealg.BasisElement("mixed", i, j) for i in range(1, rank + 1) for j in range(1, i)]

@@ -112,6 +112,19 @@ def test_negative_controls_exit_code(capsys):
     assert "PASS" not in captured.out
 
 
+def test_an_arithmetic_error_exits_2(capsys, monkeypatch):
+    """weyl_dim and weight_multiplicities raise ArithmeticError on a
+    non-integral result; main reports it on stderr and exits 2."""
+    def non_integral(table, lam):
+        raise ArithmeticError("Weyl dimension came out non-integral: 7/2")
+
+    monkeypatch.setattr(affine_singular.weights, "weyl_dim", non_integral)
+    assert main(["classify", "sp6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Weyl dimension came out non-integral: 7/2\n"
+    assert captured.out == ""
+
+
 def test_oversized_determinant_exits_2_before_expanding(capsys, monkeypatch):
     """A size the algebra does not admit exits 2; the largest size it
     admits, C12 m=12 with 12! determinant terms, is decided on the matrix
